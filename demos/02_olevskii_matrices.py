@@ -9,8 +9,8 @@ stay below 1 + sqrt(2) for every k.
 
 import numpy as np
 
-from walshlab import apply_rows, check_orthogonality, entry, row_abs_sum
-from walshlab.olevskii import dense_matrix, row_entries
+from walshlab import check_orthogonality, entry, row_abs_sum
+from walshlab.olevskii import dense_matrix, rmatvec, row_entries
 
 np.set_printoptions(precision=4, suppress=True)
 
@@ -37,10 +37,9 @@ for k in (1, 2, 5, 10, 20, 30):
     print(f"  k={k:2d}: {row_abs_sum(k):.6f}")
 print("  limit:", 1 + np.sqrt(2))
 
-print("\n== column sums over selected rows ==")
-print("rows {1} of A^1:", apply_rows(1, {1}, ["phi", "r"]))
-print("rows {1,2} of A^1:", apply_rows(1, {1, 2}, ["phi", "r"]),
-      "(band columns cancel)")
-sums = np.array(apply_rows(3, range(1, 9), list(range(8))))
+print("\n== column sums over selected rows (A^T w for a 0/1 row mask w) ==")
+print("rows {1} of A^1:", rmatvec(1, np.array([1.0, 0.0])))
+print("rows {1,2} of A^1:", rmatvec(1, np.ones(2)), "(band columns cancel)")
+sums = rmatvec(3, np.ones(8))
 print("all rows of A^3: l2 norm", np.sqrt((sums ** 2).sum()),
       "= sqrt(8), as an orthogonal matrix must")

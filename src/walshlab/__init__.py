@@ -40,7 +40,6 @@ from .norms import (
 )
 from .olevskii import (
     OlevskiiEntry,
-    apply_rows,
     check_orthogonality,
     entry,
     row_abs_sum,

@@ -68,25 +68,40 @@ class BlockPlan:
     """A validated schedule with block sizes and Rademacher offsets.
 
     N[k-1] = 2**g(k); F[k-1] is the index of the last Rademacher used
-    by block k, with F_0 = 0 implicit.  The two flags are diagnostics
-    for the hypotheses behind the democracy and greedy-rearrangement
-    arguments; a plan may be valid without satisfying either.
+    by block k, with F_0 = 0 implicit; offsets[k] = N_1 + ... + N_k is
+    the global position of block k's last element, with offsets[0] = 0.
+    The two flags are diagnostics for the hypotheses behind the
+    democracy and greedy-rearrangement arguments; a plan may be valid
+    without satisfying either.
+
+    The plan is the one place that maps frequencies to symbols: symbol
+    1 of block k is phi_k, symbols 2..N_k its Rademachers.  ``scatter``
+    and ``gather`` convert between spectra and per-block symbol
+    vectors; block symbol lists are built once per plan, on first use.
     """
 
     schedule: GrowthSchedule
     N: tuple[int, ...] = field(init=False)
     F: tuple[int, ...] = field(init=False)
+    offsets: tuple[int, ...] = field(init=False, repr=False)
+    _phi_block: dict[int, int] = field(init=False, repr=False, compare=False)
+    _symbols: dict[int, tuple[int, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
-        g = self.schedule.g
-        n = tuple(1 << e for e in g)
-        f: list[int] = []
-        acc = 0
+        n = tuple(1 << e for e in self.schedule.g)
+        offsets = [0]
         for size in n:
-            acc += size - 1
-            f.append(acc)
+            offsets.append(offsets[-1] + size)
+        # block k spends N_k - 1 Rademachers, so F_k = offsets[k] - k
+        f = tuple(m - k for k, m in enumerate(offsets) if k)
+        phis = {phi_index(k): k for k in range(1, len(n) + 1)}
         object.__setattr__(self, "N", n)
-        object.__setattr__(self, "F", tuple(f))
+        object.__setattr__(self, "F", f)
+        object.__setattr__(self, "offsets", tuple(offsets))
+        object.__setattr__(self, "_phi_block", phis)
+        object.__setattr__(self, "_symbols", {})
 
     @property
     def g(self) -> tuple[int, ...]:
@@ -99,7 +114,7 @@ class BlockPlan:
     @property
     def horizon_size(self) -> int:
         """Total number of basis elements across all blocks."""
-        return sum(self.N)
+        return self.offsets[-1]
 
     @property
     def democracy_condition(self) -> bool:
@@ -121,10 +136,8 @@ class BlockPlan:
     def to_global(self, k: int, i: int) -> int:
         """Global position of element i of block k (both 1-based)."""
         k, i = int(k), int(i)
-        self._check_block(k)
-        if not 1 <= i <= self.N[k - 1]:
-            raise HorizonError(f"i={i} out of range for block {k}")
-        return sum(self.N[: k - 1]) + i
+        self._check_element(k, i)
+        return self.offsets[k - 1] + i
 
     def to_block(self, m: int) -> tuple[int, int]:
         """Inverse of to_global."""
@@ -133,16 +146,33 @@ class BlockPlan:
             raise HorizonError(
                 f"m={m} outside horizon 1..{self.horizon_size}"
             )
-        rest = m
-        for k, size in enumerate(self.N, start=1):
-            if rest <= size:
-                return k, rest
-            rest -= size
-        raise AssertionError("unreachable")
+        k = bisect_left(self.offsets, m)
+        return k, m - self.offsets[k - 1]
+
+    def locate(self, n: int) -> tuple[int, int]:
+        """Block k and 1-based symbol column of frequency n."""
+        if n.bit_count() == 1:
+            j = n.bit_length()
+            if j > self.F[-1]:
+                raise HorizonError(f"r_{j} outside horizon (F_K={self.F[-1]})")
+            k = bisect_left(self.F, j) + 1
+            return k, j - self.F[k - 1] + self.N[k - 1]
+        k = self._phi_block.get(n)
+        if k is None:
+            raise HorizonError(
+                f"frequency {n:#x} is not spanned by the first "
+                f"{self.horizon_blocks} blocks"
+            )
+        return k, 1
 
     def _check_block(self, k: int) -> None:
         if not 1 <= k <= len(self.N):
             raise HorizonError(f"block {k} outside horizon K={len(self.N)}")
+
+    def _check_element(self, k: int, i: int) -> None:
+        self._check_block(k)
+        if not 1 <= i <= self.N[k - 1]:
+            raise HorizonError(f"i={i} out of range for block {k}")
 
     def _check_cap(self, k: int) -> None:
         if self.N[k - 1] > MATERIALIZATION_CAP:
@@ -151,38 +181,57 @@ class BlockPlan:
                 f"cap is {MATERIALIZATION_CAP}"
             )
 
-    # -- block structure ----------------------------------------------------
+    # -- symbol space -------------------------------------------------------
 
-    def block_of_rademacher(self, j: int) -> int:
-        """Block whose Rademacher run contains r_j."""
-        if not 1 <= j <= self.F[-1]:
-            raise HorizonError(f"r_{j} outside horizon (F_K={self.F[-1]})")
-        return bisect_left(self.F, j) + 1
-
-    def symbol_frequencies(self, k: int) -> list[int]:
+    def symbol_frequencies(self, k: int) -> tuple[int, ...]:
         """Frequencies of block k's symbols: phi_k then its Rademachers."""
-        self._check_block(k)
-        self._check_cap(k)
-        f_prev = self.F[k - 2] if k >= 2 else 0
-        out = [phi_index(k)]
-        out.extend(
-            rademacher_index(f_prev + j - 1) for j in range(2, self.N[k - 1] + 1)
-        )
+        freqs = self._symbols.get(k)
+        if freqs is None:
+            self._check_block(k)
+            self._check_cap(k)
+            first = self.F[k - 1] - self.N[k - 1] + 1  # F_(k-1)
+            freqs = (phi_index(k),) + tuple(
+                rademacher_index(j) for j in range(first + 1, self.F[k - 1] + 1)
+            )
+            self._symbols[k] = freqs
+        return freqs
+
+    def scatter(
+        self, f: WalshSpectrum, through: int | None = None
+    ) -> dict[int, np.ndarray]:
+        """f as per-block symbol vectors, keyed by block in increasing order.
+
+        Every frequency of f must be one of the plan's symbols.  With
+        ``through``, blocks after it are dropped and block ``through``
+        is present even where f has no term in it.
+        """
+        located = [(self.locate(n), c) for n, c in f.items()]
+        last = self.horizon_blocks if through is None else through
+        touched = {k for (k, _), _ in located if k <= last}
+        if through is not None:
+            touched.add(through)
+        for k in touched:
+            self._check_cap(k)
+        out = {k: np.zeros(self.N[k - 1]) for k in sorted(touched)}
+        for (k, col), c in located:
+            if k <= last:
+                out[k][col - 1] = c
         return out
+
+    def gather(self, vectors: dict[int, np.ndarray]) -> WalshSpectrum:
+        """Spectrum whose block-k symbol coefficients are vectors[k]."""
+        terms: dict[int, float] = {}
+        for k in sorted(vectors):
+            for n, c in zip(self.symbol_frequencies(k), vectors[k].tolist()):
+                if c != 0.0:
+                    terms[n] = c
+        return WalshSpectrum(terms)
+
+    # -- basis elements -----------------------------------------------------
 
     def psi_spectrum(self, k: int, i: int) -> WalshSpectrum:
         """Element i of block k as a sparse spectrum (g(k)+1 terms)."""
-        k, i = int(k), int(i)
-        self._check_block(k)
-        self._check_cap(k)
-        kk = self.g[k - 1]
-        if not 1 <= i <= self.N[k - 1]:
-            raise HorizonError(f"i={i} out of range for block {k}")
-        f_prev = self.F[k - 2] if k >= 2 else 0
-        terms = {phi_index(k): 2.0 ** (-kk / 2.0)}
-        for j, e in olevskii.row_entries(kk, i)[1:]:
-            terms[rademacher_index(f_prev + j - 1)] = e.value(kk)
-        return WalshSpectrum(terms)
+        return self.weighted_spectrum([((int(k), int(i)), 1.0)])
 
     def sum_spectrum(self, indices: Iterable) -> WalshSpectrum:
         """Spectrum of the plain sum of the selected elements.
@@ -197,24 +246,20 @@ class BlockPlan:
         self, entries: Iterable[tuple[object, float]]
     ) -> WalshSpectrum:
         """Spectrum of sum of w_m * psi_m over (index, weight) pairs."""
-        per_block: dict[int, np.ndarray] = {}
+        rows: dict[int, np.ndarray] = {}
         for m, w in entries:
-            k, i = m if isinstance(m, tuple) else self.to_block(m)
-            self._check_block(k)
-            if not 1 <= i <= self.N[k - 1]:
-                raise HorizonError(f"i={i} out of range for block {k}")
-            self._check_cap(k)
-            if k not in per_block:
-                per_block[k] = np.zeros(self.N[k - 1])
-            per_block[k][i - 1] += w
-        terms: dict[int, float] = {}
-        for k in sorted(per_block):
-            coeffs = olevskii.rmatvec(self.g[k - 1], per_block[k])
-            freqs = self.symbol_frequencies(k)
-            for n, c in zip(freqs, coeffs):
-                if c != 0.0:
-                    terms[n] = terms.get(n, 0.0) + float(c)
-        return WalshSpectrum(terms)
+            if isinstance(m, tuple):
+                k, i = m
+                self._check_element(k, i)
+            else:
+                k, i = self.to_block(m)
+            if k not in rows:
+                self._check_cap(k)
+                rows[k] = np.zeros(self.N[k - 1])
+            rows[k][i - 1] += w
+        return self.gather(
+            {k: olevskii.rmatvec(self.g[k - 1], w) for k, w in rows.items()}
+        )
 
 
 def validate_schedule(schedule: GrowthSchedule | Sequence[int]) -> BlockPlan:

@@ -19,7 +19,12 @@ from .errors import (
     HorizonError,
     ScheduleError,
 )
-from .experiments import ExperimentConfig, run_experiment, write_records_csv
+from .experiments import (
+    EXPERIMENTS,
+    ExperimentConfig,
+    run_experiment,
+    write_records_csv,
+)
 from .greedy import greedy_approximant, load_coefficients, synthesize_coefficients
 from .norms import lp_dense, lp_even_spectral, lp_monte_carlo
 from .spectra import load_spectrum, save_spectrum
@@ -66,17 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", required=True, help="trace CSV path")
 
     exp = sub.add_parser("experiment", help="run a verification experiment")
-    exp.add_argument(
-        "kind",
-        choices=(
-            "democracy",
-            "quasigreedy",
-            "partialsum",
-            "khintchine",
-            "almostgreedy",
-            "walsh-baseline",
-        ),
-    )
+    exp.add_argument("kind", choices=tuple(EXPERIMENTS))
     exp.add_argument("--config", required=True, help="experiment config JSON")
     exp.add_argument("--out", required=True, help="results CSV path")
     return parser

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable
@@ -29,6 +30,7 @@ from .greedy import (
     CoefficientList,
     analyze,
     greedy_order,
+    parseval_tails,
     partial_sum,
     synthesize_coefficients,
 )
@@ -121,9 +123,7 @@ class ExperimentConfig:
             raise ConfigError("config needs a 'plan'") from exc
         try:
             if isinstance(plan_spec, str):
-                plan = validate_schedule(
-                    plan_from_json({"preset": plan_spec}).schedule
-                )
+                plan = plan_from_json({"preset": plan_spec})
             elif isinstance(plan_spec, dict):
                 plan = plan_from_json(plan_spec)
             else:
@@ -376,11 +376,7 @@ def quasi_greedy_experiment(cfg: ExperimentConfig):
         order = greedy_order(coeffs).rho
         by_index = coeffs.as_dict()
         total_sq = sum(c * c for c in by_index.values())
-        # exact Parseval tails via suffix sums (no cancellation)
-        tail_sq = [0.0] * (len(order) + 1)
-        for j in range(len(order) - 1, -1, -1):
-            c = by_index[order[j]]
-            tail_sq[j] = tail_sq[j + 1] + c * c
+        tail_sq = parseval_tails([by_index[sel] for sel in order])
         norms_f = {
             p: (
                 math.sqrt(total_sq)
@@ -458,13 +454,8 @@ def partial_sum_experiment(cfg: ExperimentConfig):
     """
     plan = cfg.plan
     horizon = plan.horizon_size
-    boundaries = []
-    acc = 0
-    for size in plan.N:
-        acc += size
-        boundaries.append(acc)
     grid = sorted(
-        set(cfg.n_grid or _default_n_grid(horizon)) | set(boundaries)
+        set(cfg.n_grid or _default_n_grid(horizon)) | set(plan.offsets[1:])
     )
     if grid[-1] > horizon:
         raise ConfigError(f"n={grid[-1]} beyond horizon {horizon}")
@@ -474,12 +465,12 @@ def partial_sum_experiment(cfg: ExperimentConfig):
     for fi, (_, f) in enumerate(_corpus_for(cfg)):
         coeffs = analyze(f, plan)
         by_index = coeffs.as_dict()
-        sq = np.zeros(horizon + 1)
-        for m, c in by_index.items():
-            sq[m] = c * c
-        cum = np.cumsum(sq)
-        total = cum[-1]
-        p2_all_max = max(p2_all_max, float(np.sqrt(cum[1:].max() / total)))
+        # head_sq[t]: squared l2 norm of the first t coefficients in
+        # basis order, so ||S_n f||_2^2 = head_sq[#support <= n]
+        support = sorted(by_index)
+        head_sq = np.cumsum([0.0] + [by_index[m] * by_index[m] for m in support])
+        total = head_sq[-1]
+        p2_all_max = max(p2_all_max, float(np.sqrt(head_sq.max() / total)))
         norms_f = {
             p: (
                 math.sqrt(total)
@@ -492,8 +483,9 @@ def partial_sum_experiment(cfg: ExperimentConfig):
             sn = None
             for p in cfg.p_values:
                 if p == 2.0:
+                    kept_sq = head_sq[bisect_right(support, n)]
                     est = NormEstimate(
-                        p=2.0, value=float(np.sqrt(cum[n])), kind="exact"
+                        p=2.0, value=float(np.sqrt(kept_sq)), kind="exact"
                     )
                 else:
                     if sn is None:
@@ -559,10 +551,7 @@ def khintchine_experiment(cfg: ExperimentConfig):
         l2 = float(np.sqrt(np.sum(a * a)))
         values = synthesize(f, length)
         for p in cfg.p_values:
-            if float(p).is_integer() and int(p) % 2 == 0:
-                est = lp_even_spectral(f, int(p))
-            else:
-                est = lp_dense(f, p)
+            est = _norm(f, p, cfg, 9, trial)
             rec = _record(
                 cfg, "khintchine", cfg.plan.label(), p, length, trial, est, l2, trial_seed
             )

@@ -9,15 +9,16 @@ from analysis cannot leak into the ordering.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import olevskii
 from .blocks import BlockPlan
-from .errors import HorizonError
+from .errors import ConfigError, HorizonError
 from .norms import NormEstimate
-from .spectra import WalshSpectrum, phi_index
+from .spectra import WalshSpectrum
 
 ZERO_TOL = 1e-15
 
@@ -41,13 +42,6 @@ class CoefficientList:
 
     def as_dict(self) -> dict[int, float]:
         return dict(self.entries)
-
-    def support(self) -> list[int]:
-        """Indices with coefficients above the zero threshold."""
-        return [m for m, c in self.entries if abs(c) > ZERO_TOL]
-
-    def l2(self) -> float:
-        return float(np.sqrt(sum(c * c for _, c in self.entries)))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -82,34 +76,13 @@ def analyze(f: WalshSpectrum, plan: BlockPlan) -> CoefficientList:
     would extend past the materialized blocks.  Values with magnitude
     <= ZERO_TOL are dropped.
     """
-    per_block: dict[int, np.ndarray] = {}
-    phis = {phi_index(k): k for k in range(1, plan.horizon_blocks + 1)}
-    for n, c in f.items():
-        if n.bit_count() == 1:
-            j = n.bit_length()
-            k = plan.block_of_rademacher(j)
-            f_prev = plan.F[k - 2] if k >= 2 else 0
-            col = j - f_prev + 1
-        else:
-            k = phis.get(n)
-            if k is None:
-                raise HorizonError(
-                    f"frequency {n:#x} is not spanned by the first "
-                    f"{plan.horizon_blocks} blocks"
-                )
-            col = 1
-        plan._check_cap(k)
-        if k not in per_block:
-            per_block[k] = np.zeros(plan.N[k - 1])
-        per_block[k][col - 1] += c
     pairs: list[tuple[int, float]] = []
-    for k in sorted(per_block):
-        row_values = olevskii.matvec(plan.g[k - 1], per_block[k])
-        base = plan.to_global(k, 1) - 1
-        for i, c in enumerate(row_values, start=1):
+    for k, symbols in plan.scatter(f).items():
+        row_values = olevskii.matvec(plan.g[k - 1], symbols).tolist()
+        for m, c in enumerate(row_values, start=plan.offsets[k - 1] + 1):
             if abs(c) > ZERO_TOL:
-                pairs.append((base + i, float(c)))
-    return CoefficientList.from_pairs(pairs)
+                pairs.append((m, c))
+    return CoefficientList(tuple(pairs))
 
 
 def synthesize_coefficients(
@@ -124,6 +97,18 @@ def greedy_order(coeffs: CoefficientList) -> GreedyOrdering:
     live = [(m, c) for m, c in coeffs.entries if abs(c) > ZERO_TOL]
     live.sort(key=lambda mc: (-abs(mc[1]), mc[0]))
     return GreedyOrdering(tuple(m for m, _ in live))
+
+
+def parseval_tails(coefficients: list[float]) -> list[float]:
+    """Squared l2 norms of every suffix: out[j] = sum of c^2 over [j:].
+
+    Suffix sums give each Parseval tail directly, with no cancellation,
+    so the residual at full support is an exact 0.
+    """
+    out = [0.0] * (len(coefficients) + 1)
+    for j in range(len(coefficients) - 1, -1, -1):
+        out[j] = out[j + 1] + coefficients[j] * coefficients[j]
+    return out
 
 
 def greedy_approximant(
@@ -145,12 +130,7 @@ def greedy_approximant(
     by_index = coeffs.as_dict()
     order = greedy_order(coeffs).rho
     chosen = order[: min(m, len(order))]
-    # suffix sums give each Parseval tail directly, with no cancellation:
-    # the residual at full support is an exact 0
-    tail_sq = [0.0] * (len(order) + 1)
-    for j in range(len(order) - 1, -1, -1):
-        c = by_index[order[j]]
-        tail_sq[j] = tail_sq[j + 1] + c * c
+    tail_sq = parseval_tails([by_index[sel] for sel in order])
     trace = ApproximantTrace()
     running: list[tuple[int, float]] = []
     for step, sel in enumerate(chosen, start=1):
@@ -174,8 +154,9 @@ def greedy_approximant(
 def partial_sum(f: WalshSpectrum, plan: BlockPlan, n: int) -> WalshSpectrum:
     """Linear partial sum S_n f over the first n basis elements.
 
-    Full blocks act as identity on their own frequencies, so only the
-    one straddled block needs an analysis/synthesis round trip.
+    Full blocks act as identity on their own symbols and later blocks
+    drop out, so only the one straddled block needs an
+    analysis/synthesis round trip.
     """
     if n < 0:
         raise HorizonError(f"n must be >= 0, got {n}")
@@ -184,44 +165,13 @@ def partial_sum(f: WalshSpectrum, plan: BlockPlan, n: int) -> WalshSpectrum:
     if n == 0:
         return WalshSpectrum()
     k_edge, i_edge = plan.to_block(n)
-    full_cut = plan.F[k_edge - 2] if k_edge >= 2 else 0
-    phi_blocks = {
-        phi_index(k): k for k in range(1, plan.horizon_blocks + 1)
-    }
-    kept: dict[int, float] = {}
-    edge_symbols = np.zeros(plan.N[k_edge - 1])
-    for freq, c in f.items():
-        if freq.bit_count() == 1:
-            j = freq.bit_length()
-            if j > plan.F[-1]:
-                raise HorizonError(f"r_{j} outside horizon (F_K={plan.F[-1]})")
-            if j <= full_cut:
-                kept[freq] = c
-            elif j <= plan.F[k_edge - 1]:
-                edge_symbols[j - full_cut] += c
-            # later blocks fall outside S_n entirely
-        else:
-            k = phi_blocks.get(freq)
-            if k is None:
-                raise HorizonError(
-                    f"frequency {freq:#x} is not spanned by the plan"
-                )
-            if k < k_edge:
-                kept[freq] = c
-            elif k == k_edge:
-                edge_symbols[0] += c
-    if i_edge == plan.N[k_edge - 1]:
-        projected = edge_symbols
-    else:
+    blocks = plan.scatter(f, through=k_edge)
+    if i_edge < plan.N[k_edge - 1]:
         kk = plan.g[k_edge - 1]
-        row_values = olevskii.matvec(kk, edge_symbols)
+        row_values = olevskii.matvec(kk, blocks[k_edge])
         row_values[i_edge:] = 0.0
-        projected = olevskii.rmatvec(kk, row_values)
-    freqs = plan.symbol_frequencies(k_edge)
-    for freq, c in zip(freqs, projected):
-        if c != 0.0:
-            kept[freq] = kept.get(freq, 0.0) + float(c)
-    return WalshSpectrum(kept)
+        blocks[k_edge] = olevskii.rmatvec(kk, row_values)
+    return plan.gather(blocks)
 
 
 @dataclass(frozen=True)
@@ -288,9 +238,13 @@ def coefficients_to_json(coeffs: CoefficientList) -> dict:
 
 
 def coefficients_from_json(doc: dict) -> CoefficientList:
-    return CoefficientList.from_pairs(
+    coeffs = CoefficientList.from_pairs(
         (item["m"], item["c"]) for item in doc["coeffs"]
     )
+    for m, c in coeffs.entries:
+        if not math.isfinite(c):
+            raise ConfigError(f"coefficient of element {m} is {c}")
+    return coeffs
 
 
 def save_coefficients(coeffs: CoefficientList, path) -> None:

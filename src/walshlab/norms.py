@@ -37,6 +37,7 @@ from .spectra import (
     WalshSpectrum,
     _aggregate_rows,
     _freq_arrays,
+    _widen,
     synthesize,
 )
 
@@ -157,7 +158,7 @@ def _eval_masks(f: WalshSpectrum, masks: np.ndarray) -> np.ndarray:
     n_samples, limbs = masks.shape
     values = np.zeros(n_samples)
     packed, coeffs = _freq_arrays(f)
-    packed = packed if packed.shape[1] == limbs else _pad(packed, limbs)
+    packed = _widen(packed, limbs)
     for row, c in zip(packed, coeffs):
         parity = np.zeros(n_samples, dtype=np.uint64)
         for limb in range(limbs):
@@ -165,12 +166,6 @@ def _eval_masks(f: WalshSpectrum, masks: np.ndarray) -> np.ndarray:
         signs = 1.0 - 2.0 * (parity & np.uint64(1)).astype(float)
         values += c * signs
     return values
-
-
-def _pad(packed: np.ndarray, limbs: int) -> np.ndarray:
-    out = np.zeros((packed.shape[0], limbs), dtype=np.uint64)
-    out[:, : packed.shape[1]] = packed
-    return out
 
 
 def _head_tail_split(f: WalshSpectrum) -> float | None:

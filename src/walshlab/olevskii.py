@@ -147,25 +147,6 @@ def check_orthogonality(
     return dev / size
 
 
-def apply_rows(k: int, selected_rows, symbols: list) -> list[float]:
-    """Column sums of the selected rows, one per symbol.
-
-    ``symbols`` fixes the expected width 2^k (the labels themselves are
-    not used).  Coefficient j of the result is sum over selected i of
-    entry(k, i, j), so applying it to the symbols synthesizes
-    sum of the selected matrix rows without touching zero entries.
-    """
-    size = 1 << k
-    if len(symbols) != size:
-        raise ValueError(f"expected 2^{k} = {size} symbols, got {len(symbols)}")
-    weights = np.zeros(size)
-    for i in selected_rows:
-        if not 1 <= i <= size:
-            raise IndexError(f"row {i} out of range for k={k}")
-        weights[i - 1] += 1.0
-    return [float(x) for x in rmatvec(k, weights)]
-
-
 def rmatvec(k: int, row_weights: np.ndarray) -> np.ndarray:
     """A^T w: weighted column sums, walking the band structure.
 

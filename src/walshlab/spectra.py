@@ -21,12 +21,13 @@ Conventions used throughout the library:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import BudgetError, DepthError
+from .errors import BudgetError, ConfigError, DepthError
 
 # Dense vectors above this depth are refused (2**30 cells).
 MAX_SYNTH_DEPTH = 30
@@ -68,10 +69,6 @@ class DyadicPoint:
             out = (out << 1) | (c & 1)
             c >>= 1
         return out
-
-    def as_float(self) -> float:
-        """Left endpoint of the cell."""
-        return self.cell / (1 << self.depth)
 
 
 def rademacher_index(j: int) -> Frequency:
@@ -200,10 +197,6 @@ class WalshSpectrum:
         )
         extra = "" if len(self._terms) <= 4 else f", ... ({len(self._terms)} terms)"
         return f"WalshSpectrum({preview}{extra})"
-
-    def eval_at(self, t: DyadicPoint) -> float:
-        """Exact value at a dyadic point (depth must cover the spectrum)."""
-        return sum(c * walsh_eval(n, t) for n, c in self._terms.items())
 
 
 def spectrum_add(f: WalshSpectrum, g: WalshSpectrum) -> WalshSpectrum:
@@ -389,7 +382,10 @@ def spectrum_to_json(f: WalshSpectrum) -> dict:
 def spectrum_from_json(doc: dict) -> WalshSpectrum:
     terms = {}
     for item in doc["terms"]:
-        terms[int(item["n"], 16)] = float(item["c"])
+        c = float(item["c"])
+        if not math.isfinite(c):
+            raise ConfigError(f"coefficient of W_{item['n']} is {c}")
+        terms[int(item["n"], 16)] = c
     return WalshSpectrum(terms)
 
 

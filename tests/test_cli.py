@@ -94,6 +94,42 @@ def test_norm_missing_file_exit2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+def test_norm_non_finite_coefficient_exit2(tmp_path, capsys, bad):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"terms": [{"n": "1", "c": bad}, {"n": "3", "c": 1.0}]}))
+    code, out, err = run_cli(
+        capsys, "norm", "--p", "4", "--engine", "even", "--in", str(path)
+    )
+    assert code == 2 and out == ""
+    assert "W_1" in err
+
+
+def test_greedy_run_non_finite_coefficient_exit2(tmp_path, capsys):
+    cpath = tmp_path / "coeffs.json"
+    cpath.write_text('{"coeffs": [{"m": 1, "c": 0.5}, {"m": 2, "c": NaN}]}')
+    code, _, err = run_cli(
+        capsys, "greedy", "run", "--plan", "desk", "--in", str(cpath),
+        "--m-max", "2", "--out", str(tmp_path / "trace.csv"),
+    )
+    assert code == 2
+    assert "element 2" in err
+
+
+def test_partial_sum_inside_wide_block_exit3(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "plan": "paper", "p": [2, 4], "seed": 1, "n_grid": [10, 1025],
+        "corpus": {"kind": "decay", "count": 1, "terms": 5},
+    }))
+    code, _, err = run_cli(
+        capsys, "experiment", "partialsum", "--config", str(cfg),
+        "--out", str(tmp_path / "out.csv"),
+    )
+    assert code == 3
+    assert "cap" in err
+
+
 def test_greedy_run(tmp_path, capsys):
     coeffs = CoefficientList.from_pairs([(1, 0.9), (2, 0.5), (7, -0.4)])
     cpath = tmp_path / "coeffs.json"

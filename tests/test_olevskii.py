@@ -6,7 +6,6 @@ import pytest
 from walshlab.errors import BudgetError
 from walshlab.olevskii import (
     ROW_ABS_SUM_LIMIT,
-    apply_rows,
     check_orthogonality,
     dense_matrix,
     entry,
@@ -102,27 +101,32 @@ def test_row_abs_sum_uniform_over_rows():
             assert row_abs_sum(k, i) == base
 
 
-def test_apply_rows_examples():
-    symbols = ["phi", "r"]
-    assert apply_rows(1, {1}, symbols) == pytest.approx([INV_SQRT2, INV_SQRT2])
-    assert apply_rows(1, {1, 2}, symbols) == pytest.approx([2 * INV_SQRT2, 0.0])
+def _row_mask(k, rows):
+    w = np.zeros(1 << k)
+    w[[i - 1 for i in rows]] = 1.0
+    return w
+
+
+def test_rmatvec_row_sum_examples():
+    assert rmatvec(1, _row_mask(1, {1})) == pytest.approx([INV_SQRT2, INV_SQRT2])
+    assert rmatvec(1, _row_mask(1, {1, 2})) == pytest.approx([2 * INV_SQRT2, 0.0])
     with pytest.raises(ValueError):
-        apply_rows(1, {1}, ["phi"])
+        rmatvec(1, np.ones(1))
 
 
-def test_apply_rows_l2_preservation():
+def test_rmatvec_l2_preservation():
     rng = np.random.default_rng(5)
     for k in (2, 4, 6):
         size = 1 << k
         for _ in range(5):
             m = int(rng.integers(1, size + 1))
             rows = set(rng.choice(size, size=m, replace=False) + 1)
-            coeffs = np.array(apply_rows(k, rows, list(range(size))))
+            coeffs = rmatvec(k, _row_mask(k, rows))
             assert np.sqrt(np.sum(coeffs**2)) == pytest.approx(
                 math.sqrt(m), abs=1e-12
             )
     # all rows selected: column sums have l2 norm 2^(k/2)
-    coeffs = np.array(apply_rows(3, range(1, 9), list(range(8))))
+    coeffs = rmatvec(3, _row_mask(3, range(1, 9)))
     assert np.sqrt(np.sum(coeffs**2)) == pytest.approx(2 ** 1.5, abs=1e-12)
 
 
