@@ -1,7 +1,10 @@
 """Three ways to an L_p norm, and when each applies.
 
 dense: exact for any p but needs the full dyadic grid (depth <= 24).
-even spectral: exact for even p at any depth, via XOR convolutions.
+even spectral: exact for even p at any depth, via a head/tail moment
+split (a head on at most 12 bits plus an independent Rademacher tail,
+whose moments come from its cumulants), or via XOR convolutions of
+the spectrum when the head is wider.
 monte carlo: any p, any depth, seeded, with an honest 95% interval.
 """
 
@@ -37,6 +40,8 @@ deep = WalshSpectrum(
     {rademacher_index(j): float(rng.normal()) for j in rng.choice(500, 40, replace=False)}
 )
 print("depth:", deep.depth(), " p=4 norm:", lp_even_spectral(deep, 4).value)
+print("p=6 norm:", lp_even_spectral(deep, 6).value,
+      " p=8 norm:", lp_even_spectral(deep, 8).value)
 print("fourth-moment identity:",
       rademacher_fourth_moment(np.array([c for _, c in deep.items()])) ** 0.25)
 

@@ -2,8 +2,9 @@
 
 The greedy ordering lists the nonzero coefficients by decreasing
 magnitude, breaking ties by increasing basis index.  Coefficients of
-magnitude below ``ZERO_TOL`` are treated as zero so that rounding noise
-from analysis cannot leak into the ordering.
+magnitude at most ``ZERO_TOL`` times the l2 norm of all coefficients
+are treated as zero, so that rounding noise from analysis cannot leak
+into the ordering and scaling the input does not change the support.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .errors import ConfigError, HorizonError
 from .norms import NormEstimate
 from .spectra import WalshSpectrum
 
+# zero threshold relative to the l2 norm of the coefficients
 ZERO_TOL = 1e-15
 
 
@@ -74,13 +76,17 @@ def analyze(f: WalshSpectrum, plan: BlockPlan) -> CoefficientList:
     Every frequency of f must belong to the plan's horizon (one of the
     phi indices or a Rademacher below F_K); otherwise the expansion
     would extend past the materialized blocks.  Values with magnitude
-    <= ZERO_TOL are dropped.
+    <= ZERO_TOL times the l2 norm of all the coefficients are dropped.
     """
+    rows = [
+        (plan.offsets[k - 1], olevskii.matvec(plan.g[k - 1], symbols))
+        for k, symbols in plan.scatter(f).items()
+    ]
+    tol = ZERO_TOL * math.hypot(*(c for _, v in rows for c in v.tolist()))
     pairs: list[tuple[int, float]] = []
-    for k, symbols in plan.scatter(f).items():
-        row_values = olevskii.matvec(plan.g[k - 1], symbols).tolist()
-        for m, c in enumerate(row_values, start=plan.offsets[k - 1] + 1):
-            if abs(c) > ZERO_TOL:
+    for base, row_values in rows:
+        for m, c in enumerate(row_values.tolist(), start=base + 1):
+            if abs(c) > tol:
                 pairs.append((m, c))
     return CoefficientList(tuple(pairs))
 
@@ -94,7 +100,8 @@ def synthesize_coefficients(
 
 def greedy_order(coeffs: CoefficientList) -> GreedyOrdering:
     """Magnitude-decreasing order of the nonzero support, ties by index."""
-    live = [(m, c) for m, c in coeffs.entries if abs(c) > ZERO_TOL]
+    tol = ZERO_TOL * math.hypot(*(c for _, c in coeffs.entries))
+    live = [(m, c) for m, c in coeffs.entries if abs(c) > tol]
     live.sort(key=lambda mc: (-abs(mc[1]), mc[0]))
     return GreedyOrdering(tuple(m for m, _ in live))
 
@@ -155,8 +162,9 @@ def partial_sum(f: WalshSpectrum, plan: BlockPlan, n: int) -> WalshSpectrum:
     """Linear partial sum S_n f over the first n basis elements.
 
     Full blocks act as identity on their own symbols and later blocks
-    drop out, so only the one straddled block needs an
-    analysis/synthesis round trip.
+    drop out, so only a straddled block needs an analysis/synthesis
+    round trip.  When n ends a block nothing is materialized: S_n f is
+    f restricted to blocks <= that block, in ``gather``'s order.
     """
     if n < 0:
         raise HorizonError(f"n must be >= 0, got {n}")
@@ -165,12 +173,16 @@ def partial_sum(f: WalshSpectrum, plan: BlockPlan, n: int) -> WalshSpectrum:
     if n == 0:
         return WalshSpectrum()
     k_edge, i_edge = plan.to_block(n)
+    if i_edge == plan.N[k_edge - 1]:
+        located = sorted((plan.locate(freq), freq, c) for freq, c in f.items())
+        return WalshSpectrum(
+            {freq: c for (k, _), freq, c in located if k <= k_edge}
+        )
     blocks = plan.scatter(f, through=k_edge)
-    if i_edge < plan.N[k_edge - 1]:
-        kk = plan.g[k_edge - 1]
-        row_values = olevskii.matvec(kk, blocks[k_edge])
-        row_values[i_edge:] = 0.0
-        blocks[k_edge] = olevskii.rmatvec(kk, row_values)
+    kk = plan.g[k_edge - 1]
+    row_values = olevskii.matvec(kk, blocks[k_edge])
+    row_values[i_edge:] = 0.0
+    blocks[k_edge] = olevskii.rmatvec(kk, row_values)
     return plan.gather(blocks)
 
 

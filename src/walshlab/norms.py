@@ -4,19 +4,27 @@ Engine choice:
 
 * ``lp_dense`` synthesizes the function on its full dyadic grid and is
   exact for any p >= 1, but needs depth <= 24.
-* ``lp_even_spectral`` is exact for even integer p at any depth.  It
-  never leaves coefficient space: ||f||_{2m}^{2m} = sum over n of the
-  squared coefficients of f^m, with products done by XOR convolution.
-  For p = 4 a split shortcut applies whenever the frequencies of
-  popcount != 1 span few bits b_1..b_v: writing f = q + T with q the
-  part supported on those bits (plus any single-bit terms inside them)
-  and T the remaining independent Rademacher tail,
+* ``lp_even_spectral`` is exact for even integer p at any depth.  For
+  p = 2 it is Parseval.  For p = 2m >= 4 it splits f = q + T, where
+  the head q holds every frequency of popcount != 1 together with the
+  single-bit terms inside the v bits those frequencies span, and the
+  tail T = sum b_i r_i holds the remaining Rademacher terms.  The
+  tail is independent of q and symmetric, so
 
-      integral f^4 = E q^4 + 6 E q^2 S_2 + 3 S_2^2 - 2 S_4,
+      integral f^(2m) = sum over j of C(2m, 2j) E q^(2m-2j) E T^(2j).
 
-  where S_r = sum of tail coefficients^r.  E q^2 and E q^4 come from
-  the 2^v cell values of q.  The identity holds because odd moments of
-  T vanish and q, T are independent.
+  E q^(2j) comes from the 2^v cell values of q.  E T^(2j) comes from
+  the power sums S_2i = sum b^(2i): T's cumulants are
+  kappa_2i = c_i S_2i, where c_i = 1, -2, 16, -272, ... are the even
+  cumulants of one Rademacher sign (those of log cosh), and the
+  moment-cumulant recursion
+
+      E T^(2j) = sum over i = 1..j of C(2j-1, 2i-1) kappa_2i E T^(2j-2i)
+
+  turns them into moments.  At m = 2 this is
+  integral f^4 = E q^4 + 6 E q^2 S_2 + 3 S_2^2 - 2 S_4.  Heads wider
+  than 12 bits fall back to ||f^m||_2^2, with the powers f^m formed by
+  XOR convolution of packed frequency keys under a pair budget.
 * ``lp_monte_carlo`` samples uniform cells at the spectrum's own depth
   (the integrand is constant per cell, so sampling adds no
   discretization error) and reports a 95% CI propagated from the
@@ -27,6 +35,8 @@ Engine choice:
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,13 +47,14 @@ from .spectra import (
     WalshSpectrum,
     _aggregate_rows,
     _freq_arrays,
+    _fwht_inplace,
     _widen,
     synthesize,
 )
 
 MAX_DENSE_DEPTH = 24
 
-# 2^v cells above which the p=4 split falls back to XOR convolution
+# 2^v head cells above which the even-p split falls back to XOR convolution
 _SPLIT_CELL_CAP = 1 << 12
 
 _Z95 = 1.959963984540054
@@ -88,7 +99,11 @@ def lp_dense(f: WalshSpectrum, p: float) -> NormEstimate:
 def lp_even_spectral(
     f: WalshSpectrum, p: int, max_pairs: int = PRODUCT_PAIR_BUDGET
 ) -> NormEstimate:
-    """Exact ||f||_p for even integer p, independent of depth."""
+    """Exact ||f||_p for even integer p, independent of depth.
+
+    ``max_pairs`` bounds the XOR convolution that heads wider than 12
+    bits need; the head/tail split has no pair cost.
+    """
     if p < 2 or p % 2:
         raise ValueError(f"p must be an even integer >= 2, got {p}")
     if len(f) == 0:
@@ -96,11 +111,9 @@ def lp_even_spectral(
     if p == 2:
         moment = float(np.sum(np.fromiter((c * c for _, c in f.items()), float)))
         return NormEstimate(p=2.0, value=moment ** 0.5, kind="exact")
-    if p == 4:
-        split = _head_tail_split(f)
-        if split is not None:
-            return NormEstimate(p=4.0, value=split ** 0.25, kind="exact")
-    moment = _packed_even_moment(f, p // 2, max_pairs)
+    moment = _head_tail_moment(f, p // 2)
+    if moment is None:
+        moment = _packed_even_moment(f, p // 2, max_pairs)
     return NormEstimate(p=float(p), value=moment ** (1.0 / p), kind="exact")
 
 
@@ -168,46 +181,70 @@ def _eval_masks(f: WalshSpectrum, masks: np.ndarray) -> np.ndarray:
     return values
 
 
-def _head_tail_split(f: WalshSpectrum) -> float | None:
-    """integral f^4 by the independent-tail identity, or None if the
-    head would need too many cells."""
+def _head_tail_moment(f: WalshSpectrum, m: int) -> float | None:
+    """integral f^(2m) by the independent-tail identity, or None if the
+    head would need more than _SPLIT_CELL_CAP cells."""
     head_bits = 0
     for n in f:
         if n.bit_count() != 1:
             head_bits |= n
-    head: dict[int, float] = {}
-    tail: list[float] = []
-    for n, c in f.items():
-        if n.bit_count() == 1 and not (n & head_bits):
-            tail.append(c)
-        else:
-            head[n] = c
     v = head_bits.bit_count()
     if (1 << v) > _SPLIT_CELL_CAP:
         return None
-    # remap the head onto bits 0..v-1 and read q off its 2^v cells
-    positions = {}
+    shifts = []
     b = head_bits
     while b:
         low = b & -b
-        positions[low.bit_length() - 1] = len(positions)
+        shifts.append(low.bit_length() - 1)
         b ^= low
-    compact: dict[int, float] = {}
-    for n, c in head.items():
-        m = 0
-        bb = n
-        while bb:
-            low = bb & -bb
-            m |= 1 << positions[low.bit_length() - 1]
-            bb ^= low
-        compact[m] = compact.get(m, 0.0) + c
-    q = synthesize(WalshSpectrum(compact), v)
-    eq2 = float(np.mean(q * q))
-    eq4 = float(np.mean(q ** 4))
-    b_arr = np.array(tail) if tail else np.zeros(0)
-    s2 = float(np.sum(b_arr * b_arr))
-    s4 = float(np.sum(b_arr ** 4))
-    return eq4 + 6.0 * eq2 * s2 + 3.0 * s2 * s2 - 2.0 * s4
+    # the head remapped onto bits 0..v-1; single bits outside the head
+    # bits are the independent tail
+    cells = np.zeros(1 << v)
+    tail: list[float] = []
+    outside = ~head_bits
+    for n, c in f.items():
+        if n & outside:
+            tail.append(c)
+        else:
+            cells[sum(((n >> s) & 1) << i for i, s in enumerate(shifts))] = c
+    # q on its 2^v cells, in bit-reversed order; moments ignore order
+    _fwht_inplace(cells)
+    q2 = cells * cells
+    head = np.cumprod(np.broadcast_to(q2, (m, len(q2))), axis=0).mean(axis=1)
+    b2 = np.square(tail)
+    power_sums = np.cumprod(np.broadcast_to(b2, (m, len(b2))), axis=0).sum(axis=1)
+    outer, recursion, cumulants = _split_table(m)
+    kappa = [c * s for c, s in zip(cumulants, power_sums.tolist())]
+    mu = [1.0]  # mu[j] = E T^(2j)
+    for j, weights in enumerate(recursion, start=1):
+        mu.append(sum(w * kappa[i] * mu[j - 1 - i] for i, w in enumerate(weights)))
+    eq = [1.0] + head.tolist()  # eq[j] = E q^(2j)
+    return sum(w * eq[m - j] * mu[j] for j, w in enumerate(outer))
+
+
+@functools.cache
+def _split_table(m: int) -> tuple[tuple, tuple, tuple]:
+    """Binomials and Rademacher cumulants of the 2m-th moment split.
+
+    Returns C(2m, 2j) for j = 0..m; the moment-cumulant recursion
+    weights C(2j-1, 2i-1), i = 1..j, for j = 1..m; and the even
+    cumulants kappa_2i of one Rademacher sign, i = 1..m.
+    """
+    # the sign's moments are 1 at even and 0 at odd order; invert
+    # mu_n = sum_k C(n-1, k-1) kappa_k mu_(n-k) in exact integers
+    mom = [1 - n % 2 for n in range(2 * m + 1)]
+    kappa = [0] * (2 * m + 1)
+    for n in range(1, 2 * m + 1):
+        kappa[n] = mom[n] - sum(
+            math.comb(n - 1, k - 1) * kappa[k] * mom[n - k] for k in range(1, n)
+        )
+    outer = tuple(math.comb(2 * m, 2 * j) for j in range(m + 1))
+    recursion = tuple(
+        tuple(math.comb(2 * j - 1, 2 * i - 1) for i in range(1, j + 1))
+        for j in range(1, m + 1)
+    )
+    cumulants = tuple(kappa[2 * i] for i in range(1, m + 1))
+    return outer, recursion, cumulants
 
 
 def _packed_even_moment(f: WalshSpectrum, half: int, max_pairs: int) -> float:

@@ -355,13 +355,14 @@ def _widen(packed: np.ndarray, limbs: int) -> np.ndarray:
 
 
 def _aggregate_rows(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum weights over identical rows; rows returned in sorted order."""
-    view = np.ascontiguousarray(keys).view(
-        [("", np.uint64)] * keys.shape[1]
-    ).ravel()
-    uniq, inverse = np.unique(view, return_inverse=True)
-    sums = np.bincount(inverse, weights=weights, minlength=len(uniq))
-    return uniq.view(np.uint64).reshape(-1, keys.shape[1]), sums
+    """Sum weights over identical rows; rows returned sorted with limb 0
+    as the leading sort key."""
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    starts = np.flatnonzero(
+        np.concatenate(([True], np.any(keys[1:] != keys[:-1], axis=1)))
+    )
+    return keys[starts], np.add.reduceat(weights[order], starts)
 
 
 def _unpack_row(row: np.ndarray) -> int:

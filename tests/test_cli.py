@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -128,6 +129,29 @@ def test_partial_sum_inside_wide_block_exit3(tmp_path, capsys):
     )
     assert code == 3
     assert "cap" in err
+
+
+def test_partial_sum_on_paper_plan_block_ends(tmp_path, capsys):
+    # the grid always holds the horizon, which ends the 2^100 block:
+    # S_n there is f itself, so nothing has to be materialized
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "plan": "paper", "n_grid": [10, 100], "seed": 1,
+        "corpus": {"kind": "decay", "count": 1, "terms": 5},
+    }))
+    out_path = tmp_path / "out.csv"
+    code, out, _ = run_cli(
+        capsys, "experiment", "partialsum", "--config", str(cfg),
+        "--out", str(out_path),
+    )
+    assert code == 0
+    horizon = load_plan("paper").horizon_size
+    assert json.loads(out)["n_grid"] == [10, 100, 1024, horizon]
+    with open(out_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    at_horizon = [r for r in rows if r["size_or_m"] == str(horizon)]
+    assert {r["p"] for r in at_horizon} == {"2.0", "4.0"}
+    assert all(float(r["value"]) == 1.0 for r in at_horizon)
 
 
 def test_greedy_run(tmp_path, capsys):

@@ -1,0 +1,101 @@
+"""The head/tail moment split against the routes it replaced.
+
+For p = 2m >= 4, ``lp_even_spectral`` splits f into a head on at most
+12 bits and an independent Rademacher tail.  The properties compare it
+with ``_packed_even_moment`` (the XOR-convolution route, called
+directly) at any depth, with ``lp_dense`` where the depth is <= 16, and
+with the sharp even-moment Khintchine constants
+B_2m = ((2m - 1)!!)^(1/2m).
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from walshlab.norms import (
+    _head_tail_moment,
+    _packed_even_moment,
+    _split_table,
+    lp_dense,
+    lp_even_spectral,
+)
+from walshlab.spectra import WalshSpectrum, rademacher_index
+
+coefficient = st.floats(-10.0, 10.0, allow_nan=False).filter(lambda x: abs(x) > 1e-3)
+
+
+@st.composite
+def head_tail_spectra(draw):
+    """A head on <= 12 bits plus a Rademacher tail on other bits.
+
+    The bits come from 0..15 or 0..299, so some spectra are shallow
+    enough for ``lp_dense``; a third of the tails carry one dominant
+    term, the cancellation extreme of the cumulant recursion.
+    """
+    width = draw(st.sampled_from([16, 300]))
+    head_pos = sorted(draw(st.sets(st.integers(0, width - 1), max_size=12)))
+    masks = draw(st.sets(st.integers(0, (1 << len(head_pos)) - 1), max_size=8))
+    terms = {}
+    for mask in masks:
+        n = sum(1 << pos for i, pos in enumerate(head_pos) if mask >> i & 1)
+        terms[n] = draw(coefficient)
+    free = [b for b in range(width) if b not in head_pos]
+    tail_bits = draw(st.lists(st.sampled_from(free), max_size=8, unique=True))
+    for b in tail_bits:
+        terms[1 << b] = draw(coefficient)
+    if tail_bits and draw(st.integers(0, 2)) == 0:
+        terms[1 << tail_bits[0]] = draw(st.sampled_from([1e3, -1e3]))
+    return WalshSpectrum(terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(head_tail_spectra(), st.sampled_from([4, 6, 8]))
+def test_split_equals_convolution_and_dense(f, p):
+    split = _head_tail_moment(f, p // 2)
+    assert split is not None
+    if len(f) == 0:
+        assert split == 0.0
+        return
+    packed = _packed_even_moment(f, p // 2, max_pairs=1 << 24)
+    assert split == pytest.approx(packed, rel=1e-12)
+    assert lp_even_spectral(f, p).value ** p == pytest.approx(split, rel=1e-12)
+    if f.depth() <= 16:
+        assert split == pytest.approx(lp_dense(f, p).value ** p, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-10.0, 10.0, allow_nan=False), min_size=1, max_size=16))
+def test_sharp_even_khintchine_bounds(a):
+    f = WalshSpectrum({rademacher_index(j + 1): x for j, x in enumerate(a)})
+    l2 = math.sqrt(sum(x * x for x in a))
+    for m in (2, 3, 4):
+        bound = math.prod(range(1, 2 * m, 2)) ** (1.0 / (2 * m))
+        assert lp_even_spectral(f, 2 * m).value <= bound * l2 * (1 + 1e-12)
+
+
+def test_rademacher_cumulants_and_binomials():
+    outer, recursion, cumulants = _split_table(5)
+    assert cumulants == (1, -2, 16, -272, 7936)
+    assert outer == (1, 45, 210, 210, 45, 1)
+    assert recursion[:3] == ((1,), (3, 1), (5, 10, 1))
+    # the tail moments of one sign are all 1
+    assert _head_tail_moment(WalshSpectrum({1 << 200: 1.0}), 5) == 1.0
+
+
+def test_split_at_p10_and_p12_matches_dense():
+    rng = np.random.default_rng(3)
+    freqs = rng.choice(1 << 10, 9, replace=False)
+    f = WalshSpectrum({int(n): float(rng.normal()) for n in freqs})
+    for p in (10, 12):
+        dense = lp_dense(f, p).value
+        assert lp_even_spectral(f, p).value == pytest.approx(dense, rel=1e-12)
+
+
+def test_wide_head_is_left_to_the_convolution():
+    f = WalshSpectrum({0b11 << 12: 1.0, 0b111111111111: 0.5})  # 14 head bits
+    assert _head_tail_moment(f, 3) is None
+    dense = lp_dense(f, 6).value
+    assert lp_even_spectral(f, 6).value == pytest.approx(dense, rel=1e-12)

@@ -103,6 +103,28 @@ def test_greedy_order_invariant_randomized():
             assert ck < cj or (ck == cj and rho[k] > rho[j])
 
 
+def test_analyze_keeps_a_tiny_function():
+    plan = validate_schedule([2, 4, 8])
+    for k, i in ((1, 2), (2, 7), (3, 200)):
+        got = analyze(1e-16 * plan.psi_spectrum(k, i), plan)
+        assert [m for m, _ in got.entries] == [plan.to_global(k, i)]
+        assert got.entries[0][1] == pytest.approx(1e-16, rel=1e-12)
+
+
+def test_greedy_order_is_scale_invariant():
+    plan = validate_schedule([2, 4, 8])
+    rng = np.random.default_rng(5)
+    coeffs = _random_coeffs(rng, plan, 40)
+    f = synthesize_coefficients(coeffs, plan)
+    base = greedy_order(analyze(f, plan)).rho
+    raw = greedy_order(coeffs).rho
+    assert sorted(base) == [m for m, _ in coeffs.entries]
+    for k in range(-66, 67):
+        assert greedy_order(analyze(f * 2.0 ** k, plan)).rho == base, k
+        scaled = CoefficientList.from_pairs((m, c * 2.0 ** k) for m, c in coeffs.entries)
+        assert greedy_order(scaled).rho == raw, k
+
+
 def test_greedy_approximant_largest_first(desk24):
     coeffs = CoefficientList.from_pairs([(1, 0.9), (2, 0.5), (3, -0.5)])
     f = synthesize_coefficients(coeffs, desk24)

@@ -89,9 +89,18 @@ def test_spectral_p8_small():
 
 
 def test_spectral_budget():
-    f = WalshSpectrum({n: 1.0 for n in range(1 << 7)})
+    # non-Rademacher frequencies spanning 14 bits: too wide for the
+    # head/tail split, so p=8 goes through the budgeted convolution
+    f = WalshSpectrum({n | (n << 7): 1.0 for n in range(1 << 7)})
     with pytest.raises(BudgetError):
         lp_even_spectral(f, 8, max_pairs=10_000)
+
+
+def test_seven_bit_head_takes_the_split_at_p8():
+    f = WalshSpectrum({n: 1.0 for n in range(1 << 7)})
+    assert lp_even_spectral(f, 8, max_pairs=10_000).value == pytest.approx(
+        lp_dense(f, 8).value, rel=1e-12
+    )
 
 
 def test_monotone_in_p():

@@ -7,6 +7,7 @@ random strictly increasing schedules with blocks of at most 2^8
 elements.
 """
 
+import math
 from bisect import bisect_left
 
 import numpy as np
@@ -52,12 +53,15 @@ def reference_analyze(f, plan):
         if k not in per_block:
             per_block[k] = np.zeros(plan.N[k - 1])
         per_block[k][col - 1] += c
+    rows = {
+        k: olevskii.matvec(plan.g[k - 1], per_block[k]) for k in sorted(per_block)
+    }
+    tol = ZERO_TOL * math.hypot(*(float(c) for row in rows.values() for c in row))
     pairs = []
-    for k in sorted(per_block):
-        row_values = olevskii.matvec(plan.g[k - 1], per_block[k])
+    for k in sorted(rows):
         base = plan.to_global(k, 1) - 1
-        for i, c in enumerate(row_values, start=1):
-            if abs(c) > ZERO_TOL:
+        for i, c in enumerate(rows[k], start=1):
+            if abs(c) > tol:
                 pairs.append((base + i, float(c)))
     return CoefficientList.from_pairs(pairs)
 
@@ -162,10 +166,9 @@ def test_analyze_inverts_synthesis_in_every_block(case):
     plan, coeffs = case
     back = analyze(synthesize_coefficients(coeffs, plan), plan).as_dict()
     want = coeffs.as_dict()
-    # rounding noise may leave tiny extra entries: the zero threshold
-    # is absolute, so compare over the union of the supports
-    for m in set(back) | set(want):
-        assert abs(back.get(m, 0.0) - want.get(m, 0.0)) <= 1e-12
+    assert back.keys() == want.keys()
+    for m in want:
+        assert abs(back[m] - want[m]) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
