@@ -26,12 +26,16 @@ from .experiments import (
     write_records_csv,
 )
 from .greedy import greedy_approximant, load_coefficients, synthesize_coefficients
-from .norms import lp_dense, lp_even_spectral, lp_monte_carlo
+from .norms import lp_dense, lp_even_spectral, lp_monte_carlo, lp_norm
 from .spectra import load_spectrum, save_spectrum
 
 _CONFIG_ERRORS = (ConfigError, ScheduleError, HorizonError, json.JSONDecodeError,
                   FileNotFoundError, KeyError, ValueError)
 _RESOURCE_ERRORS = (BudgetError, DepthError)
+
+# Monte Carlo defaults of `norm`, also used where `greedy run` samples
+_MC_SAMPLES = 20000
+_MC_SEED = 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,8 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
     norm.add_argument(
         "--engine", choices=("dense", "even", "mc"), default="dense"
     )
-    norm.add_argument("--samples", type=int, default=20000)
-    norm.add_argument("--seed", type=int, default=0)
+    norm.add_argument("--samples", type=int, default=_MC_SAMPLES)
+    norm.add_argument("--seed", type=int, default=_MC_SEED)
     norm.add_argument("--in", dest="infile", required=True)
 
     greedy = sub.add_parser("greedy", help="greedy approximation traces")
@@ -120,9 +124,7 @@ def _cmd_greedy_run(args) -> int:
     f = synthesize_coefficients(coeffs, plan)
 
     def norm_fn(spec, p):
-        if p == int(p) and int(p) % 2 == 0:
-            return lp_even_spectral(spec, int(p))
-        return lp_dense(spec, p)
+        return lp_norm(spec, p, _MC_SAMPLES, lambda: _MC_SEED)
 
     ps = (args.p,) if args.p != 2.0 else ()
     _, trace = greedy_approximant(f, plan, args.m_max, norm_ps=ps, norm_fn=norm_fn)

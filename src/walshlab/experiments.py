@@ -35,11 +35,9 @@ from .greedy import (
     synthesize_coefficients,
 )
 from .norms import (
-    MAX_DENSE_DEPTH,
     NormEstimate,
-    lp_dense,
     lp_even_spectral,
-    lp_monte_carlo,
+    lp_norm,
     rademacher_fourth_moment,
 )
 from .spectra import WalshSpectrum, analyze_dense, rademacher_index, synthesize
@@ -270,13 +268,9 @@ def _generate_one(spec: dict, rng, plan: BlockPlan) -> WalshSpectrum:
 def _norm(
     f: WalshSpectrum, p: float, cfg: ExperimentConfig, *seed_parts: int
 ) -> NormEstimate:
-    if float(p).is_integer() and int(p) % 2 == 0 and p >= 2:
-        return lp_even_spectral(f, int(p))
-    if f.depth() <= MAX_DENSE_DEPTH:
-        return lp_dense(f, p)
     # seed derivation deferred: exact routes never touch randomness
-    return lp_monte_carlo(
-        f, p, cfg.mc_samples, derive_seed(cfg.seed, *seed_parts)
+    return lp_norm(
+        f, p, cfg.mc_samples, lambda: derive_seed(cfg.seed, *seed_parts)
     )
 
 
@@ -549,7 +543,8 @@ def khintchine_experiment(cfg: ExperimentConfig):
             {rademacher_index(j + 1): float(a[j]) for j in range(length)}
         )
         l2 = float(np.sqrt(np.sum(a * a)))
-        values = synthesize(f, length)
+        # only the p = 4 identity check reads the cell values
+        values = synthesize(f, length) if 4.0 in cfg.p_values else None
         for p in cfg.p_values:
             est = _norm(f, p, cfg, 9, trial)
             rec = _record(

@@ -2,8 +2,11 @@
 
 Engine choice:
 
-* ``lp_dense`` synthesizes the function on its full dyadic grid and is
-  exact for any p >= 1, but needs depth <= 24.
+* ``lp_dense`` runs the fast Walsh-Hadamard transform on the
+  coefficient vector and is exact for any p >= 1, but needs
+  depth <= 24.  Only the mean of |f|^p is wanted, and cell order does
+  not change it, so the cell values stay in the transform's own
+  bit-reversed order and no permutation is built.
 * ``lp_even_spectral`` is exact for even integer p at any depth.  For
   p = 2 it is Parseval.  For p = 2m >= 4 it splits f = q + T, where
   the head q holds every frequency of popcount != 1 together with the
@@ -31,6 +34,19 @@ Engine choice:
   normal-approximation CI of the p-th power mean.  Randomness is
   counter-based (Philox keyed by the seed), so sample i depends only on
   (seed, i) and results do not depend on any execution schedule.
+  Samples are evaluated with byte tables: every term whose frequency
+  has its nonzero bits inside one byte of the packed little-endian
+  limbs (every Rademacher term, and any other frequency inside one
+  aligned byte) joins that byte's 256-entry coefficient row, one
+  matmul with the 8-bit sign matrix turns the rows into value tables,
+  and a sample's value is one lookup per used byte of its digit mask.
+  Terms spanning several bytes are added one at a time from the parity
+  of mask & frequency.
+  The draw is refused before anything is allocated when samples x
+  limbs x 8 bytes exceeds ``MC_BYTE_BUDGET``.
+* ``lp_norm`` is the dispatch the experiments and the CLI share: even
+  spectral for even integer p, dense up to depth 24, Monte Carlo
+  beyond.
 """
 
 from __future__ import annotations
@@ -38,6 +54,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -48,11 +65,14 @@ from .spectra import (
     _aggregate_rows,
     _freq_arrays,
     _fwht_inplace,
+    _values_bit_reversed,
     _widen,
-    synthesize,
 )
 
 MAX_DENSE_DEPTH = 24
+
+# Monte Carlo digit masks above this many bytes are refused (1 GiB)
+MC_BYTE_BUDGET = 1 << 30
 
 # 2^v head cells above which the even-p split falls back to XOR convolution
 _SPLIT_CELL_CAP = 1 << 12
@@ -91,7 +111,7 @@ def lp_dense(f: WalshSpectrum, p: float) -> NormEstimate:
     depth = f.depth()
     if depth > MAX_DENSE_DEPTH:
         raise DepthError(f"spectrum depth {depth} above dense cap {MAX_DENSE_DEPTH}")
-    values = synthesize(f, depth)
+    values = _values_bit_reversed(f, depth)
     moment = float(np.mean(np.abs(values) ** p))
     return NormEstimate(p=p, value=moment ** (1.0 / p), kind="exact")
 
@@ -127,6 +147,11 @@ def lp_monte_carlo(
         raise ValueError(f"need at least 2 samples, got {samples}")
     depth = f.depth()
     limbs = max(1, (depth + 63) // 64)
+    if samples * limbs * 8 > MC_BYTE_BUDGET:
+        raise BudgetError(
+            f"{samples} samples x {limbs} limbs need {samples * limbs * 8} "
+            f"mask bytes, budget {MC_BYTE_BUDGET}"
+        )
     rng = np.random.Generator(np.random.Philox(key=seed))
     masks = rng.integers(0, 2 ** 64, size=(samples, limbs), dtype=np.uint64)
     spare = limbs * 64 - depth
@@ -156,6 +181,22 @@ def lp_monte_carlo(
     )
 
 
+def lp_norm(
+    f: WalshSpectrum, p: float, samples: int, seed: Callable[[], int]
+) -> NormEstimate:
+    """||f||_p by the first route that applies: even spectral for even
+    integer p, dense up to depth MAX_DENSE_DEPTH, else Monte Carlo.
+
+    ``seed`` is called only on the sampled route, so exact values never
+    derive one.
+    """
+    if float(p).is_integer() and int(p) % 2 == 0 and p >= 2:
+        return lp_even_spectral(f, int(p))
+    if f.depth() <= MAX_DENSE_DEPTH:
+        return lp_dense(f, p)
+    return lp_monte_carlo(f, p, samples, seed())
+
+
 def rademacher_fourth_moment(a: np.ndarray) -> float:
     """Exact integral of (sum a_j r_j)^4: 3 (sum a^2)^2 - 2 sum a^4."""
     a = np.asarray(a, dtype=float)
@@ -172,13 +213,40 @@ def _eval_masks(f: WalshSpectrum, masks: np.ndarray) -> np.ndarray:
     values = np.zeros(n_samples)
     packed, coeffs = _freq_arrays(f)
     packed = _widen(packed, limbs)
-    for row, c in zip(packed, coeffs):
+    freq_bytes = packed.astype("<u8", copy=False).view(np.uint8)
+    nonzero = freq_bytes != 0
+    single = np.count_nonzero(nonzero, axis=1) <= 1
+    terms = np.flatnonzero(single)
+    if len(terms):
+        byte = np.argmax(nonzero[terms], axis=1)
+        u = freq_bytes[terms, byte]
+        # the constant term adds to every entry of any table: put it in
+        # one that is read anyway
+        byte[u == 0] = byte.max()
+        used, table_of = np.unique(byte, return_inverse=True)
+        weights = np.zeros((len(used), 256))
+        weights[table_of, u] = coeffs[terms]
+        tables = weights @ _byte_signs()
+        digits = masks.astype("<u8", copy=False).view(np.uint8).T[used]
+        for table, column in zip(tables, digits):
+            values += np.take(table, column)
+    for n in np.flatnonzero(~single):
+        row = packed[n]
         parity = np.zeros(n_samples, dtype=np.uint64)
-        for limb in range(limbs):
+        for limb in np.flatnonzero(row):
             parity ^= np.bitwise_count(masks[:, limb] & row[limb])
         signs = 1.0 - 2.0 * (parity & np.uint64(1)).astype(float)
-        values += c * signs
+        values += coeffs[n] * signs
     return values
+
+
+@functools.cache
+def _byte_signs() -> np.ndarray:
+    """(-1)^popcount(u & x) for bytes u, x: the 8-bit Walsh sign matrix."""
+    b = np.arange(256, dtype=np.uint8)
+    signs = 1.0 - 2.0 * (np.bitwise_count(b[:, None] & b) & 1)
+    signs.flags.writeable = False
+    return signs
 
 
 def _head_tail_moment(f: WalshSpectrum, m: int) -> float | None:

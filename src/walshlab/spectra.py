@@ -282,12 +282,7 @@ def synthesize(f: WalshSpectrum, depth: int) -> np.ndarray:
         raise DepthError(
             f"depth {depth} below spectrum depth {f.depth()}"
         )
-    size = 1 << depth
-    coeffs = np.zeros(size)
-    for n, c in f.items():
-        coeffs[n] = c
-    _fwht_inplace(coeffs)
-    return coeffs[_bit_reverse_permutation(depth)]
+    return _values_bit_reversed(f, depth)[_bit_reverse_permutation(depth)]
 
 
 def analyze_dense(values: np.ndarray) -> WalshSpectrum:
@@ -309,6 +304,16 @@ def analyze_dense(values: np.ndarray) -> WalshSpectrum:
     return WalshSpectrum(
         {int(n): float(c) for n, c in enumerate(work) if c != 0.0}
     )
+
+
+def _values_bit_reversed(f: WalshSpectrum, depth: int) -> np.ndarray:
+    """f on all 2**depth cells, cell c at the bit reversal of c; no
+    depth checks."""
+    values = np.zeros(1 << depth)
+    for n, c in f.items():
+        values[n] = c
+    _fwht_inplace(values)
+    return values
 
 
 def _fwht_inplace(v: np.ndarray) -> None:

@@ -1,7 +1,9 @@
 import csv
 import json
+import math
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -168,6 +170,53 @@ def test_greedy_run(tmp_path, capsys):
     assert lines[0].split(",")[:4] == ["m", "selected", "coefficient", "residual_l2"]
     assert len(lines) == 4
     assert lines[1].split(",")[1] == "1"  # largest coefficient first
+
+
+def test_greedy_run_p3_on_deep_elements_samples(tmp_path, capsys):
+    # elements 100 and 250 lie in the desk plan's deep blocks, so the
+    # p = 3 residual norms go to Monte Carlo with `norm`'s defaults
+    coeffs = CoefficientList.from_pairs(
+        [(1, 0.9), (7, -0.6), (30, 0.5), (100, 0.3), (250, -0.2)]
+    )
+    cpath = tmp_path / "coeffs.json"
+    save_coefficients(coeffs, cpath)
+    outputs = []
+    for attempt in range(2):
+        out_path = tmp_path / f"trace{attempt}.csv"
+        code, _, err = run_cli(
+            capsys, "greedy", "run", "--plan", "desk", "--in", str(cpath),
+            "--m-max", "5", "--p", "3", "--out", str(out_path),
+        )
+        assert code == 0, err
+        outputs.append(out_path.read_bytes())
+    assert outputs[0] == outputs[1]
+    with open(tmp_path / "trace0.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 5
+    assert all(math.isfinite(float(r["residual_p"])) for r in rows)
+
+
+def test_norm_mc_sample_budget_exit3(tmp_path, capsys):
+    spec_path = tmp_path / "deep.json"
+    save_spectrum(WalshSpectrum({1: 1.0, 1 << 299: 0.5}), spec_path)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(
+            capsys, "norm", "--p", "3", "--engine", "mc",
+            "--samples", str(10 ** 12), "--in", str(spec_path),
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and out == ""
+    assert "budget" in err
+    assert peak < 1 << 24  # refused before the masks were allocated
+    code, out, _ = run_cli(
+        capsys, "norm", "--p", "3", "--engine", "mc",
+        "--samples", "20000", "--in", str(spec_path),
+    )
+    assert code == 0
+    assert json.loads(out)["samples"] == 20000
 
 
 def test_experiment_cli(tmp_path, capsys):

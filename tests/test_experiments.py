@@ -184,6 +184,23 @@ def test_khintchine_bounds(desk):
         )
 
 
+def test_khintchine_p4_identity_with_other_p(desk):
+    cfg = ExperimentConfig(plan=desk, p_values=(3.0, 4.0, 6.0), trials=40, seed=11)
+    _, summary = khintchine_experiment(cfg)
+    assert summary["fourth_moment_dev_max"] <= 1e-12
+
+
+def test_khintchine_rows_do_not_depend_on_p4(desk, tmp_path):
+    # without p = 4 the cell values are never synthesized; the rows for
+    # the other exponents must come out the same
+    with_p4 = ExperimentConfig(plan=desk, p_values=(3.0, 4.0, 6.0), trials=40, seed=11)
+    without = ExperimentConfig(plan=desk, p_values=(3.0, 6.0), trials=40, seed=11)
+    rows, _ = khintchine_experiment(with_p4)
+    write_records_csv([r for r in rows if r.p != 4.0], tmp_path / "a.csv")
+    write_records_csv(khintchine_experiment(without)[0], tmp_path / "b.csv")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
 def test_almostgreedy_p2_exact_one():
     plan = validate_schedule([2, 4])
     cfg = ExperimentConfig(
