@@ -2,11 +2,10 @@
 
 Engine choice:
 
-* ``lp_dense`` runs the fast Walsh-Hadamard transform on the
-  coefficient vector and is exact for any p >= 1, but needs
-  depth <= 24.  Only the mean of |f|^p is wanted, and cell order does
-  not change it, so the cell values stay in the transform's own
-  bit-reversed order and no permutation is built.
+* ``lp_dense`` synthesizes the function on its full dyadic grid and is
+  exact for any p >= 1, but needs depth <= 24.  ``synthesize`` places
+  the terms at bit-reversed indices before the butterfly, so no
+  permutation of the 2^depth cell values is built.
 * ``lp_even_spectral`` is exact for even integer p at any depth.  For
   p = 2 it is Parseval.  For p = 2m >= 4 it splits f = q + T, where
   the head q holds every frequency of popcount != 1 together with the
@@ -42,8 +41,9 @@ Engine choice:
   and a sample's value is one lookup per used byte of its digit mask.
   Terms spanning several bytes are added one at a time from the parity
   of mask & frequency.
-  The draw is refused before anything is allocated when samples x
-  limbs x 8 bytes exceeds ``MC_BYTE_BUDGET``.
+  The draw is refused before anything is allocated when its peak
+  (``_mc_peak_bytes``: the masks, their byte columns and a few float
+  arrays per sample) exceeds ``MC_BYTE_BUDGET``.
 * ``lp_norm`` is the dispatch the experiments and the CLI share: even
   spectral for even integer p, dense up to depth 24, Monte Carlo
   beyond.
@@ -65,13 +65,13 @@ from .spectra import (
     _aggregate_rows,
     _freq_arrays,
     _fwht_inplace,
-    _values_bit_reversed,
     _widen,
+    synthesize,
 )
 
 MAX_DENSE_DEPTH = 24
 
-# Monte Carlo digit masks above this many bytes are refused (1 GiB)
+# Monte Carlo draws whose peak allocation would exceed this are refused
 MC_BYTE_BUDGET = 1 << 30
 
 # 2^v head cells above which the even-p split falls back to XOR convolution
@@ -111,7 +111,7 @@ def lp_dense(f: WalshSpectrum, p: float) -> NormEstimate:
     depth = f.depth()
     if depth > MAX_DENSE_DEPTH:
         raise DepthError(f"spectrum depth {depth} above dense cap {MAX_DENSE_DEPTH}")
-    values = _values_bit_reversed(f, depth)
+    values = synthesize(f, depth)
     moment = float(np.mean(np.abs(values) ** p))
     return NormEstimate(p=p, value=moment ** (1.0 / p), kind="exact")
 
@@ -147,10 +147,11 @@ def lp_monte_carlo(
         raise ValueError(f"need at least 2 samples, got {samples}")
     depth = f.depth()
     limbs = max(1, (depth + 63) // 64)
-    if samples * limbs * 8 > MC_BYTE_BUDGET:
+    need = _mc_peak_bytes(samples, limbs)
+    if need > MC_BYTE_BUDGET:
         raise BudgetError(
-            f"{samples} samples x {limbs} limbs need {samples * limbs * 8} "
-            f"mask bytes, budget {MC_BYTE_BUDGET}"
+            f"{samples} samples x {limbs} limbs need about {need} bytes, "
+            f"budget {MC_BYTE_BUDGET}"
         )
     rng = np.random.Generator(np.random.Philox(key=seed))
     masks = rng.integers(0, 2 ** 64, size=(samples, limbs), dtype=np.uint64)
@@ -206,6 +207,13 @@ def rademacher_fourth_moment(a: np.ndarray) -> float:
 
 
 # -- internals ---------------------------------------------------------------
+
+def _mc_peak_bytes(samples: int, limbs: int) -> int:
+    """Upper bound on what one ``lp_monte_carlo`` draw allocates: the
+    uint64 masks, the byte columns copied out of them, and at most six
+    float64 or intp arrays of one entry per sample alive at once."""
+    return samples * (16 * limbs + 6 * 8)
+
 
 def _eval_masks(f: WalshSpectrum, masks: np.ndarray) -> np.ndarray:
     """f at the dyadic points whose digit masks are the given limb rows."""

@@ -273,8 +273,11 @@ def spectrum_product(
 def synthesize(f: WalshSpectrum, depth: int) -> np.ndarray:
     """Exact values of f on all 2**depth dyadic cells, in cell order.
 
-    Uses the fast Walsh-Hadamard butterfly plus one bit-reversal
-    permutation (cell digits are MSB-first, Paley bits are LSB-first).
+    Uses the fast Walsh-Hadamard butterfly.  Cell digits are MSB-first
+    and Paley bits LSB-first, so each coefficient of W_n is placed at
+    the bit reversal of n; the butterfly then leaves every cell's value
+    at the cell's own index, and only the terms are permuted, never the
+    2**depth values.
     """
     if depth > MAX_SYNTH_DEPTH:
         raise DepthError(f"depth {depth} exceeds cap {MAX_SYNTH_DEPTH}")
@@ -282,7 +285,13 @@ def synthesize(f: WalshSpectrum, depth: int) -> np.ndarray:
         raise DepthError(
             f"depth {depth} below spectrum depth {f.depth()}"
         )
-    return _values_bit_reversed(f, depth)[_bit_reverse_permutation(depth)]
+    values = np.zeros(1 << depth)
+    freqs = np.fromiter(f, dtype=np.int64, count=len(f))
+    values[_bit_reverse(freqs, depth)] = np.fromiter(
+        (c for _, c in f.items()), dtype=float, count=len(f)
+    )
+    _fwht_inplace(values)
+    return values
 
 
 def analyze_dense(values: np.ndarray) -> WalshSpectrum:
@@ -298,22 +307,12 @@ def analyze_dense(values: np.ndarray) -> WalshSpectrum:
     depth = size.bit_length() - 1
     if depth > MAX_SYNTH_DEPTH:
         raise DepthError(f"depth {depth} exceeds cap {MAX_SYNTH_DEPTH}")
-    work = values[_bit_reverse_permutation(depth)]
+    work = values[_bit_reverse(np.arange(size, dtype=np.int64), depth)]
     _fwht_inplace(work)
     work /= size
     return WalshSpectrum(
         {int(n): float(c) for n, c in enumerate(work) if c != 0.0}
     )
-
-
-def _values_bit_reversed(f: WalshSpectrum, depth: int) -> np.ndarray:
-    """f on all 2**depth cells, cell c at the bit reversal of c; no
-    depth checks."""
-    values = np.zeros(1 << depth)
-    for n, c in f.items():
-        values[n] = c
-    _fwht_inplace(values)
-    return values
 
 
 def _fwht_inplace(v: np.ndarray) -> None:
@@ -329,12 +328,12 @@ def _fwht_inplace(v: np.ndarray) -> None:
         h *= 2
 
 
-def _bit_reverse_permutation(depth: int) -> np.ndarray:
-    idx = np.arange(1 << depth, dtype=np.int64)
+def _bit_reverse(idx: np.ndarray, depth: int) -> np.ndarray:
+    """Each index, read as ``depth`` bits, with its bit order reversed."""
     out = np.zeros_like(idx)
     for _ in range(depth):
         out = (out << 1) | (idx & 1)
-        idx >>= 1
+        idx = idx >> 1
     return out
 
 

@@ -10,6 +10,7 @@ import pytest
 from walshlab.cli import main
 from walshlab.blocks import load_plan
 from walshlab.greedy import CoefficientList, save_coefficients
+from walshlab.norms import MC_BYTE_BUDGET, _mc_peak_bytes
 from walshlab.spectra import load_spectrum, save_spectrum, WalshSpectrum
 
 
@@ -217,6 +218,27 @@ def test_norm_mc_sample_budget_exit3(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["samples"] == 20000
+
+
+def test_norm_mc_budget_counts_more_than_the_masks(tmp_path, capsys):
+    # one limb: 2^27 samples are exactly 1 GiB of masks, but the draw
+    # also copies their bytes and holds float arrays per sample
+    spec_path = tmp_path / "shallow.json"
+    save_spectrum(WalshSpectrum({1: 1.0, 1 << 40: 0.5}), spec_path)
+    first_refused = MC_BYTE_BUDGET // _mc_peak_bytes(1, 1) + 1
+    for samples in (1 << 27, first_refused):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(
+                capsys, "norm", "--p", "3", "--engine", "mc",
+                "--samples", str(samples), "--in", str(spec_path),
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and out == "" and "budget" in err
+        assert peak < 1 << 24
+    assert _mc_peak_bytes(first_refused - 1, 1) <= MC_BYTE_BUDGET
 
 
 def test_experiment_cli(tmp_path, capsys):

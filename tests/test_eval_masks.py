@@ -1,21 +1,28 @@
-"""The byte-table sample evaluator and the permutation-free dense norm.
+"""The byte-table sample evaluator, its memory estimate, and synthesis
+without a permutation of the cells.
 
 ``reference_eval_masks`` is the per-term parity loop that evaluated
 every sample before the byte tables: one pass over all samples per limb
-of every term.  The properties run over frequencies with 0 to 4 nonzero
-bytes out to bit 300, with and without a constant term, at depths that
-include 0 and multiples of 8 and 64.
+of every term; ``reference_synthesize`` is synthesis as it was before
+the terms were placed at bit-reversed indices.  The properties run over
+frequencies with 0 to 4 nonzero bytes out to bit 300, with and without
+a constant term, at depths that include 0 and multiples of 8 and 64.
 """
 
+import tracemalloc
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walshlab.norms import _eval_masks, lp_dense, lp_monte_carlo
+from walshlab.norms import _eval_masks, _mc_peak_bytes, lp_dense, lp_monte_carlo
 from walshlab.spectra import (
     DyadicPoint,
     WalshSpectrum,
+    _bit_reverse,
     _freq_arrays,
+    _fwht_inplace,
     _widen,
     synthesize,
 )
@@ -35,6 +42,16 @@ def reference_eval_masks(f, masks):
         signs = 1.0 - 2.0 * (parity & np.uint64(1)).astype(float)
         values += c * signs
     return values
+
+
+def reference_synthesize(f, depth):
+    """Synthesis as it was before the terms were placed bit-reversed:
+    the butterfly on the coefficient vector, then the cells permuted."""
+    values = np.zeros(1 << depth)
+    for n, c in f.items():
+        values[n] = c
+    _fwht_inplace(values)
+    return values[_bit_reverse(np.arange(1 << depth, dtype=np.int64), depth)]
 
 
 depths = st.one_of(
@@ -114,6 +131,14 @@ def test_dense_norm_is_mean_over_synthesized_cells(case, p):
     assert abs(got - moment ** (1.0 / p)) <= 1e-14 * max(moment ** (1.0 / p), 1e-300)
 
 
+@settings(max_examples=80, deadline=None)
+@given(spectra_at_depth(st.integers(0, 16)))
+def test_synthesis_matches_the_permuted_butterfly(case):
+    f, depth = case
+    got = synthesize(f, depth)
+    assert np.max(np.abs(got - reference_synthesize(f, depth))) <= 1e-12 * max(_l1(f), 1.0)
+
+
 @settings(max_examples=30, deadline=None)
 @given(spectra_at_depth(), st.integers(0, 2 ** 63), st.floats(1.5, 6.0))
 def test_monte_carlo_is_bit_identical_across_calls(case, seed, p):
@@ -121,3 +146,23 @@ def test_monte_carlo_is_bit_identical_across_calls(case, seed, p):
     first = lp_monte_carlo(f, p, 500, seed)
     second = lp_monte_carlo(f, p, 500, seed)
     assert first.as_dict() == second.as_dict()
+
+
+@pytest.mark.parametrize("depth", [1, 64, 300])
+@pytest.mark.parametrize("route", ["single", "multi", "both"])
+def test_monte_carlo_peak_stays_within_its_budget_estimate(depth, route):
+    terms = {}
+    if route != "multi":
+        terms.update({1 << j: 1.0 / (j + 1) for j in range(depth)})
+    if route != "single" and depth > 8:
+        terms.update({(1 << (depth - 1)) | 1: 0.5, (1 << 9) | 3: 0.25})
+    f = WalshSpectrum(terms or {1: 1.0})
+    samples = 20_000
+    limbs = max(1, (f.depth() + 63) // 64)
+    tracemalloc.start()
+    try:
+        lp_monte_carlo(f, 3.0, samples, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= _mc_peak_bytes(samples, limbs)
