@@ -6,6 +6,13 @@ Per-trial randomness is derived from the master seed and the trial's
 own coordinates, so reruns are bit-identical and independent of any
 execution order.
 
+Every row is built by one constructor (``_record``), and every min/max
+in a summary is the extreme of the returned rows at that p
+(``_extremes``), so a summary can always be recomputed from its CSV.
+The corpus drivers (quasigreedy, partialsum, almostgreedy) read their
+functions and expansion coefficients from one iterator, and greedy
+approximants are built from prefixes ``order[:m]`` of the greedy order.
+
 Norm routes: p = 2 ratios of expansions are computed in coefficient
 space (orthonormal Parseval, exact by construction; the test suite
 separately confirms coefficient and spectral routes agree), even p uses
@@ -134,7 +141,7 @@ class ExperimentConfig:
         sizes = _expand_sizes(doc.get("sizes", []))
         n_grid = _expand_sizes(doc.get("n_grid", []))
         try:
-            return cls(
+            cfg = cls(
                 plan=plan,
                 p_values=tuple(float(p) for p in p_raw),
                 sizes=sizes,
@@ -149,6 +156,17 @@ class ExperimentConfig:
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad config value: {exc}") from exc
+        # written so that a NaN fails the comparison and is refused too
+        for name, value, least in [
+            ("trials", cfg.trials, 1),
+            ("mc_samples", cfg.mc_samples, 2),
+            ("max_terms", cfg.max_terms, 1),
+            *(("sizes", n, 1) for n in cfg.sizes),
+            *(("p", p, 1.0) for p in cfg.p_values),
+        ]:
+            if not value >= least:
+                raise ConfigError(f"{name} must be >= {least}, got {value}")
+        return cfg
 
 
 def _expand_sizes(raw) -> tuple[int, ...]:
@@ -193,13 +211,10 @@ def corpus_with_coefficients(
     for index in range(count):
         rng = np.random.default_rng(derive_seed(seed, 1, index))
         if kind == "mixed":
-            sub = _MIXED_ROTATION[index % len(_MIXED_ROTATION)]
-            merged = {**spec, **sub}
-            out.append(
-                (f"{sub['kind']}#{index}", _generate_one(merged, rng, plan))
-            )
+            sub = {**spec, **_MIXED_ROTATION[index % len(_MIXED_ROTATION)]}
         else:
-            out.append((f"{kind}#{index}", _generate_one(spec, rng, plan)))
+            sub = spec
+        out.append((f"{sub['kind']}#{index}", _generate_one(sub, rng, plan)))
     return out
 
 
@@ -219,25 +234,14 @@ def _generate_one(spec: dict, rng, plan: BlockPlan) -> WalshSpectrum:
     if kind == "decay":
         alpha = float(spec.get("alpha", 1.0))
         signs = rng.choice([-1.0, 1.0], size=terms)
-        pairs = [
-            (m, signs[m - 1] * m ** -alpha) for m in range(1, terms + 1)
-        ]
-        return synthesize_coefficients(CoefficientList.from_pairs(pairs), plan)
-    if kind == "flat_block":
+        pairs = [(m, signs[m - 1] * m ** -alpha) for m in range(1, terms + 1)]
+    elif kind == "flat_block":
         positions = np.sort(rng.choice(horizon, size=terms, replace=False)) + 1
-        signs = rng.choice([-1.0, 1.0], size=terms)
-        pairs = [(int(m), float(s)) for m, s in zip(positions, signs)]
-        return synthesize_coefficients(CoefficientList.from_pairs(pairs), plan)
-    if kind == "lacunary":
-        positions = []
-        m = 1
-        while m <= horizon:
-            positions.append(m)
-            m *= 2
-        signs = rng.choice([-1.0, 1.0], size=len(positions))
-        pairs = [(int(m), float(s)) for m, s in zip(positions, signs)]
-        return synthesize_coefficients(CoefficientList.from_pairs(pairs), plan)
-    if kind == "indicator":
+        pairs = zip(positions, rng.choice([-1.0, 1.0], size=terms))
+    elif kind == "lacunary":
+        positions = [1 << j for j in range(horizon.bit_length())]
+        pairs = zip(positions, rng.choice([-1.0, 1.0], size=len(positions)))
+    elif kind == "indicator":
         depth = int(spec.get("depth", 3))
         cells = 1 << depth
         lo = int(rng.integers(0, cells - 1))
@@ -245,25 +249,24 @@ def _generate_one(spec: dict, rng, plan: BlockPlan) -> WalshSpectrum:
         values = np.zeros(cells)
         values[lo:hi] = 1.0
         return analyze_dense(values)
-    if kind == "adversarial_walsh":
+    elif kind == "adversarial_walsh":
         # near-flat magnitudes, signs alternating by dyadic band, tilted
         # so the greedy ordering walks fine bands before coarse ones
         # (the worst observed direction for plain-Walsh thresholding)
         depth = int(spec.get("depth", 6))
         tilt = float(spec.get("tilt", 1e-3))
-        count = 1 << depth
-        jitter = rng.random(count) * (tilt / 8.0)
-        terms = {}
-        for n in range(count):
-            band = n.bit_length()
-            terms[n] = float(
-                (-1.0) ** band * (1.0 + tilt * band + jitter[n])
-            )
-        return WalshSpectrum(terms)
-    raise ConfigError(f"unknown corpus kind {kind!r}")
+        jitter = rng.random(1 << depth) * (tilt / 8.0)
+        bands = [n.bit_length() for n in range(1 << depth)]
+        return WalshSpectrum({
+            n: float((-1.0) ** band * (1.0 + tilt * band + jitter[n]))
+            for n, band in enumerate(bands)
+        })
+    else:
+        raise ConfigError(f"unknown corpus kind {kind!r}")
+    return synthesize_coefficients(CoefficientList.from_pairs(pairs), plan)
 
 
-# -- norm dispatch -------------------------------------------------------------
+# -- norms, rows and summaries -------------------------------------------------
 
 def _norm(
     f: WalshSpectrum, p: float, cfg: ExperimentConfig, *seed_parts: int
@@ -274,30 +277,61 @@ def _norm(
     )
 
 
+def _norms(
+    f: WalshSpectrum, cfg: ExperimentConfig, *seed_parts: int, l2_sq=None
+) -> dict[float, float]:
+    """||f||_p for every configured p.
+
+    Given ``l2_sq``, the squared l2 norm of f's expansion coefficients,
+    p = 2 is Parseval-exact and never reads the spectrum.
+    """
+    return {
+        p: math.sqrt(l2_sq) if p == 2.0 and l2_sq is not None
+        else _norm(f, p, cfg, *seed_parts).value
+        for p in cfg.p_values
+    }
+
+
 def _record(
-    cfg,
-    experiment,
-    plan_label,
-    p,
-    size_or_m,
-    trial,
-    est: NormEstimate,
-    scale: float,
-    seed: int,
+    experiment: str, plan_label: str, p: float, size_or_m: int, trial: int,
+    est: NormEstimate, scale: float, seed: int,
 ) -> ResultRecord:
+    """One CSV row: ``est`` divided by ``scale``, CI cells only if sampled."""
     exact = est.kind == "exact"
     return ResultRecord(
-        experiment=experiment,
-        plan=plan_label,
-        p=p,
-        size_or_m=size_or_m,
-        trial=trial,
-        value=est.value / scale,
-        ci_low=None if exact else est.ci_low / scale,
-        ci_high=None if exact else est.ci_high / scale,
-        exact=exact,
-        seed=seed,
+        experiment, plan_label, p, size_or_m, trial, est.value / scale,
+        None if exact else est.ci_low / scale,
+        None if exact else est.ci_high / scale,
+        exact, seed,
     )
+
+
+def _extremes(
+    records: list[ResultRecord], p_values, pick: Callable, start: float, **fields
+) -> dict[str, float]:
+    """``pick`` (min or max) over ``start`` and the row values at each p.
+
+    Only rows whose attributes equal ``fields`` count, which splits the
+    series one driver writes (quasigreedy's residual rows, the two plans
+    of walsh-baseline).
+    """
+    rows = [r for r in records if all(getattr(r, k) == v for k, v in fields.items())]
+    return {
+        str(p): pick([start] + [r.value for r in rows if r.p == p]) for p in p_values
+    }
+
+
+def _corpus_expansions(cfg: ExperimentConfig):
+    """(trial, f, coefficients, squared l2 of the coefficients) per function.
+
+    The corpus is ``cfg.corpus`` (default: 50 mixed functions of 40
+    terms) drawn from derive_seed(seed, 4).
+    """
+    spec = cfg.corpus or {"kind": "mixed", "count": 50, "terms": 40}
+    corpus = corpus_with_coefficients(spec, derive_seed(cfg.seed, 4), cfg.plan)
+    for trial, (_, f) in enumerate(corpus):
+        coeffs = analyze(f, cfg.plan)
+        yield trial, f, coeffs, sum(c * c for _, c in coeffs.entries)
 
 
 # -- experiments ---------------------------------------------------------------
@@ -310,10 +344,10 @@ def democracy_experiment(cfg: ExperimentConfig):
     1.0 without any synthesis.
     """
     plan = cfg.plan
+    label = plan.label()
     horizon = plan.horizon_size
     sizes = cfg.sizes or tuple(range(1, min(horizon, 200) + 1))
     records: list[ResultRecord] = []
-    ratio_span: dict[float, list[float]] = {p: [math.inf, -math.inf] for p in cfg.p_values}
     for size in sizes:
         if size > horizon:
             raise ConfigError(f"set size {size} above horizon {horizon}")
@@ -325,33 +359,23 @@ def democracy_experiment(cfg: ExperimentConfig):
             spectrum = None
             for p_idx, p in enumerate(cfg.p_values):
                 if p == 2.0:
-                    coeff_l2 = math.sqrt(size)
-                    est = NormEstimate(p=2.0, value=coeff_l2, kind="exact")
+                    est = NormEstimate(2.0, scale, "exact")
                 else:
                     if spectrum is None:
                         spectrum = plan.sum_spectrum(int(m) for m in members)
                     est = _norm(spectrum, p, cfg, 3, size, trial, p_idx)
-                rec = _record(
-                    cfg, "democracy", plan.label(), p, size, trial, est, scale, set_seed
+                records.append(
+                    _record("democracy", label, p, size, trial, est, scale, set_seed)
                 )
-                records.append(rec)
-                lohi = ratio_span[p]
-                lohi[0] = min(lohi[0], rec.value)
-                lohi[1] = max(lohi[1], rec.value)
     summary = {
         "experiment": "democracy",
-        "plan": plan.label(),
+        "plan": label,
         "sizes": [min(sizes), max(sizes)],
         "trials": cfg.trials,
-        "ratio_min": {str(p): ratio_span[p][0] for p in cfg.p_values},
-        "ratio_max": {str(p): ratio_span[p][1] for p in cfg.p_values},
+        "ratio_min": _extremes(records, cfg.p_values, min, math.inf),
+        "ratio_max": _extremes(records, cfg.p_values, max, -math.inf),
     }
     return records, summary
-
-
-def _corpus_for(cfg: ExperimentConfig) -> list[tuple[str, WalshSpectrum]]:
-    spec = cfg.corpus or {"kind": "mixed", "count": 50, "terms": 40}
-    return corpus_with_coefficients(spec, derive_seed(cfg.seed, 4), cfg.plan)
 
 
 def quasi_greedy_experiment(cfg: ExperimentConfig):
@@ -361,79 +385,43 @@ def quasi_greedy_experiment(cfg: ExperimentConfig):
     convergence is visible in the same output file.
     """
     plan = cfg.plan
+    label = plan.label()
     records: list[ResultRecord] = []
-    constant: dict[float, float] = {p: 0.0 for p in cfg.p_values}
     residual_dev_max = 0.0
     terminal_residual_max = 0.0
-    for fi, (_, f) in enumerate(_corpus_for(cfg)):
-        coeffs = analyze(f, plan)
-        order = greedy_order(coeffs).rho
+    for fi, f, coeffs, total_sq in _corpus_expansions(cfg):
         by_index = coeffs.as_dict()
-        total_sq = sum(c * c for c in by_index.values())
+        order = greedy_order(coeffs).rho
         tail_sq = parseval_tails([by_index[sel] for sel in order])
-        norms_f = {
-            p: (
-                math.sqrt(total_sq)
-                if p == 2.0
-                else _norm(f, p, cfg, 5, fi).value
-            )
-            for p in cfg.p_values
-        }
-        running: list[tuple[int, float]] = []
+        norms_f = _norms(f, cfg, 5, fi, l2_sq=total_sq)
         head_sq = 0.0
+        # an empty order means f = 0, whose residual is 0 as well
+        spectral_tail = 0.0
         for m, sel in enumerate(order, start=1):
-            c = by_index[sel]
-            running.append((sel, c))
-            head_sq += c * c
-            approx = plan.weighted_spectrum(running)
+            head_sq += by_index[sel] * by_index[sel]
+            approx = plan.weighted_spectrum((s, by_index[s]) for s in order[:m])
             for p in cfg.p_values:
                 if p == 2.0:
-                    value = math.sqrt(head_sq) / math.sqrt(total_sq)
-                    est = NormEstimate(p=2.0, value=value, kind="exact")
-                    rec = _record(
-                        cfg, "quasigreedy", plan.label(), p, m, fi, est, 1.0, cfg.seed
-                    )
+                    est = NormEstimate(2.0, math.sqrt(head_sq), "exact")
                 else:
                     est = _norm(approx, p, cfg, 6, fi, m)
-                    rec = _record(
-                        cfg,
-                        "quasigreedy",
-                        plan.label(),
-                        p,
-                        m,
-                        fi,
-                        est,
-                        norms_f[p],
-                        cfg.seed,
-                    )
-                records.append(rec)
-                constant[p] = max(constant[p], rec.value)
-            tail = math.sqrt(tail_sq[m])
-            records.append(
-                ResultRecord(
-                    experiment="quasigreedy-residual",
-                    plan=plan.label(),
-                    p=2.0,
-                    size_or_m=m,
-                    trial=fi,
-                    value=tail,
-                    ci_low=None,
-                    ci_high=None,
-                    exact=True,
-                    seed=cfg.seed,
+                records.append(
+                    _record("quasigreedy", label, p, m, fi, est, norms_f[p], cfg.seed)
                 )
+            tail = NormEstimate(2.0, math.sqrt(tail_sq[m]), "exact")
+            records.append(
+                _record("quasigreedy-residual", label, 2.0, m, fi, tail, 1.0, cfg.seed)
             )
             spectral_tail = lp_even_spectral(f - approx, 2).value
-            residual_dev_max = max(residual_dev_max, abs(spectral_tail - tail))
-        terminal_residual_max = max(
-            terminal_residual_max,
-            lp_even_spectral(f - plan.weighted_spectrum(running), 2).value,
-        )
+            residual_dev_max = max(residual_dev_max, abs(spectral_tail - tail.value))
+        terminal_residual_max = max(terminal_residual_max, spectral_tail)
     summary = {
         "experiment": "quasigreedy",
-        "plan": plan.label(),
+        "plan": label,
         "corpus_size": len(set(r.trial for r in records)),
-        "empirical_constant": {str(p): constant[p] for p in cfg.p_values},
+        "empirical_constant": _extremes(
+            records, cfg.p_values, max, 0.0, experiment="quasigreedy"
+        ),
         "residual_parseval_dev_max": residual_dev_max,
         "terminal_residual_max": terminal_residual_max,
     }
@@ -447,6 +435,7 @@ def partial_sum_experiment(cfg: ExperimentConfig):
     Parseval sums), and the summary reports that full sweep's max.
     """
     plan = cfg.plan
+    label = plan.label()
     horizon = plan.horizon_size
     grid = sorted(
         set(cfg.n_grid or _default_n_grid(horizon)) | set(plan.offsets[1:])
@@ -455,55 +444,35 @@ def partial_sum_experiment(cfg: ExperimentConfig):
         raise ConfigError(f"n={grid[-1]} beyond horizon {horizon}")
     records: list[ResultRecord] = []
     p2_all_max = 0.0
-    ratio_max: dict[float, float] = {p: 0.0 for p in cfg.p_values}
-    for fi, (_, f) in enumerate(_corpus_for(cfg)):
-        coeffs = analyze(f, plan)
+    for fi, f, coeffs, _ in _corpus_expansions(cfg):
         by_index = coeffs.as_dict()
         # head_sq[t]: squared l2 norm of the first t coefficients in
-        # basis order, so ||S_n f||_2^2 = head_sq[#support <= n]
+        # basis order, so ||S_n f||_2^2 = head_sq[#support <= n]; its
+        # last entry is the total, so the full-support ratio is 1
         support = sorted(by_index)
         head_sq = np.cumsum([0.0] + [by_index[m] * by_index[m] for m in support])
         total = head_sq[-1]
         p2_all_max = max(p2_all_max, float(np.sqrt(head_sq.max() / total)))
-        norms_f = {
-            p: (
-                math.sqrt(total)
-                if p == 2.0
-                else _norm(f, p, cfg, 7, fi).value
-            )
-            for p in cfg.p_values
-        }
+        norms_f = _norms(f, cfg, 7, fi, l2_sq=total)
         for n in grid:
             sn = None
             for p in cfg.p_values:
                 if p == 2.0:
                     kept_sq = head_sq[bisect_right(support, n)]
-                    est = NormEstimate(
-                        p=2.0, value=float(np.sqrt(kept_sq)), kind="exact"
-                    )
+                    est = NormEstimate(2.0, float(np.sqrt(kept_sq)), "exact")
                 else:
                     if sn is None:
                         sn = partial_sum(f, plan, n)
                     est = _norm(sn, p, cfg, 8, fi, n)
-                rec = _record(
-                    cfg,
-                    "partialsum",
-                    plan.label(),
-                    p,
-                    n,
-                    fi,
-                    est,
-                    norms_f[p],
-                    cfg.seed,
+                records.append(
+                    _record("partialsum", label, p, n, fi, est, norms_f[p], cfg.seed)
                 )
-                records.append(rec)
-                ratio_max[p] = max(ratio_max[p], rec.value)
     summary = {
         "experiment": "partialsum",
-        "plan": plan.label(),
+        "plan": label,
         "n_grid": list(grid),
         "p2_max_over_all_n": p2_all_max,
-        "ratio_max": {str(p): ratio_max[p] for p in cfg.p_values},
+        "ratio_max": _extremes(records, cfg.p_values, max, 0.0),
     }
     return records, summary
 
@@ -527,9 +496,8 @@ def khintchine_experiment(cfg: ExperimentConfig):
     """
     if cfg.max_terms > 16:
         raise ConfigError(f"max_terms {cfg.max_terms} above enumeration cap 16")
+    label = cfg.plan.label()
     records: list[ResultRecord] = []
-    lo: dict[float, float] = {p: math.inf for p in cfg.p_values}
-    hi: dict[float, float] = {p: -math.inf for p in cfg.p_values}
     identity_dev = 0.0
     for trial in range(cfg.trials):
         trial_seed = derive_seed(cfg.seed, 9, trial)
@@ -543,27 +511,21 @@ def khintchine_experiment(cfg: ExperimentConfig):
             {rademacher_index(j + 1): float(a[j]) for j in range(length)}
         )
         l2 = float(np.sqrt(np.sum(a * a)))
-        # only the p = 4 identity check reads the cell values
-        values = synthesize(f, length) if 4.0 in cfg.p_values else None
         for p in cfg.p_values:
             est = _norm(f, p, cfg, 9, trial)
-            rec = _record(
-                cfg, "khintchine", cfg.plan.label(), p, length, trial, est, l2, trial_seed
+            records.append(
+                _record("khintchine", label, p, length, trial, est, l2, trial_seed)
             )
-            records.append(rec)
-            lo[p] = min(lo[p], rec.value)
-            hi[p] = max(hi[p], rec.value)
-            if p == 4.0:
-                moment_dense = float(np.mean(values ** 4))
-                identity_dev = max(
-                    identity_dev,
-                    abs(moment_dense - rademacher_fourth_moment(a)),
-                )
+        if 4.0 in cfg.p_values:
+            moment_dense = float(np.mean(synthesize(f, length) ** 4))
+            identity_dev = max(
+                identity_dev, abs(moment_dense - rademacher_fourth_moment(a))
+            )
     summary = {
         "experiment": "khintchine",
         "trials": cfg.trials,
-        "A_empirical": {str(p): lo[p] for p in cfg.p_values},
-        "B_empirical": {str(p): hi[p] for p in cfg.p_values},
+        "A_empirical": _extremes(records, cfg.p_values, min, math.inf),
+        "B_empirical": _extremes(records, cfg.p_values, max, -math.inf),
         "fourth_moment_dev_max": identity_dev,
         "B4_bound": 3.0 ** 0.25,
     }
@@ -576,17 +538,16 @@ def almost_greedy_experiment(cfg: ExperimentConfig):
     The denominator minimizes over candidate index sets (greedy,
     natural prefix, seeded random ones, and optionally every subset
     when ``exhaustive``), so it upper-bounds the true infimum and the
-    reported ratio lower-bounds the definition's quotient.
+    reported ratio lower-bounds the definition's quotient.  At p = 2
+    each residual norm is a Parseval tail of the coefficients.
     """
     plan = cfg.plan
+    label = plan.label()
     records: list[ResultRecord] = []
-    ratio_max: dict[float, float] = {p: 0.0 for p in cfg.p_values}
-    for fi, (_, f) in enumerate(_corpus_for(cfg)):
-        coeffs = analyze(f, plan)
+    for fi, f, coeffs, total_sq in _corpus_expansions(cfg):
         by_index = coeffs.as_dict()
         order = greedy_order(coeffs).rho
         support = sorted(by_index)
-        total_sq = sum(c * c for c in by_index.values())
         if cfg.exhaustive and len(support) > 10:
             raise ConfigError(
                 f"exhaustive search needs support <= 10, got {len(support)}"
@@ -603,55 +564,30 @@ def almost_greedy_experiment(cfg: ExperimentConfig):
                     frozenset(c) for c in combinations(support, m)
                 )
             for p in cfg.p_values:
-                numer = _projection_residual_norm(
-                    f, plan, by_index, greedy_set, p, cfg, total_sq
-                )
-                denom = min(
-                    _projection_residual_norm(
-                        f, plan, by_index, cand, p, cfg, total_sq
-                    )
-                    for cand in candidates
-                )
+                residuals = {}
+                for cand in candidates:
+                    if p == 2.0:
+                        kept = sum(by_index[j] * by_index[j] for j in cand)
+                        residuals[cand] = math.sqrt(max(total_sq - kept, 0.0))
+                    else:
+                        rest = f - plan.weighted_spectrum(
+                            (j, by_index[j]) for j in sorted(cand)
+                        )
+                        residuals[cand] = _norm(rest, p, cfg, 11).value
+                numer = residuals[greedy_set]
+                denom = min(residuals.values())
                 value = 1.0 if numer == denom else numer / denom
-                rec = ResultRecord(
-                    experiment="almostgreedy",
-                    plan=plan.label(),
-                    p=p,
-                    size_or_m=m,
-                    trial=fi,
-                    value=value,
-                    ci_low=None,
-                    ci_high=None,
-                    exact=True,
-                    seed=cfg.seed,
+                est = NormEstimate(p, value, "exact")
+                records.append(
+                    _record("almostgreedy", label, p, m, fi, est, 1.0, cfg.seed)
                 )
-                records.append(rec)
-                ratio_max[p] = max(ratio_max[p], value)
     summary = {
         "experiment": "almostgreedy",
-        "plan": plan.label(),
-        "ratio_max": {str(p): ratio_max[p] for p in cfg.p_values},
+        "plan": label,
+        "ratio_max": _extremes(records, cfg.p_values, max, 0.0),
         "candidate_note": "denominator is an upper bound on the projection infimum",
     }
     return records, summary
-
-
-def _projection_residual_norm(
-    f: WalshSpectrum,
-    plan: BlockPlan,
-    by_index: dict[int, float],
-    index_set: frozenset,
-    p: float,
-    cfg: ExperimentConfig,
-    total_sq: float,
-) -> float:
-    if p == 2.0:
-        kept = sum(by_index[m] * by_index[m] for m in index_set)
-        return math.sqrt(max(total_sq - kept, 0.0))
-    residual = f - plan.weighted_spectrum(
-        (m, by_index[m]) for m in sorted(index_set)
-    )
-    return _norm(residual, p, cfg, 11).value
 
 
 def baseline_walsh_comparison(cfg: ExperimentConfig):
@@ -664,6 +600,7 @@ def baseline_walsh_comparison(cfg: ExperimentConfig):
     label).
     """
     plan = cfg.plan
+    label = plan.label()
     spec = cfg.corpus or {"kind": "adversarial_walsh", "depth": 6, "count": 8}
     if spec.get("kind") != "adversarial_walsh":
         raise ConfigError("walsh-baseline wants an 'adversarial_walsh' corpus")
@@ -672,61 +609,42 @@ def baseline_walsh_comparison(cfg: ExperimentConfig):
             f"depth {spec.get('depth', 6)} corpus does not fit the plan horizon"
         )
     records: list[ResultRecord] = []
-    walsh_max: dict[float, float] = {p: 0.0 for p in cfg.p_values}
-    psi_max: dict[float, float] = {p: 0.0 for p in cfg.p_values}
     for fi, (_, f) in enumerate(
         corpus_with_coefficients(spec, derive_seed(cfg.seed, 12), plan)
     ):
-        walsh_coeffs = dict(f.items())
-        ordered = sorted(
-            walsh_coeffs, key=lambda n: (-abs(walsh_coeffs[n]), n)
-        )
+        walsh_coeffs = CoefficientList.from_pairs(f.items())
+        walsh_by_index = walsh_coeffs.as_dict()
         # transport preserves natural order: t-th smallest Walsh
         # frequency becomes basis position t+1
-        psi_pairs = [
-            (t + 1, walsh_coeffs[n])
-            for t, n in enumerate(sorted(walsh_coeffs))
-        ]
-        psi_coeffs = CoefficientList.from_pairs(psi_pairs)
-        f_psi = synthesize_coefficients(psi_coeffs, plan)
-        psi_order = greedy_order(psi_coeffs).rho
+        psi_coeffs = CoefficientList.from_pairs(
+            (t + 1, walsh_by_index[n]) for t, n in enumerate(sorted(walsh_by_index))
+        )
         psi_by_index = psi_coeffs.as_dict()
-        norms_walsh = {
-            p: _norm(f, p, cfg, 13, fi).value
-            for p in cfg.p_values
-        }
-        norms_psi = {
-            p: _norm(f_psi, p, cfg, 14, fi).value
-            for p in cfg.p_values
-        }
-        walsh_running: dict[int, float] = {}
-        psi_running: list[tuple[int, float]] = []
-        for m in range(1, len(ordered) + 1):
-            walsh_running[ordered[m - 1]] = walsh_coeffs[ordered[m - 1]]
-            g_walsh = WalshSpectrum(dict(walsh_running))
-            psi_running.append(
-                (psi_order[m - 1], psi_by_index[psi_order[m - 1]])
-            )
-            g_psi = plan.weighted_spectrum(psi_running)
+        walsh_order = greedy_order(walsh_coeffs).rho
+        psi_order = greedy_order(psi_coeffs).rho
+        norms_walsh = _norms(f, cfg, 13, fi)
+        norms_psi = _norms(synthesize_coefficients(psi_coeffs, plan), cfg, 14, fi)
+        for m in range(1, len(walsh_order) + 1):
+            g_walsh = WalshSpectrum({n: walsh_by_index[n] for n in walsh_order[:m]})
+            g_psi = plan.weighted_spectrum((j, psi_by_index[j]) for j in psi_order[:m])
             for p in cfg.p_values:
                 est_w = _norm(g_walsh, p, cfg, 15, fi, m)
-                rec_w = _record(
-                    cfg, "walsh-baseline", "walsh", p, m, fi, est_w,
-                    norms_walsh[p], cfg.seed,
-                )
                 est_b = _norm(g_psi, p, cfg, 16, fi, m)
-                rec_b = _record(
-                    cfg, "walsh-baseline", plan.label(), p, m, fi, est_b,
-                    norms_psi[p], cfg.seed,
+                records.append(
+                    _record("walsh-baseline", "walsh", p, m, fi, est_w,
+                            norms_walsh[p], cfg.seed)
                 )
-                records.extend((rec_w, rec_b))
-                walsh_max[p] = max(walsh_max[p], rec_w.value)
-                psi_max[p] = max(psi_max[p], rec_b.value)
+                records.append(
+                    _record("walsh-baseline", label, p, m, fi, est_b,
+                            norms_psi[p], cfg.seed)
+                )
     summary = {
         "experiment": "walsh-baseline",
-        "plan": plan.label(),
-        "walsh_constant": {str(p): walsh_max[p] for p in cfg.p_values},
-        "mixed_basis_constant": {str(p): psi_max[p] for p in cfg.p_values},
+        "plan": label,
+        "walsh_constant": _extremes(records, cfg.p_values, max, 0.0, plan="walsh"),
+        "mixed_basis_constant": _extremes(
+            records, cfg.p_values, max, 0.0, plan=label
+        ),
     }
     return records, summary
 

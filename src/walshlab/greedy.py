@@ -139,22 +139,22 @@ def greedy_approximant(
     chosen = order[: min(m, len(order))]
     tail_sq = parseval_tails([by_index[sel] for sel in order])
     trace = ApproximantTrace()
-    running: list[tuple[int, float]] = []
+    approx = None
     for step, sel in enumerate(chosen, start=1):
-        c = by_index[sel]
-        running.append((sel, c))
         entry = TraceStep(
             m=step,
             selected=sel,
-            coefficient=c,
+            coefficient=by_index[sel],
             residual_l2=float(np.sqrt(tail_sq[step])),
         )
         if norm_ps and norm_fn is not None:
-            residual = f - plan.weighted_spectrum(running)
+            approx = plan.weighted_spectrum((s, by_index[s]) for s in order[:step])
+            residual = f - approx
             for p in norm_ps:
                 entry.norms[p] = norm_fn(residual, p)
         trace.steps.append(entry)
-    approx = plan.weighted_spectrum(running)
+    if approx is None:
+        approx = plan.weighted_spectrum((s, by_index[s]) for s in chosen)
     return approx, trace
 
 

@@ -175,7 +175,9 @@ def matvec(k: int, symbol_coeffs: np.ndarray) -> np.ndarray:
     out = np.full(size, c[0] * 2.0 ** (-k / 2.0))
     sign_pair = np.array([1.0, -1.0])
     for s in range(k):
+        # band entry nu adds +x on the first half of its row run and -x
+        # on the second: the same (nu, half, row) walk rmatvec sums over
         band = c[(1 << s) : (1 << (s + 1))]
-        spread = np.kron(band, np.repeat(sign_pair, 1 << (k - s - 1)))
-        out += spread * 2.0 ** ((s - k) / 2.0)
+        runs = out.reshape(1 << s, 2, 1 << (k - s - 1))
+        runs += (band[:, None] * sign_pair)[:, :, None] * 2.0 ** ((s - k) / 2.0)
     return out

@@ -280,6 +280,20 @@ def test_experiment_bad_config_exit2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("field, value", [("sizes", [0]), ("trials", 0)])
+def test_experiment_out_of_range_config_exit2(tmp_path, capsys, field, value):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"plan": "desk", "p": [2, 4], field: value}))
+    out_path = tmp_path / "r.csv"
+    code, out, err = run_cli(
+        capsys, "experiment", "democracy", "--config", str(cfg_path),
+        "--out", str(out_path),
+    )
+    assert code == 2
+    assert field in err and "Traceback" not in err
+    assert out == "" and not out_path.exists()
+
+
 def test_console_script_installed(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "walshlab.cli", "basis", "info", "--plan", "desk"],

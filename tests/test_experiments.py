@@ -46,6 +46,32 @@ def test_config_errors():
         run_experiment("nope", ExperimentConfig.from_dict({"plan": "desk"}))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("trials", 0),
+        ("sizes", [3, 0]),
+        ("mc_samples", 1),
+        ("max_terms", 0),
+        ("p", [4, 0.5]),
+        ("p", [4, float("nan")]),
+    ],
+)
+def test_config_rejects_out_of_range(field, value):
+    with pytest.raises(ConfigError, match=field):
+        ExperimentConfig.from_dict({"plan": "desk", field: value})
+
+
+def test_config_accepts_lower_bounds():
+    cfg = ExperimentConfig.from_dict(
+        {"plan": "desk", "trials": 1, "sizes": [1], "mc_samples": 2,
+         "max_terms": 1, "p": [1]}
+    )
+    assert (cfg.trials, cfg.sizes, cfg.mc_samples, cfg.max_terms, cfg.p_values) == (
+        1, (1,), 2, 1, (1.0,)
+    )
+
+
 def test_derive_seed_stable():
     assert derive_seed(5, 1, 2) == derive_seed(5, 1, 2)
     assert derive_seed(5, 1, 2) != derive_seed(5, 2, 1)
@@ -314,3 +340,54 @@ def test_rerun_bit_identical(tmp_path, desk):
         write_records_csv(records, path)
         out.append(path.read_bytes())
     assert out[2] == out[3]
+
+
+SMALL_DESK_CONFIGS = {
+    "democracy": {"plan": "desk", "p": [2, 3, 4], "sizes": [1, 3, 7],
+                  "trials": 3, "seed": 1},
+    "quasigreedy": {"plan": "desk", "p": [2, 4], "seed": 2,
+                    "corpus": {"kind": "mixed", "count": 3, "terms": 8}},
+    "partialsum": {"plan": "desk", "p": [2, 4], "seed": 2,
+                   "corpus": {"kind": "mixed", "count": 3, "terms": 8}},
+    "khintchine": {"plan": "desk", "p": [2, 3, 4], "trials": 10, "seed": 3,
+                   "max_terms": 8},
+    "almostgreedy": {"plan": "desk", "p": [2, 4], "seed": 4,
+                     "corpus": {"kind": "decay", "alpha": 1.0, "terms": 6,
+                                "count": 2},
+                     "random_candidates": 2},
+    "walsh-baseline": {"plan": "desk", "p": [2, 4], "seed": 5,
+                       "corpus": {"kind": "adversarial_walsh", "depth": 4,
+                                  "count": 2}},
+}
+
+# summary key -> (min or max, CSV columns a row must match to count)
+SUMMARY_EXTREMES = {
+    "democracy": [("ratio_min", min, {}), ("ratio_max", max, {})],
+    "quasigreedy": [("empirical_constant", max, {"experiment": "quasigreedy"})],
+    "partialsum": [("ratio_max", max, {})],
+    "khintchine": [("A_empirical", min, {}), ("B_empirical", max, {})],
+    "almostgreedy": [("ratio_max", max, {})],
+    "walsh-baseline": [
+        ("walsh_constant", max, {"plan": "walsh"}),
+        ("mixed_basis_constant", max, {"plan": "g=2,4,8"}),
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SMALL_DESK_CONFIGS))
+def test_summary_extremes_are_the_csv_rows_extremes(kind, tmp_path):
+    import csv
+
+    cfg = ExperimentConfig.from_dict(SMALL_DESK_CONFIGS[kind])
+    records, summary = run_experiment(kind, cfg)
+    write_records_csv(records, tmp_path / "rows.csv")
+    with open(tmp_path / "rows.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for key, pick, match in SUMMARY_EXTREMES[kind]:
+        chosen = [r for r in rows if all(r[c] == v for c, v in match.items())]
+        by_p: dict[str, list[float]] = {}
+        for r in chosen:
+            by_p.setdefault(r["p"], []).append(float(r["value"]))
+        assert set(summary[key]) == set(by_p) == {str(p) for p in cfg.p_values}
+        for p, values in by_p.items():
+            assert summary[key][p] == pick(values), (key, p)

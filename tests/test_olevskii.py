@@ -132,8 +132,28 @@ def test_rmatvec_l2_preservation():
 
 def test_matvec_rmatvec_match_dense():
     rng = np.random.default_rng(17)
-    for k in (1, 2, 3, 5):
+    for k in (1, 2, 3, 5, 8):
         a = dense_matrix(k)
         v = rng.normal(size=1 << k)
         assert np.allclose(matvec(k, v), a @ v, atol=1e-12)
         assert np.allclose(rmatvec(k, v), a.T @ v, atol=1e-12)
+
+
+def reference_matvec(k, c):
+    """A c with each band spread by np.kron: band entry nu times the
+    +1/-1 halves of its run of 2^(k-s) rows."""
+    out = np.full(1 << k, c[0] * 2.0 ** (-k / 2.0))
+    sign_pair = np.array([1.0, -1.0])
+    for s in range(k):
+        band = c[(1 << s) : (1 << (s + 1))]
+        spread = np.kron(band, np.repeat(sign_pair, 1 << (k - s - 1)))
+        out += spread * 2.0 ** ((s - k) / 2.0)
+    return out
+
+
+def test_matvec_equals_kron_reference_exactly():
+    rng = np.random.default_rng(23)
+    for k in range(0, 11):
+        for _ in range(20):
+            v = rng.normal(size=1 << k)
+            assert np.array_equal(matvec(k, v), reference_matvec(k, v))
