@@ -2,9 +2,10 @@
 
 dense: exact for any p but needs the full dyadic grid (depth <= 24).
 even spectral: exact for even p at any depth, via a head/tail moment
-split (a head on at most 12 bits plus an independent Rademacher tail,
-whose moments come from its cumulants), or via XOR convolutions of
-the spectrum when the head is wider.
+split: an independent Rademacher tail, whose moments come from its
+cumulants, plus a head whose moments come from its cells when it spans
+at most 12 bits, or from XOR powers of the head, not of the whole
+spectrum, when it is wider.
 monte carlo: any p, any depth, seeded, with an honest 95% interval.
 """
 

@@ -269,7 +269,10 @@ def validate_schedule(schedule: GrowthSchedule | Sequence[int]) -> BlockPlan:
     schedule still validates.
     """
     if not isinstance(schedule, GrowthSchedule):
-        schedule = GrowthSchedule(tuple(int(x) for x in schedule))
+        try:
+            schedule = GrowthSchedule(tuple(int(x) for x in schedule))
+        except (TypeError, ValueError) as exc:
+            raise ScheduleError(f"bad schedule {schedule!r}: {exc}") from exc
     g = schedule.g
     for k in range(len(g) - 1):
         if g[k + 1] <= g[k]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .blocks import load_plan
@@ -29,8 +30,9 @@ from .greedy import greedy_approximant, load_coefficients, synthesize_coefficien
 from .norms import lp_dense, lp_even_spectral, lp_monte_carlo, lp_norm
 from .spectra import load_spectrum, save_spectrum
 
+# no bare ValueError/KeyError: inputs are checked where read, the rest are bugs
 _CONFIG_ERRORS = (ConfigError, ScheduleError, HorizonError, json.JSONDecodeError,
-                  FileNotFoundError, KeyError, ValueError)
+                  FileNotFoundError)
 _RESOURCE_ERRORS = (BudgetError, DepthError)
 
 # Monte Carlo defaults of `norm`, also used where `greedy run` samples
@@ -102,16 +104,24 @@ def _cmd_basis_element(args) -> int:
     return 0
 
 
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ConfigError(message)
+
+
 def _cmd_norm(args) -> int:
     f = load_spectrum(args.infile)
+    p = args.p
     if args.engine == "dense":
-        est = lp_dense(f, args.p)
+        _require(1 <= p < math.inf, f"dense engine needs finite p >= 1, got {p}")
+        est = lp_dense(f, p)
     elif args.engine == "even":
-        if args.p != int(args.p):
-            raise ConfigError(f"even engine needs an even integer p, got {args.p}")
-        est = lp_even_spectral(f, int(args.p))
+        _require(p >= 2 and p % 2 == 0, f"even engine needs even p >= 2, got {p}")
+        est = lp_even_spectral(f, int(p))
     else:
-        est = lp_monte_carlo(f, args.p, args.samples, args.seed)
+        _require(1 < p < math.inf, f"mc engine needs finite p > 1, got {p}")
+        _require(args.samples >= 2, f"--samples must be >= 2, got {args.samples}")
+        est = lp_monte_carlo(f, p, args.samples, args.seed)
     print(json.dumps(est.as_dict()))
     return 0
 
@@ -119,6 +129,8 @@ def _cmd_norm(args) -> int:
 def _cmd_greedy_run(args) -> int:
     import csv
 
+    _require(1 < args.p < math.inf, f"--p must be in (1, inf), got {args.p}")
+    _require(args.m_max >= 0, f"--m-max must be >= 0, got {args.m_max}")
     plan = load_plan(args.plan)
     coeffs = load_coefficients(args.infile)
     f = synthesize_coefficients(coeffs, plan)

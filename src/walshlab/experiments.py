@@ -124,7 +124,7 @@ class ExperimentConfig:
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         try:
             plan_spec = doc["plan"]
-        except KeyError as exc:
+        except (KeyError, TypeError) as exc:
             raise ConfigError("config needs a 'plan'") from exc
         try:
             if isinstance(plan_spec, str):
@@ -138,17 +138,15 @@ class ExperimentConfig:
         p_raw = doc.get("p", [2, 4])
         if not isinstance(p_raw, (list, tuple)):
             p_raw = [p_raw]
-        sizes = _expand_sizes(doc.get("sizes", []))
-        n_grid = _expand_sizes(doc.get("n_grid", []))
         try:
             cfg = cls(
                 plan=plan,
                 p_values=tuple(float(p) for p in p_raw),
-                sizes=sizes,
+                sizes=_expand_sizes(doc.get("sizes", [])),
                 trials=int(doc.get("trials", 100)),
                 seed=int(doc.get("seed", 0)),
                 corpus=dict(doc.get("corpus", {})),
-                n_grid=n_grid,
+                n_grid=_expand_sizes(doc.get("n_grid", [])),
                 mc_samples=int(doc.get("mc_samples", 20000)),
                 random_candidates=int(doc.get("random_candidates", 5)),
                 max_terms=int(doc.get("max_terms", 16)),
@@ -206,7 +204,7 @@ def corpus_with_coefficients(
     kind = spec.get("kind")
     if kind is None:
         raise ConfigError("corpus spec needs a 'kind'")
-    count = int(spec.get("count", 1))
+    count = _corpus_number(spec, "count", 1, least=1)
     out = []
     for index in range(count):
         rng = np.random.default_rng(derive_seed(seed, 1, index))
@@ -227,12 +225,23 @@ _MIXED_ROTATION = (
 )
 
 
+def _corpus_number(spec: dict, name: str, default, cast=int, least=None):
+    """spec[name] (or ``default``) as a number; ConfigError names the field."""
+    try:
+        value = cast(spec.get(name, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"corpus {name}: {exc}") from exc
+    if least is not None and not value >= least:
+        raise ConfigError(f"corpus {name} must be >= {least}, got {value}")
+    return value
+
+
 def _generate_one(spec: dict, rng, plan: BlockPlan) -> WalshSpectrum:
     kind = spec["kind"]
     horizon = plan.horizon_size
-    terms = min(int(spec.get("terms", 40)), horizon)
+    terms = min(_corpus_number(spec, "terms", 40, least=1), horizon)
     if kind == "decay":
-        alpha = float(spec.get("alpha", 1.0))
+        alpha = _corpus_number(spec, "alpha", 1.0, float)
         signs = rng.choice([-1.0, 1.0], size=terms)
         pairs = [(m, signs[m - 1] * m ** -alpha) for m in range(1, terms + 1)]
     elif kind == "flat_block":
@@ -242,7 +251,7 @@ def _generate_one(spec: dict, rng, plan: BlockPlan) -> WalshSpectrum:
         positions = [1 << j for j in range(horizon.bit_length())]
         pairs = zip(positions, rng.choice([-1.0, 1.0], size=len(positions)))
     elif kind == "indicator":
-        depth = int(spec.get("depth", 3))
+        depth = _corpus_number(spec, "depth", 3, least=1)
         cells = 1 << depth
         lo = int(rng.integers(0, cells - 1))
         hi = int(rng.integers(lo + 1, cells + 1))
@@ -253,8 +262,8 @@ def _generate_one(spec: dict, rng, plan: BlockPlan) -> WalshSpectrum:
         # near-flat magnitudes, signs alternating by dyadic band, tilted
         # so the greedy ordering walks fine bands before coarse ones
         # (the worst observed direction for plain-Walsh thresholding)
-        depth = int(spec.get("depth", 6))
-        tilt = float(spec.get("tilt", 1e-3))
+        depth = _corpus_number(spec, "depth", 6, least=0)
+        tilt = _corpus_number(spec, "tilt", 1e-3, float)
         jitter = rng.random(1 << depth) * (tilt / 8.0)
         bands = [n.bit_length() for n in range(1 << depth)]
         return WalshSpectrum({
@@ -604,7 +613,7 @@ def baseline_walsh_comparison(cfg: ExperimentConfig):
     spec = cfg.corpus or {"kind": "adversarial_walsh", "depth": 6, "count": 8}
     if spec.get("kind") != "adversarial_walsh":
         raise ConfigError("walsh-baseline wants an 'adversarial_walsh' corpus")
-    if (1 << int(spec.get("depth", 6))) > plan.horizon_size:
+    if (1 << _corpus_number(spec, "depth", 6, least=0)) > plan.horizon_size:
         raise ConfigError(
             f"depth {spec.get('depth', 6)} corpus does not fit the plan horizon"
         )

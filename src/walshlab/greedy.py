@@ -192,10 +192,11 @@ class LambdaPartition:
 
     Block k with size N splits at 1/N and N**(-1/10): ``small`` takes
     |c| <= 1/N, ``large`` takes |c| >= N**(-1/10), ``middle`` is the
-    open band between.  ``plan_separated`` says the plan guarantees
-    1/N_k >= N_{k+1}**(-1/10) for all k (so middle bands cannot
-    interleave across blocks); ``data_separated`` says the actual
-    middle-band magnitudes decrease strictly from block to block.
+    open band between.  ``plan_separated`` is the plan's
+    ``lambda_separation`` flag, which guarantees 1/N_k >= N_{k+1}**(-1/10)
+    for all k (so middle bands cannot interleave across blocks);
+    ``data_separated`` says the actual middle-band magnitudes decrease
+    strictly from block to block.
     """
 
     middle: dict[int, tuple[int, ...]]
@@ -213,8 +214,9 @@ def lambda_classify(coeffs: CoefficientList, plan: BlockPlan) -> LambdaPartition
     mid_bounds: dict[int, tuple[float, float]] = {}
     for m, c in coeffs.entries:
         k, _ = plan.to_block(m)
-        n_k = plan.N[k - 1]
-        lo, hi = 1.0 / n_k, float(n_k) ** -0.1
+        # 1/N_k and N_k^(-1/10) from g(k): N_k itself may not fit a float
+        g = plan.g[k - 1]
+        lo, hi = 2.0 ** -g, 2.0 ** (-g / 10)
         mag = abs(c)
         if mag <= lo:
             small.setdefault(k, []).append(m)
@@ -224,10 +226,6 @@ def lambda_classify(coeffs: CoefficientList, plan: BlockPlan) -> LambdaPartition
             middle.setdefault(k, []).append(m)
             lo_seen, hi_seen = mid_bounds.get(k, (np.inf, 0.0))
             mid_bounds[k] = (min(lo_seen, mag), max(hi_seen, mag))
-    plan_sep = all(
-        1.0 / plan.N[k] >= float(plan.N[k + 1]) ** -0.1
-        for k in range(plan.horizon_blocks - 1)
-    )
     # consecutive occupied blocks ordered => all pairs ordered (transitive)
     data_sep = True
     ks = sorted(mid_bounds)
@@ -238,7 +236,7 @@ def lambda_classify(coeffs: CoefficientList, plan: BlockPlan) -> LambdaPartition
         middle={k: tuple(v) for k, v in middle.items()},
         small={k: tuple(v) for k, v in small.items()},
         large={k: tuple(v) for k, v in large.items()},
-        plan_separated=plan_sep,
+        plan_separated=plan.lambda_separation,
         data_separated=data_sep,
     )
 
@@ -250,9 +248,13 @@ def coefficients_to_json(coeffs: CoefficientList) -> dict:
 
 
 def coefficients_from_json(doc: dict) -> CoefficientList:
-    coeffs = CoefficientList.from_pairs(
-        (item["m"], item["c"]) for item in doc["coeffs"]
-    )
+    """Coefficients from their JSON form; a malformed document is a ConfigError."""
+    try:
+        coeffs = CoefficientList.from_pairs(
+            (item["m"], item["c"]) for item in doc["coeffs"]
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad coefficient entry: {exc!r}") from exc
     for m, c in coeffs.entries:
         if not math.isfinite(c):
             raise ConfigError(f"coefficient of element {m} is {c}")

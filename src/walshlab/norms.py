@@ -15,8 +15,8 @@ Engine choice:
 
       integral f^(2m) = sum over j of C(2m, 2j) E q^(2m-2j) E T^(2j).
 
-  E q^(2j) comes from the 2^v cell values of q.  E T^(2j) comes from
-  the power sums S_2i = sum b^(2i): T's cumulants are
+  E q^(2j) comes from the 2^v cell values of q when v <= 12.  E T^(2j)
+  comes from the power sums S_2i = sum b^(2i): T's cumulants are
   kappa_2i = c_i S_2i, where c_i = 1, -2, 16, -272, ... are the even
   cumulants of one Rademacher sign (those of log cosh), and the
   moment-cumulant recursion
@@ -25,8 +25,9 @@ Engine choice:
 
   turns them into moments.  At m = 2 this is
   integral f^4 = E q^4 + 6 E q^2 S_2 + 3 S_2^2 - 2 S_4.  Heads wider
-  than 12 bits fall back to ||f^m||_2^2, with the powers f^m formed by
-  XOR convolution of packed frequency keys under a pair budget.
+  than 12 bits take E q^(2j) = ||q^j||_2^2 from the XOR powers of the
+  head alone (``spectrum_product``, under its byte budget); tail terms
+  never enter a convolution.
 * ``lp_monte_carlo`` samples uniform cells at the spectrum's own depth
   (the integrand is constant per cell, so sampling adds no
   discretization error) and reports a 95% CI propagated from the
@@ -43,7 +44,7 @@ Engine choice:
   of mask & frequency.
   The draw is refused before anything is allocated when its peak
   (``_mc_peak_bytes``: the masks, their byte columns and a few float
-  arrays per sample) exceeds ``MC_BYTE_BUDGET``.
+  arrays per sample) exceeds ``BYTE_BUDGET``, shared with products.
 * ``lp_norm`` is the dispatch the experiments and the CLI share: even
   spectral for even integer p, dense up to depth 24, Monte Carlo
   beyond.
@@ -60,21 +61,18 @@ import numpy as np
 
 from .errors import BudgetError, DepthError
 from .spectra import (
-    PRODUCT_PAIR_BUDGET,
+    BYTE_BUDGET,
     WalshSpectrum,
-    _aggregate_rows,
     _freq_arrays,
     _fwht_inplace,
-    _widen,
+    inner_product,
+    spectrum_product,
     synthesize,
 )
 
 MAX_DENSE_DEPTH = 24
 
-# Monte Carlo draws whose peak allocation would exceed this are refused
-MC_BYTE_BUDGET = 1 << 30
-
-# 2^v head cells above which the even-p split falls back to XOR convolution
+# 2^v head cells above which the split takes head moments from head powers
 _SPLIT_CELL_CAP = 1 << 12
 
 _Z95 = 1.959963984540054
@@ -117,23 +115,19 @@ def lp_dense(f: WalshSpectrum, p: float) -> NormEstimate:
 
 
 def lp_even_spectral(
-    f: WalshSpectrum, p: int, max_pairs: int = PRODUCT_PAIR_BUDGET
+    f: WalshSpectrum, p: int, max_bytes: int = BYTE_BUDGET
 ) -> NormEstimate:
     """Exact ||f||_p for even integer p, independent of depth.
 
-    ``max_pairs`` bounds the XOR convolution that heads wider than 12
-    bits need; the head/tail split has no pair cost.
+    ``max_bytes`` bounds each XOR product that the powers of a head
+    wider than 12 bits need; narrower heads convolve nothing.
     """
     if p < 2 or p % 2:
         raise ValueError(f"p must be an even integer >= 2, got {p}")
-    if len(f) == 0:
-        return NormEstimate(p=float(p), value=0.0, kind="exact")
     if p == 2:
         moment = float(np.sum(np.fromiter((c * c for _, c in f.items()), float)))
         return NormEstimate(p=2.0, value=moment ** 0.5, kind="exact")
-    moment = _head_tail_moment(f, p // 2)
-    if moment is None:
-        moment = _packed_even_moment(f, p // 2, max_pairs)
+    moment = _head_tail_moment(f, p // 2, max_bytes)
     return NormEstimate(p=float(p), value=moment ** (1.0 / p), kind="exact")
 
 
@@ -148,10 +142,10 @@ def lp_monte_carlo(
     depth = f.depth()
     limbs = max(1, (depth + 63) // 64)
     need = _mc_peak_bytes(samples, limbs)
-    if need > MC_BYTE_BUDGET:
+    if need > BYTE_BUDGET:
         raise BudgetError(
             f"{samples} samples x {limbs} limbs need about {need} bytes, "
-            f"budget {MC_BYTE_BUDGET}"
+            f"budget {BYTE_BUDGET}"
         )
     rng = np.random.Generator(np.random.Philox(key=seed))
     masks = rng.integers(0, 2 ** 64, size=(samples, limbs), dtype=np.uint64)
@@ -219,8 +213,7 @@ def _eval_masks(f: WalshSpectrum, masks: np.ndarray) -> np.ndarray:
     """f at the dyadic points whose digit masks are the given limb rows."""
     n_samples, limbs = masks.shape
     values = np.zeros(n_samples)
-    packed, coeffs = _freq_arrays(f)
-    packed = _widen(packed, limbs)
+    packed, coeffs = _freq_arrays(f, limbs)
     freq_bytes = packed.astype("<u8", copy=False).view(np.uint8)
     nonzero = freq_bytes != 0
     single = np.count_nonzero(nonzero, axis=1) <= 1
@@ -257,36 +250,21 @@ def _byte_signs() -> np.ndarray:
     return signs
 
 
-def _head_tail_moment(f: WalshSpectrum, m: int) -> float | None:
-    """integral f^(2m) by the independent-tail identity, or None if the
-    head would need more than _SPLIT_CELL_CAP cells."""
+def _head_tail_moment(f: WalshSpectrum, m: int, max_bytes: int = BYTE_BUDGET) -> float:
+    """integral f^(2m) by the independent-tail identity."""
     head_bits = 0
     for n in f:
         if n.bit_count() != 1:
             head_bits |= n
-    v = head_bits.bit_count()
-    if (1 << v) > _SPLIT_CELL_CAP:
-        return None
-    shifts = []
-    b = head_bits
-    while b:
-        low = b & -b
-        shifts.append(low.bit_length() - 1)
-        b ^= low
-    # the head remapped onto bits 0..v-1; single bits outside the head
-    # bits are the independent tail
-    cells = np.zeros(1 << v)
-    tail: list[float] = []
+    # single bits outside the head bits are the independent tail
+    head, tail = {}, []
     outside = ~head_bits
     for n, c in f.items():
         if n & outside:
             tail.append(c)
         else:
-            cells[sum(((n >> s) & 1) << i for i, s in enumerate(shifts))] = c
-    # q on its 2^v cells, in bit-reversed order; moments ignore order
-    _fwht_inplace(cells)
-    q2 = cells * cells
-    head = np.cumprod(np.broadcast_to(q2, (m, len(q2))), axis=0).mean(axis=1)
+            head[n] = c
+    eq = [1.0] + _head_moments(head, head_bits, m, max_bytes)  # eq[j] = E q^(2j)
     b2 = np.square(tail)
     power_sums = np.cumprod(np.broadcast_to(b2, (m, len(b2))), axis=0).sum(axis=1)
     outer, recursion, cumulants = _split_table(m)
@@ -294,8 +272,29 @@ def _head_tail_moment(f: WalshSpectrum, m: int) -> float | None:
     mu = [1.0]  # mu[j] = E T^(2j)
     for j, weights in enumerate(recursion, start=1):
         mu.append(sum(w * kappa[i] * mu[j - 1 - i] for i, w in enumerate(weights)))
-    eq = [1.0] + head.tolist()  # eq[j] = E q^(2j)
     return sum(w * eq[m - j] * mu[j] for j, w in enumerate(outer))
+
+
+def _head_moments(head: dict, head_bits: int, m: int, max_bytes: int) -> list[float]:
+    """E q^(2j), j = 1..m, of q = sum of head[n] W_n inside ``head_bits``:
+    from q's 2^v cells up to _SPLIT_CELL_CAP, else by Parseval from q^j."""
+    v = head_bits.bit_count()
+    if (1 << v) > _SPLIT_CELL_CAP:
+        q = power = WalshSpectrum._from_clean_dict(head)
+        moments = [inner_product(q, q)]
+        for _ in range(m - 1):
+            power = spectrum_product(power, q, max_bytes)
+            moments.append(inner_product(power, power))
+        return moments
+    shifts = [s for s in range(head_bits.bit_length()) if head_bits >> s & 1]
+    # the head remapped onto bits 0..v-1 and evaluated on its 2^v cells,
+    # in bit-reversed order; moments ignore order
+    cells = np.zeros(1 << v)
+    for n, c in head.items():
+        cells[sum(((n >> s) & 1) << i for i, s in enumerate(shifts))] = c
+    _fwht_inplace(cells)
+    q2 = cells * cells
+    return np.cumprod(np.broadcast_to(q2, (m, len(q2))), axis=0).mean(axis=1).tolist()
 
 
 @functools.cache
@@ -321,20 +320,3 @@ def _split_table(m: int) -> tuple[tuple, tuple, tuple]:
     )
     cumulants = tuple(kappa[2 * i] for i in range(1, m + 1))
     return outer, recursion, cumulants
-
-
-def _packed_even_moment(f: WalshSpectrum, half: int, max_pairs: int) -> float:
-    """sum over n of (f^half)[n]^2 with all keys kept packed."""
-    packed, coeffs = _freq_arrays(f)
-    limbs = packed.shape[1]
-    keys, weights = packed, coeffs
-    for _ in range(half - 1):
-        pairs = len(keys) * len(packed)
-        if pairs > max_pairs:
-            raise BudgetError(
-                f"even-p power needs {pairs} pair products, budget {max_pairs}"
-            )
-        prod = (keys[:, None, :] ^ packed[None, :, :]).reshape(-1, limbs)
-        w = np.multiply.outer(weights, coeffs).ravel()
-        keys, weights = _aggregate_rows(prod, w)
-    return float(np.sum(weights * weights))

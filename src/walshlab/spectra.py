@@ -32,8 +32,9 @@ from .errors import BudgetError, ConfigError, DepthError
 # Dense vectors above this depth are refused (2**30 cells).
 MAX_SYNTH_DEPTH = 30
 
-# Default cap on pair products formed by one XOR convolution.
-PRODUCT_PAIR_BUDGET = 1 << 24
+# Products and Monte Carlo draws whose estimated peak allocation would
+# exceed this many bytes are refused.
+BYTE_BUDGET = 1 << 30
 
 # Above this many pair products the dict convolution switches to the
 # packed numpy path.
@@ -230,18 +231,20 @@ def inner_product(f: WalshSpectrum, g: WalshSpectrum) -> float:
 def spectrum_product(
     f: WalshSpectrum,
     g: WalshSpectrum,
-    max_pairs: int = PRODUCT_PAIR_BUDGET,
+    max_bytes: int = BYTE_BUDGET,
 ) -> WalshSpectrum:
     """Pointwise product of the represented functions (XOR convolution).
 
-    result[n] = sum over a ^ b = n of f[a] * g[b].  The number of pair
-    products is len(f)*len(g); above ``max_pairs`` the product is
-    refused as intractable.
+    result[n] = sum over a ^ b = n of f[a] * g[b].  The len(f)*len(g)
+    pair products are refused as intractable when their estimated peak
+    (``_product_peak_bytes``) exceeds ``max_bytes``.
     """
     pairs = len(f) * len(g)
-    if pairs > max_pairs:
+    limbs = max(1, (max(f.depth(), g.depth()) + 63) // 64)
+    need = _product_peak_bytes(pairs, limbs)
+    if need > max_bytes:
         raise BudgetError(
-            f"product needs {pairs} pair products, budget is {max_pairs}"
+            f"product needs about {need} bytes for {pairs} pairs, budget {max_bytes}"
         )
     if pairs <= _DICT_PRODUCT_CUTOFF:
         out: dict[int, float] = {}
@@ -255,19 +258,21 @@ def spectrum_product(
                     out[n] = v
         return WalshSpectrum._from_clean_dict(out)
 
-    fa, ca = _freq_arrays(f)
-    ga, cb = _freq_arrays(g)
-    limbs = max(fa.shape[1], ga.shape[1])
-    fa = _widen(fa, limbs)
-    ga = _widen(ga, limbs)
+    # sum over equal pair keys; rebinding ``keys`` frees the unsorted ones
+    fa, ca = _freq_arrays(f, limbs)
+    ga, cb = _freq_arrays(g, limbs)
     keys = (fa[:, None, :] ^ ga[None, :, :]).reshape(-1, limbs)
-    weights = np.multiply.outer(ca, cb).ravel()
-    ukeys, coeffs = _aggregate_rows(keys, weights)
-    out = {}
-    for row, c in zip(ukeys, coeffs):
-        if c != 0.0:
-            out[_unpack_row(row)] = float(c)
-    return WalshSpectrum._from_clean_dict(out)
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    starts = np.flatnonzero(
+        np.concatenate(([True], np.any(keys[1:] != keys[:-1], axis=1)))
+    )
+    sums = np.add.reduceat(np.multiply.outer(ca, cb).ravel()[order], starts)
+    kept = sums != 0.0
+    buf, width = keys[starts[kept]].tobytes(), 8 * limbs
+    freqs = (int.from_bytes(buf[i:i + width], "little")
+             for i in range(0, len(buf), width))
+    return WalshSpectrum._from_clean_dict(dict(zip(freqs, sums[kept].tolist())))
 
 
 def synthesize(f: WalshSpectrum, depth: int) -> np.ndarray:
@@ -339,38 +344,20 @@ def _bit_reverse(idx: np.ndarray, depth: int) -> np.ndarray:
 
 # -- packed frequency helpers (shared with the norm engines) ----------------
 
-def _freq_arrays(f: WalshSpectrum) -> tuple[np.ndarray, np.ndarray]:
-    """Frequencies packed into little-endian uint64 limbs, plus coefficients."""
-    limbs = max(1, (f.depth() + 63) // 64)
-    packed = np.zeros((len(f), limbs), dtype=np.uint64)
-    coeffs = np.empty(len(f))
-    for row, (n, c) in enumerate(f.items()):
-        packed[row] = np.frombuffer(n.to_bytes(limbs * 8, "little"), dtype=np.uint64)
-        coeffs[row] = c
-    return packed, coeffs
+def _freq_arrays(f: WalshSpectrum, limbs: int) -> tuple[np.ndarray, np.ndarray]:
+    """Frequencies packed into ``limbs`` little-endian uint64 limbs (wide
+    enough for f's depth), plus coefficients."""
+    raw = b"".join(n.to_bytes(limbs * 8, "little") for n in f)
+    packed = np.frombuffer(raw, dtype="<u8").reshape(len(f), limbs)
+    return packed, np.fromiter((c for _, c in f.items()), float, count=len(f))
 
 
-def _widen(packed: np.ndarray, limbs: int) -> np.ndarray:
-    if packed.shape[1] == limbs:
-        return packed
-    out = np.zeros((packed.shape[0], limbs), dtype=np.uint64)
-    out[:, : packed.shape[1]] = packed
-    return out
-
-
-def _aggregate_rows(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum weights over identical rows; rows returned sorted with limb 0
-    as the leading sort key."""
-    order = np.lexsort(keys.T[::-1])
-    keys = keys[order]
-    starts = np.flatnonzero(
-        np.concatenate(([True], np.any(keys[1:] != keys[:-1], axis=1)))
-    )
-    return keys[starts], np.add.reduceat(weights[order], starts)
-
-
-def _unpack_row(row: np.ndarray) -> int:
-    return int.from_bytes(row.tobytes(), "little")
+def _product_peak_bytes(pairs: int, limbs: int) -> int:
+    """Upper bound on what one ``spectrum_product`` allocates, per pair
+    (so per result term at most): 24 bytes a limb for the pair keys, their
+    sorted copy and the result's packed bytes, and 256 for a few numpy
+    arrays and each result term's Python int, float and dict slot."""
+    return pairs * (24 * limbs + 256)
 
 
 # -- JSON spectrum files -----------------------------------------------------
@@ -385,12 +372,16 @@ def spectrum_to_json(f: WalshSpectrum) -> dict:
 
 
 def spectrum_from_json(doc: dict) -> WalshSpectrum:
+    """Spectrum from its JSON form; a malformed document is a ConfigError."""
     terms = {}
-    for item in doc["terms"]:
-        c = float(item["c"])
-        if not math.isfinite(c):
-            raise ConfigError(f"coefficient of W_{item['n']} is {c}")
-        terms[int(item["n"], 16)] = c
+    try:
+        for item in doc["terms"]:
+            n, c = int(item["n"], 16), float(item["c"])
+            if n < 0 or not math.isfinite(c):
+                raise ConfigError(f"coefficient of W_{item['n']} is {c}")
+            terms[n] = c
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad spectrum term: {exc!r}") from exc
     return WalshSpectrum(terms)
 
 

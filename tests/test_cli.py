@@ -10,8 +10,8 @@ import pytest
 from walshlab.cli import main
 from walshlab.blocks import load_plan
 from walshlab.greedy import CoefficientList, save_coefficients
-from walshlab.norms import MC_BYTE_BUDGET, _mc_peak_bytes
-from walshlab.spectra import load_spectrum, save_spectrum, WalshSpectrum
+from walshlab.norms import _mc_peak_bytes
+from walshlab.spectra import BYTE_BUDGET, load_spectrum, save_spectrum, WalshSpectrum
 
 
 def run_cli(capsys, *argv):
@@ -225,7 +225,7 @@ def test_norm_mc_budget_counts_more_than_the_masks(tmp_path, capsys):
     # also copies their bytes and holds float arrays per sample
     spec_path = tmp_path / "shallow.json"
     save_spectrum(WalshSpectrum({1: 1.0, 1 << 40: 0.5}), spec_path)
-    first_refused = MC_BYTE_BUDGET // _mc_peak_bytes(1, 1) + 1
+    first_refused = BYTE_BUDGET // _mc_peak_bytes(1, 1) + 1
     for samples in (1 << 27, first_refused):
         tracemalloc.start()
         try:
@@ -238,7 +238,7 @@ def test_norm_mc_budget_counts_more_than_the_masks(tmp_path, capsys):
             tracemalloc.stop()
         assert code == 3 and out == "" and "budget" in err
         assert peak < 1 << 24
-    assert _mc_peak_bytes(first_refused - 1, 1) <= MC_BYTE_BUDGET
+    assert _mc_peak_bytes(first_refused - 1, 1) <= BYTE_BUDGET
 
 
 def test_experiment_cli(tmp_path, capsys):
@@ -278,6 +278,13 @@ def test_experiment_bad_config_exit2(tmp_path, capsys):
         "--out", str(tmp_path / "r.csv"),
     )
     assert code == 2
+    for doc in ([1, 2], {"plan": {"g": [2, "x"]}}, {"plan": "desk", "sizes": ["a"]}):
+        cfg_path.write_text(json.dumps(doc))
+        code, _, err = run_cli(
+            capsys, "experiment", "democracy", "--config", str(cfg_path),
+            "--out", str(tmp_path / "r.csv"),
+        )
+        assert code == 2 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("field, value", [("sizes", [0]), ("trials", 0)])
@@ -302,3 +309,75 @@ def test_console_script_installed(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["g"] == [2, 4, 8]
+
+
+@pytest.mark.parametrize("kind, corpus, field", [
+    ("partialsum", {"kind": "decay", "terms": 0, "count": 2}, "terms"),
+    ("quasigreedy", {"kind": "decay", "terms": 0, "count": 2}, "terms"),
+    ("almostgreedy", {"kind": "decay", "terms": -3, "count": 2}, "terms"),
+    ("walsh-baseline", {"kind": "adversarial_walsh", "depth": 3, "count": 0}, "count"),
+])
+def test_experiment_empty_corpus_exit2(tmp_path, capsys, kind, corpus, field):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"plan": "desk", "p": [2, 4], "corpus": corpus}))
+    out_path = tmp_path / "r.csv"
+    code, out, err = run_cli(
+        capsys, "experiment", kind, "--config", str(cfg_path), "--out", str(out_path),
+    )
+    assert code == 2
+    assert f"corpus {field} must be >= 1" in err
+    assert out == "" and not out_path.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["norm", "--p", "0.5", "--engine", "dense"], "p >= 1"),
+    (["norm", "--p", "nan", "--engine", "mc"], "p > 1"),
+    (["norm", "--p", "3", "--engine", "mc", "--samples", "1"], "--samples"),
+    (["greedy", "run", "--plan", "desk", "--m-max", "-1", "--out", "t.csv"], "--m-max"),
+    (["greedy", "run", "--plan", "desk", "--m-max", "2", "--p", "1", "--out", "t.csv"],
+     "--p"),
+])
+def test_cli_argument_checks_exit2(tmp_path, capsys, argv, message):
+    spec_path = tmp_path / "f.json"
+    save_spectrum(WalshSpectrum({0: 1.0, 1: 1.0}), spec_path)
+    cpath = tmp_path / "coeffs.json"
+    save_coefficients(CoefficientList.from_pairs([(1, 0.5)]), cpath)
+    infile = str(spec_path if argv[0] == "norm" else cpath)
+    argv = [str(tmp_path / a) if a == "t.csv" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv, "--in", infile)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("command, text", [
+    ("norm", '{"terms": [{"n": "zz", "c": 1.0}]}'),
+    ("norm", '{"terms": [{"n": "3"}]}'),
+    ("norm", '{"terms": [{"n": "-3", "c": 1.0}]}'),
+    ("greedy", '{"coeffs": [{"m": 1, "c": 0.5}, {"m": 1, "c": 0.25}]}'),
+    ("greedy", '{"coeffs": [{"c": 0.5}]}'),
+])
+def test_malformed_input_files_exit2(tmp_path, capsys, command, text):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    if command == "norm":
+        argv = ["norm", "--p", "4", "--engine", "even"]
+    else:
+        argv = ["greedy", "run", "--plan", "desk", "--m-max", "1",
+                "--out", str(tmp_path / "t.csv")]
+    code, out, _ = run_cli(capsys, *argv, "--in", str(path))
+    assert code == 2 and out == ""
+
+
+def test_engine_value_error_is_not_a_config_error(tmp_path, capsys, monkeypatch):
+    # a ValueError from inside the library is a bug: it propagates
+    # instead of being reported as a configuration problem (exit 2)
+    import walshlab.cli as cli
+
+    def broken(f, p):
+        raise ValueError("engine bug")
+
+    monkeypatch.setattr(cli, "lp_dense", broken)
+    spec_path = tmp_path / "f.json"
+    save_spectrum(WalshSpectrum({0: 1.0}), spec_path)
+    with pytest.raises(ValueError, match="engine bug"):
+        main(["norm", "--p", "3", "--engine", "dense", "--in", str(spec_path)])

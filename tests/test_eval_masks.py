@@ -23,7 +23,6 @@ from walshlab.spectra import (
     _bit_reverse,
     _freq_arrays,
     _fwht_inplace,
-    _widen,
     synthesize,
 )
 
@@ -33,8 +32,7 @@ MAX_BIT = 300
 def reference_eval_masks(f, masks):
     n_samples, limbs = masks.shape
     values = np.zeros(n_samples)
-    packed, coeffs = _freq_arrays(f)
-    packed = _widen(packed, limbs)
+    packed, coeffs = _freq_arrays(f, limbs)
     for row, c in zip(packed, coeffs):
         parity = np.zeros(n_samples, dtype=np.uint64)
         for limb in range(limbs):

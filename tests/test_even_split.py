@@ -1,10 +1,13 @@
 """The head/tail moment split against the routes it replaced.
 
-For p = 2m >= 4, ``lp_even_spectral`` splits f into a head on at most
-12 bits and an independent Rademacher tail.  The properties compare it
-with ``_packed_even_moment`` (the XOR-convolution route, called
-directly) at any depth, with ``lp_dense`` where the depth is <= 16, and
-with the sharp even-moment Khintchine constants
+For p = 2m >= 4, ``lp_even_spectral`` splits f into a head and an
+independent Rademacher tail.  Heads on at most 12 bits give their
+moments from their cells, wider heads from their XOR powers.
+``reference_even_moment`` is the route that wide heads took before the
+split covered them: the powers f^m of the whole spectrum, formed by XOR
+convolution of packed keys under a pair budget.  The properties compare
+the split with it at any depth, with ``lp_dense`` where the depth is
+<= 16, and with the sharp even-moment Khintchine constants
 B_2m = ((2m - 1)!!)^(1/2m).
 """
 
@@ -15,14 +18,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from walshlab.errors import BudgetError
 from walshlab.norms import (
     _head_tail_moment,
-    _packed_even_moment,
     _split_table,
     lp_dense,
     lp_even_spectral,
 )
-from walshlab.spectra import WalshSpectrum, rademacher_index
+from walshlab.spectra import (
+    WalshSpectrum,
+    _freq_arrays,
+    _product_peak_bytes,
+    rademacher_index,
+)
+
+
+def reference_even_moment(f, half, max_pairs=1 << 24):
+    """sum over n of (f^half)[n]^2 with all keys kept packed."""
+    limbs = max(1, (f.depth() + 63) // 64)
+    packed, coeffs = _freq_arrays(f, limbs)
+    keys, weights = packed, coeffs
+    for _ in range(half - 1):
+        pairs = len(keys) * len(packed)
+        if pairs > max_pairs:
+            raise BudgetError(
+                f"even-p power needs {pairs} pair products, budget {max_pairs}"
+            )
+        prod = (keys[:, None, :] ^ packed[None, :, :]).reshape(-1, limbs)
+        w = np.multiply.outer(weights, coeffs).ravel()
+        keys, inverse = np.unique(prod, axis=0, return_inverse=True)
+        weights = np.bincount(inverse.ravel(), weights=w)
+    return float(np.sum(weights * weights))
 
 coefficient = st.floats(-10.0, 10.0, allow_nan=False).filter(lambda x: abs(x) > 1e-3)
 
@@ -59,11 +85,67 @@ def test_split_equals_convolution_and_dense(f, p):
     if len(f) == 0:
         assert split == 0.0
         return
-    packed = _packed_even_moment(f, p // 2, max_pairs=1 << 24)
+    packed = reference_even_moment(f, p // 2)
     assert split == pytest.approx(packed, rel=1e-12)
     assert lp_even_spectral(f, p).value ** p == pytest.approx(split, rel=1e-12)
     if f.depth() <= 16:
         assert split == pytest.approx(lp_dense(f, p).value ** p, rel=1e-12)
+
+
+@st.composite
+def wide_head_spectra(draw):
+    """A head on 13 to 18 bits plus a Rademacher tail on other bits.
+
+    One head term covers every head bit, so the head is as wide as
+    drawn; the others may be single bits inside it.  Bits come from
+    0..15 or 0..299, and a third of the tails carry one dominant term.
+    """
+    width = draw(st.sampled_from([16, 300]))
+    head_pos = sorted(
+        draw(st.sets(st.integers(0, width - 1), min_size=13, max_size=min(18, width)))
+    )
+    v = len(head_pos)
+    masks = draw(st.sets(st.integers(1, (1 << v) - 1), max_size=8)) | {(1 << v) - 1}
+    terms = {}
+    for mask in masks:
+        n = sum(1 << pos for i, pos in enumerate(head_pos) if mask >> i & 1)
+        terms[n] = draw(coefficient)
+    free = [b for b in range(width) if b not in head_pos]
+    tail_bits = []
+    if free:
+        tail_bits = draw(st.lists(st.sampled_from(free), max_size=8, unique=True))
+    for b in tail_bits:
+        terms[1 << b] = draw(coefficient)
+    if tail_bits and draw(st.integers(0, 2)) == 0:
+        terms[1 << tail_bits[0]] = draw(st.sampled_from([1e3, -1e3]))
+    return WalshSpectrum(terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_head_spectra(), st.sampled_from([4, 6, 8]))
+def test_wide_head_powers_equal_convolution_and_dense(f, p):
+    split = _head_tail_moment(f, p // 2)
+    assert split == pytest.approx(reference_even_moment(f, p // 2), rel=1e-12)
+    assert lp_even_spectral(f, p).value ** p == pytest.approx(split, rel=1e-12)
+    if f.depth() <= 16:
+        assert split == pytest.approx(lp_dense(f, p).value ** p, rel=1e-12)
+
+
+def test_wide_head_fits_where_the_full_convolution_did_not():
+    # 24 terms on 13 head bits plus 7 tail bits: at p = 8 the powers of
+    # f need 114,390 pairs in their last product, those of the head 34,128
+    head, k = {(1 << 13) - 1: 1.0}, 1
+    while len(head) < 24:
+        n = k * 1597 % (1 << 13)
+        if n.bit_count() > 1:
+            head[n] = (-1) ** k / (k + 1)
+        k += 1
+    f = WalshSpectrum({**head, **{1 << b: 0.5 + 0.1 * b for b in range(13, 20)}})
+    budget = 60_000
+    with pytest.raises(BudgetError):
+        reference_even_moment(f, 4, max_pairs=budget)
+    est = lp_even_spectral(f, 8, max_bytes=_product_peak_bytes(budget, 1))
+    assert est.value == pytest.approx(lp_dense(f, 8).value, rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -96,6 +178,5 @@ def test_split_at_p10_and_p12_matches_dense():
 
 def test_wide_head_is_left_to_the_convolution():
     f = WalshSpectrum({0b11 << 12: 1.0, 0b111111111111: 0.5})  # 14 head bits
-    assert _head_tail_moment(f, 3) is None
     dense = lp_dense(f, 6).value
     assert lp_even_spectral(f, 6).value == pytest.approx(dense, rel=1e-12)

@@ -249,6 +249,23 @@ def test_lambda_separation_flags():
     assert not lambda_classify(bad, plan).data_separated
 
 
+def test_lambda_classify_on_blocks_too_wide_for_floats():
+    # N_2 = 2^1100 overflows a float; the bands come from g(k) instead
+    plan = validate_schedule([110, 1100])
+    second = plan.offsets[1] + 1
+    coeffs = CoefficientList.from_pairs([
+        (1, 0.5), (2, 2.0 ** -120), (3, 2.0 ** -50),
+        (second, 2.0 ** -200), (second + 1, 0.5), (second + 2, 0.0),
+    ])
+    part = lambda_classify(coeffs, plan)
+    assert part.plan_separated is plan.lambda_separation is True
+    # block 1 splits at 2^-110 and 2^-11, block 2 at 2^-1100 and 2^-110
+    assert part.large == {1: (1,), 2: (second + 1,)}
+    assert part.small == {1: (2,), 2: (second + 2,)}
+    assert part.middle == {1: (3,), 2: (second,)}
+    assert part.data_separated
+
+
 def test_coefficient_json(tmp_path):
     coeffs = CoefficientList.from_pairs([(3, -0.25), (17, 1.5)])
     doc = coefficients_to_json(coeffs)

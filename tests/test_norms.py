@@ -8,7 +8,7 @@ from walshlab.norms import (
     lp_monte_carlo,
     rademacher_fourth_moment,
 )
-from walshlab.spectra import WalshSpectrum, rademacher_index
+from walshlab.spectra import WalshSpectrum, _product_peak_bytes, rademacher_index
 
 
 def _random_spectrum(rng, depth, terms):
@@ -90,15 +90,16 @@ def test_spectral_p8_small():
 
 def test_spectral_budget():
     # non-Rademacher frequencies spanning 14 bits: too wide for the
-    # head/tail split, so p=8 goes through the budgeted convolution
+    # head cells, so p=8 takes the budgeted powers of the head
     f = WalshSpectrum({n | (n << 7): 1.0 for n in range(1 << 7)})
     with pytest.raises(BudgetError):
-        lp_even_spectral(f, 8, max_pairs=10_000)
+        lp_even_spectral(f, 8, max_bytes=_product_peak_bytes(10_000, 1))
 
 
 def test_seven_bit_head_takes_the_split_at_p8():
     f = WalshSpectrum({n: 1.0 for n in range(1 << 7)})
-    assert lp_even_spectral(f, 8, max_pairs=10_000).value == pytest.approx(
+    small = _product_peak_bytes(10_000, 1)
+    assert lp_even_spectral(f, 8, max_bytes=small).value == pytest.approx(
         lp_dense(f, 8).value, rel=1e-12
     )
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from walshlab.errors import BudgetError, DepthError
 from walshlab.spectra import (
     DyadicPoint,
     WalshSpectrum,
+    _product_peak_bytes,
     analyze_dense,
     inner_product,
     load_spectrum,
@@ -126,7 +128,7 @@ def test_product_commutative_associative():
 def test_product_budget():
     f = WalshSpectrum({n: 1.0 for n in range(64)})
     with pytest.raises(BudgetError):
-        spectrum_product(f, f, max_pairs=1000)
+        spectrum_product(f, f, max_bytes=_product_peak_bytes(1000, 1))
 
 
 def test_product_packed_path_matches_dict_path():
@@ -146,6 +148,27 @@ def test_product_packed_path_matches_dict_path():
         for b, cb in fb.items():
             slow[a ^ b] = slow.get(a ^ b, 0.0) + ca * cb
     assert packed.allclose(WalshSpectrum(slow), tol=1e-10)
+
+
+@pytest.mark.parametrize("limbs", [1, 5])
+@pytest.mark.parametrize("size", [100, 150, 300])
+def test_product_peak_stays_within_its_budget_estimate(limbs, size):
+    # every pair gives its own result term, the worst case for the
+    # result dict; 100 x 100 pairs take the dict path
+    rng = np.random.default_rng(size + limbs)
+    half = 32 * limbs
+    low = rng.choice(1 << min(half, 62), size, replace=False)
+    high = rng.choice(1 << min(half, 62), size, replace=False)
+    f = WalshSpectrum({int(a) | (1 << (2 * half - 1)): 1.0 for a in low})
+    g = WalshSpectrum({int(b) << half: 0.5 for b in high})
+    tracemalloc.start()
+    try:
+        out = spectrum_product(f, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(out) == size * size
+    assert peak <= _product_peak_bytes(size * size, limbs)
 
 
 def test_inner_product():
