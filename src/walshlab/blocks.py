@@ -88,6 +88,7 @@ class BlockPlan:
     _symbols: dict[int, tuple[int, ...]] = field(
         init=False, repr=False, compare=False
     )
+    _split: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = tuple(1 << e for e in self.schedule.g)
@@ -102,6 +103,18 @@ class BlockPlan:
         object.__setattr__(self, "offsets", tuple(offsets))
         object.__setattr__(self, "_phi_block", phis)
         object.__setattr__(self, "_symbols", {})
+        # head of split_rows: v, and per block its head symbols' columns
+        # and their remapped bits
+        bits = 0
+        for phi in phis:
+            bits |= phi
+        shifts = [s for s in range(bits.bit_length()) if bits >> s & 1]
+        layout: dict[int, tuple[list, list]] = {}
+        for freq in [1 << s for s in shifts if s < f[-1]] + list(phis):
+            k, col = self.locate(freq)
+            layout.setdefault(k, ([], []))[0].append(col - 1)
+            layout[k][1].append(sum((freq >> s & 1) << i for i, s in enumerate(shifts)))
+        object.__setattr__(self, "_split", (len(shifts), layout))
 
     @property
     def g(self) -> tuple[int, ...]:
@@ -222,10 +235,54 @@ class BlockPlan:
         """Spectrum whose block-k symbol coefficients are vectors[k]."""
         terms: dict[int, float] = {}
         for k in sorted(vectors):
-            for n, c in zip(self.symbol_frequencies(k), vectors[k].tolist()):
-                if c != 0.0:
-                    terms[n] = c
-        return WalshSpectrum(terms)
+            freqs = self.symbol_frequencies(k)
+            cols = np.flatnonzero(vectors[k])
+            terms.update(
+                zip([freqs[i] for i in cols.tolist()], vectors[k][cols].tolist())
+            )
+        return WalshSpectrum._from_clean_dict(terms)
+
+    # -- batches of span functions ------------------------------------------
+
+    def symbol_rows(
+        self, entries: Sequence, member: np.ndarray
+    ) -> dict[int, np.ndarray]:
+        """Per touched block, the (R, N_k) symbol rows of R span functions:
+        function r sums w psi_m over the (index, weight) ``entries`` that
+        row r of the boolean ``member`` selects.  One batched ``rmatvec``
+        per block; each row equals its own single-row transform."""
+        located = [
+            self.to_block(self.to_global(*m) if isinstance(m, tuple) else m)
+            for m, _ in entries
+        ]
+        weights = np.array([w for _, w in entries], dtype=float)
+        rows = {}
+        for k in sorted({k for k, _ in located}):
+            self._check_cap(k)
+            picked = [t for t, (kk, _) in enumerate(located) if kk == k]
+            coeffs = np.zeros((len(member), self.N[k - 1]))
+            cols = [located[t][1] - 1 for t in picked]
+            picks = np.where(member[:, picked], weights[picked], 0.0)
+            np.add.at(coeffs, (slice(None), cols), picks)
+            rows[k] = olevskii.rmatvec(self.g[k - 1], coeffs)
+        return rows
+
+    def split_rows(
+        self, rows: dict[int, np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(head, tail) of span functions given by their symbol rows, as
+        ``norms.even_moments`` takes them.  The head is the same for every
+        span function: each phi_k plus the Rademachers inside the v bits
+        the phi_k span, put on its remapped columns of a (R, 2^v) array;
+        the other symbols, in block order, are the tail."""
+        v, layout = self._split
+        head = np.zeros((len(next(iter(rows.values()))), 1 << v))
+        tails = []
+        for k, w in rows.items():
+            cols, slots = layout.get(k, ([], []))
+            head[:, slots] = w[:, cols]
+            tails.append(np.delete(w, cols, axis=1))
+        return head, np.concatenate(tails, axis=1)
 
     # -- basis elements -----------------------------------------------------
 
@@ -246,20 +303,9 @@ class BlockPlan:
         self, entries: Iterable[tuple[object, float]]
     ) -> WalshSpectrum:
         """Spectrum of sum of w_m * psi_m over (index, weight) pairs."""
-        rows: dict[int, np.ndarray] = {}
-        for m, w in entries:
-            if isinstance(m, tuple):
-                k, i = m
-                self._check_element(k, i)
-            else:
-                k, i = self.to_block(m)
-            if k not in rows:
-                self._check_cap(k)
-                rows[k] = np.zeros(self.N[k - 1])
-            rows[k][i - 1] += w
-        return self.gather(
-            {k: olevskii.rmatvec(self.g[k - 1], w) for k, w in rows.items()}
-        )
+        entries = list(entries)
+        rows = self.symbol_rows(entries, np.ones((1, len(entries)), dtype=bool))
+        return self.gather({k: w[0] for k, w in rows.items()})
 
 
 def validate_schedule(schedule: GrowthSchedule | Sequence[int]) -> BlockPlan:

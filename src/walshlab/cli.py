@@ -8,6 +8,7 @@ limits).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -171,9 +172,12 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+# built once per process: parsing leaves no state in the parser
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "basis":
             if args.basis_command == "info":

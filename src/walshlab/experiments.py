@@ -15,9 +15,11 @@ approximants are built from prefixes ``order[:m]`` of the greedy order.
 
 Norm routes: p = 2 ratios of expansions are computed in coefficient
 space (orthonormal Parseval, exact by construction; the test suite
-separately confirms coefficient and spectral routes agree), even p uses
-the exact spectral engine, anything else uses dense synthesis when the
-depth allows and seeded Monte Carlo otherwise.
+separately confirms coefficient and spectral routes agree), even p up
+to 10 uses the exact head/tail split, anything else uses dense
+synthesis when the depth allows and seeded Monte Carlo otherwise.  The
+greedy drivers split their prefixes and candidate residuals as symbol
+rows of one batch (``_span_batch``).
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from typing import Callable
 
 import numpy as np
 
-from .blocks import BlockPlan, plan_from_json, validate_schedule
-from .errors import ConfigError
+from .blocks import MATERIALIZATION_CAP, BlockPlan, plan_from_json, validate_schedule
+from .errors import BudgetError, ConfigError
 from .greedy import (
     CoefficientList,
     analyze,
@@ -43,9 +45,11 @@ from .greedy import (
 )
 from .norms import (
     NormEstimate,
+    even_moments,
     lp_even_spectral,
     lp_norm,
     rademacher_fourth_moment,
+    takes_split,
 )
 from .spectra import WalshSpectrum, analyze_dense, rademacher_index, synthesize
 
@@ -245,7 +249,7 @@ def _generate_one(spec: dict, rng, plan: BlockPlan) -> WalshSpectrum:
         signs = rng.choice([-1.0, 1.0], size=terms)
         pairs = [(m, signs[m - 1] * m ** -alpha) for m in range(1, terms + 1)]
     elif kind == "flat_block":
-        positions = np.sort(rng.choice(horizon, size=terms, replace=False)) + 1
+        positions = _draw_positions(rng, plan, terms)
         pairs = zip(positions, rng.choice([-1.0, 1.0], size=terms))
     elif kind == "lacunary":
         positions = [1 << j for j in range(horizon.bit_length())]
@@ -273,6 +277,17 @@ def _generate_one(spec: dict, rng, plan: BlockPlan) -> WalshSpectrum:
     else:
         raise ConfigError(f"unknown corpus kind {kind!r}")
     return synthesize_coefficients(CoefficientList.from_pairs(pairs), plan)
+
+
+def _draw_positions(rng, plan: BlockPlan, size: int) -> np.ndarray:
+    """``size`` distinct uniform positions in 1..horizon, sorted; refused
+    when a block is above the cap, which a uniform draw almost surely hits."""
+    if max(plan.N) > MATERIALIZATION_CAP:
+        raise BudgetError(
+            f"uniform draws over a block of {max(plan.N)} elements, "
+            f"cap is {MATERIALIZATION_CAP}"
+        )
+    return np.sort(rng.choice(plan.horizon_size, size=size, replace=False)) + 1
 
 
 # -- norms, rows and summaries -------------------------------------------------
@@ -343,6 +358,59 @@ def _corpus_expansions(cfg: ExperimentConfig):
         yield trial, f, coeffs, sum(c * c for _, c in coeffs.entries)
 
 
+# functions normed together are built in batches of at most this many
+# bytes of float rows
+_BATCH_BYTES = 1 << 24
+
+
+def _selections(count: int, width: int, member=None):
+    """Batches of the rows of ``member`` (default: the prefix selection,
+    whose row r picks entries 0..r of ``count``), each at most
+    _BATCH_BYTES of float rows of ``width``."""
+    rows = count if member is None else len(member)
+    step = max(1, _BATCH_BYTES // (8 * max(width, 1)))
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        if member is None:
+            yield np.arange(count) <= np.arange(lo, hi)[:, None]
+        else:
+            yield member[lo:hi]
+
+
+def _even_norms(head: np.ndarray, tail: np.ndarray, cfg) -> list[dict]:
+    """Per row, its norm at every configured p that ``takes_split``."""
+    ps = [p for p in cfg.p_values if takes_split(p)]
+    if not ps:
+        return [{}] * len(head)
+    moments = even_moments(head, tail, [int(p) // 2 for p in ps]).tolist()
+    return [{p: x ** (1.0 / p) for p, x in zip(ps, row)} for row in moments]
+
+
+def _span_batch(plan: BlockPlan, entries, cfg, member=None):
+    """(symbol vectors, even-p norms) of span functions, one at a time.
+
+    Function r sums the (position, weight) ``entries`` that row r of
+    ``member`` selects (default: entries[:r + 1]).  A batch shares one
+    ``rmatvec`` per block and one split.
+    """
+    blocks = {plan.to_block(m)[0] for m, _ in entries}
+    for select in _selections(len(entries), sum(plan.N[k - 1] for k in blocks), member):
+        rows = plan.symbol_rows(entries, select)
+        for r, norms in enumerate(_even_norms(*plan.split_rows(rows), cfg)):
+            yield {k: w[r] for k, w in rows.items()}, norms
+
+
+def _walsh_prefix_norms(order, by_index: dict, cfg):
+    """Even-p norms of the plain-Walsh prefixes order[:m], one at a time;
+    every frequency lies below 2^depth, so each prefix is all head."""
+    size = 1 << max((n.bit_length() for n in order), default=0)
+    weights = np.array([by_index[n] for n in order])
+    for select in _selections(len(order), size):
+        head = np.zeros((len(select), size))
+        head[:, list(order)] = np.where(select, weights, 0.0)
+        yield from _even_norms(head, head[:, :0], cfg)
+
+
 # -- experiments ---------------------------------------------------------------
 
 def democracy_experiment(cfg: ExperimentConfig):
@@ -363,7 +431,7 @@ def democracy_experiment(cfg: ExperimentConfig):
         for trial in range(cfg.trials):
             set_seed = derive_seed(cfg.seed, 2, size, trial)
             rng = np.random.default_rng(set_seed)
-            members = np.sort(rng.choice(horizon, size=size, replace=False)) + 1
+            members = _draw_positions(rng, plan, size)
             scale = math.sqrt(size)
             spectrum = None
             for p_idx, p in enumerate(cfg.p_values):
@@ -406,12 +474,15 @@ def quasi_greedy_experiment(cfg: ExperimentConfig):
         head_sq = 0.0
         # an empty order means f = 0, whose residual is 0 as well
         spectral_tail = 0.0
-        for m, sel in enumerate(order, start=1):
+        prefixes = _span_batch(plan, [(s, by_index[s]) for s in order], cfg)
+        for m, (sel, (rows, even)) in enumerate(zip(order, prefixes), start=1):
             head_sq += by_index[sel] * by_index[sel]
-            approx = plan.weighted_spectrum((s, by_index[s]) for s in order[:m])
+            approx = plan.gather(rows)
             for p in cfg.p_values:
                 if p == 2.0:
                     est = NormEstimate(2.0, math.sqrt(head_sq), "exact")
+                elif p in even:
+                    est = NormEstimate(p, even[p], "exact")
                 else:
                     est = _norm(approx, p, cfg, 6, fi, m)
                 records.append(
@@ -561,6 +632,7 @@ def almost_greedy_experiment(cfg: ExperimentConfig):
             raise ConfigError(
                 f"exhaustive search needs support <= 10, got {len(support)}"
             )
+        entries = [(j, by_index[j]) for j in support]
         for m in range(1, len(order)):
             greedy_set = frozenset(order[:m])
             candidates = {greedy_set, frozenset(support[:m])}
@@ -572,19 +644,25 @@ def almost_greedy_experiment(cfg: ExperimentConfig):
                 candidates.update(
                     frozenset(c) for c in combinations(support, m)
                 )
-            for p in cfg.p_values:
-                residuals = {}
-                for cand in candidates:
+            candidates = list(candidates)
+            # a residual is f's expansion without the candidate's terms
+            rest_of = np.array([[j not in c for j in support] for c in candidates])
+            residuals = {p: {} for p in cfg.p_values}
+            rests = _span_batch(plan, entries, cfg, rest_of)
+            for cand, (rows, even) in zip(candidates, rests):
+                rest = None
+                for p in cfg.p_values:
                     if p == 2.0:
                         kept = sum(by_index[j] * by_index[j] for j in cand)
-                        residuals[cand] = math.sqrt(max(total_sq - kept, 0.0))
+                        residuals[p][cand] = math.sqrt(max(total_sq - kept, 0.0))
+                    elif p in even:
+                        residuals[p][cand] = even[p]
                     else:
-                        rest = f - plan.weighted_spectrum(
-                            (j, by_index[j]) for j in sorted(cand)
-                        )
-                        residuals[cand] = _norm(rest, p, cfg, 11).value
-                numer = residuals[greedy_set]
-                denom = min(residuals.values())
+                        rest = plan.gather(rows) if rest is None else rest
+                        residuals[p][cand] = _norm(rest, p, cfg, 11).value
+            for p in cfg.p_values:
+                numer = residuals[p][greedy_set]
+                denom = min(residuals[p].values())
                 value = 1.0 if numer == denom else numer / denom
                 est = NormEstimate(p, value, "exact")
                 records.append(
@@ -633,12 +711,19 @@ def baseline_walsh_comparison(cfg: ExperimentConfig):
         psi_order = greedy_order(psi_coeffs).rho
         norms_walsh = _norms(f, cfg, 13, fi)
         norms_psi = _norms(synthesize_coefficients(psi_coeffs, plan), cfg, 14, fi)
-        for m in range(1, len(walsh_order) + 1):
-            g_walsh = WalshSpectrum({n: walsh_by_index[n] for n in walsh_order[:m]})
-            g_psi = plan.weighted_spectrum((j, psi_by_index[j]) for j in psi_order[:m])
+        walsh_even = _walsh_prefix_norms(walsh_order, walsh_by_index, cfg)
+        psi_batch = _span_batch(plan, [(j, psi_by_index[j]) for j in psi_order], cfg)
+        for m, (even_w, (rows, even_b)) in enumerate(zip(walsh_even, psi_batch), 1):
             for p in cfg.p_values:
-                est_w = _norm(g_walsh, p, cfg, 15, fi, m)
-                est_b = _norm(g_psi, p, cfg, 16, fi, m)
+                if p in even_w:
+                    est_w = NormEstimate(p, even_w[p], "exact")
+                    est_b = NormEstimate(p, even_b[p], "exact")
+                else:
+                    g_walsh = WalshSpectrum(
+                        {n: walsh_by_index[n] for n in walsh_order[:m]}
+                    )
+                    est_w = _norm(g_walsh, p, cfg, 15, fi, m)
+                    est_b = _norm(plan.gather(rows), p, cfg, 16, fi, m)
                 records.append(
                     _record("walsh-baseline", "walsh", p, m, fi, est_w,
                             norms_walsh[p], cfg.seed)

@@ -150,18 +150,21 @@ def check_orthogonality(
 def rmatvec(k: int, row_weights: np.ndarray) -> np.ndarray:
     """A^T w: weighted column sums, walking the band structure.
 
-    Used to synthesize weighted sums of rows; O(k 2^k).
+    Used to synthesize weighted sums of rows; O(k 2^k) per row.  Acts on
+    the last axis, so a stack of weight rows gives the stack of their
+    transforms, each the same as its own single-row call.
     """
     size = 1 << k
     w = np.asarray(row_weights, dtype=float)
-    if w.shape != (size,):
-        raise ValueError(f"expected weight vector of length {size}")
-    out = np.zeros(size)
-    out[0] = w.sum() * 2.0 ** (-k / 2.0)
+    if w.shape[-1:] != (size,):
+        raise ValueError(f"expected weight vectors of length {size}")
+    lead = w.shape[:-1]
+    out = np.zeros(w.shape)
+    out[..., 0] = w.sum(axis=-1) * 2.0 ** (-k / 2.0)
     for s in range(k):
-        halves = w.reshape(1 << s, 2, 1 << (k - s - 1)).sum(axis=2)
-        out[(1 << s) : (1 << (s + 1))] = (
-            (halves[:, 0] - halves[:, 1]) * 2.0 ** ((s - k) / 2.0)
+        halves = w.reshape(*lead, 1 << s, 2, 1 << (k - s - 1)).sum(axis=-1)
+        out[..., (1 << s) : (1 << (s + 1))] = (
+            (halves[..., 0] - halves[..., 1]) * 2.0 ** ((s - k) / 2.0)
         )
     return out
 

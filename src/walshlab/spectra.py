@@ -321,8 +321,9 @@ def analyze_dense(values: np.ndarray) -> WalshSpectrum:
 
 
 def _fwht_inplace(v: np.ndarray) -> None:
-    # unnormalized butterfly; v length must be a power of two
-    n = len(v)
+    # unnormalized butterfly along the last axis of a C-contiguous v,
+    # whose length must be a power of two
+    n = v.shape[-1]
     h = 1
     while h < n:
         v2 = v.reshape(-1, 2 * h)

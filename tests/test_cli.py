@@ -381,3 +381,55 @@ def test_engine_value_error_is_not_a_config_error(tmp_path, capsys, monkeypatch)
     save_spectrum(WalshSpectrum({0: 1.0}), spec_path)
     with pytest.raises(ValueError, match="engine bug"):
         main(["norm", "--p", "3", "--engine", "dense", "--in", str(spec_path)])
+
+
+def test_norm_even_engine_above_split_cap_exit3(tmp_path, capsys):
+    spec_path = tmp_path / "f.json"
+    save_spectrum(WalshSpectrum({0: 1.0, 1: 0.5, 6: 0.25}), spec_path)
+    code, out, err = run_cli(
+        capsys, "norm", "--p", "12", "--engine", "even", "--in", str(spec_path)
+    )
+    assert code == 3 and out == ""
+    assert "above the split's accuracy cap 10" in err
+
+
+@pytest.mark.parametrize("kind, doc", [
+    ("democracy", {"plan": "paper", "sizes": [3], "trials": 1}),
+    ("quasigreedy",
+     {"plan": "paper", "corpus": {"kind": "flat_block", "count": 1, "terms": 5}}),
+])
+def test_uniform_draw_over_the_paper_horizon_exit3(tmp_path, capsys, kind, doc):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    out_path = tmp_path / "r.csv"
+    code, out, err = run_cli(
+        capsys, "experiment", kind, "--config", str(cfg_path), "--out", str(out_path),
+    )
+    assert code == 3 and out == "" and not out_path.exists()
+    assert "uniform draws over a block of" in err and "Traceback" not in err
+
+
+def test_consecutive_main_calls_share_one_parser(tmp_path, capsys):
+    import walshlab.cli as cli
+
+    cli._parser.cache_clear()
+    spec_path = tmp_path / "f.json"
+    save_spectrum(WalshSpectrum({0: 1.0, 1: 1.0}), spec_path)
+    code, out, _ = run_cli(capsys, "norm", "--p", "3", "--engine", "mc",
+                           "--samples", "50", "--seed", "9", "--in", str(spec_path))
+    assert code == 0 and json.loads(out)["samples"] == 50
+    with pytest.raises(SystemExit) as exc:
+        main(["norm", "--p", "3", "--engine", "nope", "--in", str(spec_path)])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, "basis", "info", "--plan", "desk")
+    assert code == 0 and json.loads(out)["g"] == [2, 4, 8]
+    # the earlier --samples/--seed and the failed parse leave no trace
+    code, out, _ = run_cli(capsys, "norm", "--p", "3", "--engine", "mc",
+                           "--in", str(spec_path))
+    doc = json.loads(out)
+    assert code == 0 and (doc["samples"], doc["seed"]) == (20000, 0)
+    code, out, _ = run_cli(capsys, "norm", "--p", "4", "--in", str(spec_path))
+    assert code == 0 and json.loads(out)["kind"] == "exact"
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits) == (1, 4)

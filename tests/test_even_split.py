@@ -24,6 +24,7 @@ from walshlab.norms import (
     _split_table,
     lp_dense,
     lp_even_spectral,
+    lp_norm,
 )
 from walshlab.spectra import (
     WalshSpectrum,
@@ -171,12 +172,56 @@ def test_split_at_p10_and_p12_matches_dense():
     rng = np.random.default_rng(3)
     freqs = rng.choice(1 << 10, 9, replace=False)
     f = WalshSpectrum({int(n): float(rng.normal()) for n in freqs})
-    for p in (10, 12):
-        dense = lp_dense(f, p).value
-        assert lp_even_spectral(f, p).value == pytest.approx(dense, rel=1e-12)
+    assert lp_even_spectral(f, 10).value == pytest.approx(
+        lp_dense(f, 10).value, rel=1e-12
+    )
+    # above EVEN_SPLIT_MAX_P the split refuses and lp_norm goes dense
+    with pytest.raises(BudgetError):
+        lp_even_spectral(f, 12)
+    assert lp_norm(f, 12, 2, lambda: 0) == lp_dense(f, 12)
 
 
 def test_wide_head_is_left_to_the_convolution():
     f = WalshSpectrum({0b11 << 12: 1.0, 0b111111111111: 0.5})  # 14 head bits
     dense = lp_dense(f, 6).value
     assert lp_even_spectral(f, 6).value == pytest.approx(dense, rel=1e-12)
+
+
+@st.composite
+def dominated_tails(draw):
+    """A Rademacher tail on bits 0..15 with one to three terms of size
+    about 1 (up to 1e3) over smaller ones spread across six decades,
+    plus an optional small head: the cancellation extreme of the
+    cumulant recursion."""
+    bits = draw(st.lists(st.integers(0, 15), min_size=2, max_size=10, unique=True))
+    dominant = draw(st.integers(1, 3))
+    scale = draw(st.sampled_from([1.0, 1e3]))
+    terms = {}
+    for i, b in enumerate(bits):
+        if i < dominant:
+            size = scale * draw(st.floats(1.0, 1.001))
+        else:
+            size = scale * 10.0 ** draw(st.floats(-6.0, -0.5))
+        terms[1 << b] = draw(st.sampled_from([1.0, -1.0])) * size
+    free = [b for b in range(16) if b not in bits]
+    if len(free) >= 2 and draw(st.booleans()):
+        terms[(1 << free[0]) | (1 << free[1])] = draw(coefficient) * 1e-2
+    return WalshSpectrum(terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dominated_tails(), st.sampled_from([4, 6, 8, 10]))
+def test_split_on_dominated_tails_equals_dense(f, p):
+    assert lp_even_spectral(f, p).value == pytest.approx(
+        lp_dense(f, p).value, rel=1e-12
+    )
+
+
+def test_high_even_p_leaves_the_split():
+    rng = np.random.default_rng(14)
+    a = rng.normal(size=14).tolist()
+    f = WalshSpectrum({rademacher_index(j + 1): x for j, x in enumerate(a)})
+    for p in (12, 40, 200):
+        with pytest.raises(BudgetError):
+            lp_even_spectral(f, p)
+    assert lp_norm(f, 40, 2, lambda: 0) == lp_dense(f, 40)

@@ -157,3 +157,14 @@ def test_matvec_equals_kron_reference_exactly():
         for _ in range(20):
             v = rng.normal(size=1 << k)
             assert np.array_equal(matvec(k, v), reference_matvec(k, v))
+
+
+def test_batched_rmatvec_equals_stacked_rows_exactly():
+    rng = np.random.default_rng(29)
+    for k in range(0, 11):
+        w = rng.normal(size=(7, 1 << k))
+        stacked = np.stack([rmatvec(k, row) for row in w])
+        assert np.array_equal(rmatvec(k, w), stacked)
+        assert np.array_equal(rmatvec(k, w.reshape(7, 1, 1 << k))[:, 0], stacked)
+    with pytest.raises(ValueError):
+        rmatvec(2, np.ones((3, 5)))
