@@ -88,7 +88,6 @@ class BlockPlan:
     _symbols: dict[int, tuple[int, ...]] = field(
         init=False, repr=False, compare=False
     )
-    _split: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = tuple(1 << e for e in self.schedule.g)
@@ -103,18 +102,6 @@ class BlockPlan:
         object.__setattr__(self, "offsets", tuple(offsets))
         object.__setattr__(self, "_phi_block", phis)
         object.__setattr__(self, "_symbols", {})
-        # head of split_rows: v, and per block its head symbols' columns
-        # and their remapped bits
-        bits = 0
-        for phi in phis:
-            bits |= phi
-        shifts = [s for s in range(bits.bit_length()) if bits >> s & 1]
-        layout: dict[int, tuple[list, list]] = {}
-        for freq in [1 << s for s in shifts if s < f[-1]] + list(phis):
-            k, col = self.locate(freq)
-            layout.setdefault(k, ([], []))[0].append(col - 1)
-            layout[k][1].append(sum((freq >> s & 1) << i for i, s in enumerate(shifts)))
-        object.__setattr__(self, "_split", (len(shifts), layout))
 
     @property
     def g(self) -> tuple[int, ...]:
@@ -235,18 +222,11 @@ class BlockPlan:
         """Spectrum whose block-k symbol coefficients are vectors[k]."""
         terms: dict[int, float] = {}
         for k in sorted(vectors):
-            freqs = self.symbol_frequencies(k)
-            cols = np.flatnonzero(vectors[k])
-            terms.update(
-                zip([freqs[i] for i in cols.tolist()], vectors[k][cols].tolist())
-            )
+            freqs, nz = self.symbol_frequencies(k), np.flatnonzero(vectors[k]).tolist()
+            terms.update(zip([freqs[i] for i in nz], vectors[k][nz].tolist()))
         return WalshSpectrum._from_clean_dict(terms)
 
-    # -- batches of span functions ------------------------------------------
-
-    def symbol_rows(
-        self, entries: Sequence, member: np.ndarray
-    ) -> dict[int, np.ndarray]:
+    def symbol_rows(self, entries: Sequence, member: np.ndarray) -> dict:
         """Per touched block, the (R, N_k) symbol rows of R span functions:
         function r sums w psi_m over the (index, weight) ``entries`` that
         row r of the boolean ``member`` selects.  One batched ``rmatvec``
@@ -255,34 +235,16 @@ class BlockPlan:
             self.to_block(self.to_global(*m) if isinstance(m, tuple) else m)
             for m, _ in entries
         ]
-        weights = np.array([w for _, w in entries], dtype=float)
+        picks = np.where(member, np.array([w for _, w in entries], dtype=float), 0.0)
         rows = {}
         for k in sorted({k for k, _ in located}):
             self._check_cap(k)
-            picked = [t for t, (kk, _) in enumerate(located) if kk == k]
+            mine = [t for t, (b, _) in enumerate(located) if b == k]
+            cols = [located[t][1] - 1 for t in mine]
             coeffs = np.zeros((len(member), self.N[k - 1]))
-            cols = [located[t][1] - 1 for t in picked]
-            picks = np.where(member[:, picked], weights[picked], 0.0)
-            np.add.at(coeffs, (slice(None), cols), picks)
+            np.add.at(coeffs, (slice(None), cols), picks[:, mine])
             rows[k] = olevskii.rmatvec(self.g[k - 1], coeffs)
         return rows
-
-    def split_rows(
-        self, rows: dict[int, np.ndarray]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(head, tail) of span functions given by their symbol rows, as
-        ``norms.even_moments`` takes them.  The head is the same for every
-        span function: each phi_k plus the Rademachers inside the v bits
-        the phi_k span, put on its remapped columns of a (R, 2^v) array;
-        the other symbols, in block order, are the tail."""
-        v, layout = self._split
-        head = np.zeros((len(next(iter(rows.values()))), 1 << v))
-        tails = []
-        for k, w in rows.items():
-            cols, slots = layout.get(k, ([], []))
-            head[:, slots] = w[:, cols]
-            tails.append(np.delete(w, cols, axis=1))
-        return head, np.concatenate(tails, axis=1)
 
     # -- basis elements -----------------------------------------------------
 

@@ -16,10 +16,9 @@ approximants are built from prefixes ``order[:m]`` of the greedy order.
 Norm routes: p = 2 ratios of expansions are computed in coefficient
 space (orthonormal Parseval, exact by construction; the test suite
 separately confirms coefficient and spectral routes agree), even p up
-to 10 uses the exact head/tail split, anything else uses dense
-synthesis when the depth allows and seeded Monte Carlo otherwise.  The
-greedy drivers split their prefixes and candidate residuals as symbol
-rows of one batch (``_span_batch``).
+to 10 the exact head/tail split (quasigreedy's prefixes as symbol rows
+of one batch), anything else dense synthesis when the depth allows and
+seeded Monte Carlo otherwise.
 """
 
 from __future__ import annotations
@@ -283,10 +282,7 @@ def _draw_positions(rng, plan: BlockPlan, size: int) -> np.ndarray:
     """``size`` distinct uniform positions in 1..horizon, sorted; refused
     when a block is above the cap, which a uniform draw almost surely hits."""
     if max(plan.N) > MATERIALIZATION_CAP:
-        raise BudgetError(
-            f"uniform draws over a block of {max(plan.N)} elements, "
-            f"cap is {MATERIALIZATION_CAP}"
-        )
+        raise BudgetError(f"uniform draws over a block above {MATERIALIZATION_CAP}")
     return np.sort(rng.choice(plan.horizon_size, size=size, replace=False)) + 1
 
 
@@ -358,57 +354,26 @@ def _corpus_expansions(cfg: ExperimentConfig):
         yield trial, f, coeffs, sum(c * c for _, c in coeffs.entries)
 
 
-# functions normed together are built in batches of at most this many
-# bytes of float rows
-_BATCH_BYTES = 1 << 24
+# bytes of prefix rows per batch; the norm pass peaks near six times this
+_BATCH_BYTES = 1 << 22
 
 
-def _selections(count: int, width: int, member=None):
-    """Batches of the rows of ``member`` (default: the prefix selection,
-    whose row r picks entries 0..r of ``count``), each at most
-    _BATCH_BYTES of float rows of ``width``."""
-    rows = count if member is None else len(member)
-    step = max(1, _BATCH_BYTES // (8 * max(width, 1)))
-    for lo in range(0, rows, step):
-        hi = min(lo + step, rows)
-        if member is None:
-            yield np.arange(count) <= np.arange(lo, hi)[:, None]
-        else:
-            yield member[lo:hi]
-
-
-def _even_norms(head: np.ndarray, tail: np.ndarray, cfg) -> list[dict]:
-    """Per row, its norm at every configured p that ``takes_split``."""
-    ps = [p for p in cfg.p_values if takes_split(p)]
-    if not ps:
-        return [{}] * len(head)
-    moments = even_moments(head, tail, [int(p) // 2 for p in ps]).tolist()
-    return [{p: x ** (1.0 / p) for p, x in zip(ps, row)} for row in moments]
-
-
-def _span_batch(plan: BlockPlan, entries, cfg, member=None):
-    """(symbol vectors, even-p norms) of span functions, one at a time.
-
-    Function r sums the (position, weight) ``entries`` that row r of
-    ``member`` selects (default: entries[:r + 1]).  A batch shares one
-    ``rmatvec`` per block and one split.
-    """
-    blocks = {plan.to_block(m)[0] for m, _ in entries}
-    for select in _selections(len(entries), sum(plan.N[k - 1] for k in blocks), member):
+def _prefix_norms(plan: BlockPlan, entries, ps):
+    """(symbol vectors, {p: norm} at the even ``ps``) of the prefix sums
+    of the (position, weight) ``entries``, one at a time; a batch shares
+    one ``rmatvec`` per block and one ``even_moments`` pass."""
+    blocks = sorted({plan.to_block(m)[0] for m, _ in entries})
+    freqs = [n for k in blocks for n in plan.symbol_frequencies(k)]
+    count = len(entries)
+    step = max(1, _BATCH_BYTES // (8 * max(len(freqs), 1)))
+    for lo in range(0, count, step):
+        select = np.arange(count) <= np.arange(lo, min(lo + step, count))[:, None]
         rows = plan.symbol_rows(entries, select)
-        for r, norms in enumerate(_even_norms(*plan.split_rows(rows), cfg)):
+        coeffs = np.concatenate([rows[k] for k in blocks], axis=1)
+        moments = even_moments(freqs, coeffs, [int(p) // 2 for p in ps])
+        for r, row in enumerate(moments.tolist()):
+            norms = {p: x ** (1.0 / p) for p, x in zip(ps, row)}
             yield {k: w[r] for k, w in rows.items()}, norms
-
-
-def _walsh_prefix_norms(order, by_index: dict, cfg):
-    """Even-p norms of the plain-Walsh prefixes order[:m], one at a time;
-    every frequency lies below 2^depth, so each prefix is all head."""
-    size = 1 << max((n.bit_length() for n in order), default=0)
-    weights = np.array([by_index[n] for n in order])
-    for select in _selections(len(order), size):
-        head = np.zeros((len(select), size))
-        head[:, list(order)] = np.where(select, weights, 0.0)
-        yield from _even_norms(head, head[:, :0], cfg)
 
 
 # -- experiments ---------------------------------------------------------------
@@ -466,6 +431,7 @@ def quasi_greedy_experiment(cfg: ExperimentConfig):
     records: list[ResultRecord] = []
     residual_dev_max = 0.0
     terminal_residual_max = 0.0
+    even_ps = [p for p in cfg.p_values if takes_split(p) and p != 2.0]
     for fi, f, coeffs, total_sq in _corpus_expansions(cfg):
         by_index = coeffs.as_dict()
         order = greedy_order(coeffs).rho
@@ -474,7 +440,7 @@ def quasi_greedy_experiment(cfg: ExperimentConfig):
         head_sq = 0.0
         # an empty order means f = 0, whose residual is 0 as well
         spectral_tail = 0.0
-        prefixes = _span_batch(plan, [(s, by_index[s]) for s in order], cfg)
+        prefixes = _prefix_norms(plan, [(s, by_index[s]) for s in order], even_ps)
         for m, (sel, (rows, even)) in enumerate(zip(order, prefixes), start=1):
             head_sq += by_index[sel] * by_index[sel]
             approx = plan.gather(rows)
@@ -632,7 +598,6 @@ def almost_greedy_experiment(cfg: ExperimentConfig):
             raise ConfigError(
                 f"exhaustive search needs support <= 10, got {len(support)}"
             )
-        entries = [(j, by_index[j]) for j in support]
         for m in range(1, len(order)):
             greedy_set = frozenset(order[:m])
             candidates = {greedy_set, frozenset(support[:m])}
@@ -644,25 +609,19 @@ def almost_greedy_experiment(cfg: ExperimentConfig):
                 candidates.update(
                     frozenset(c) for c in combinations(support, m)
                 )
-            candidates = list(candidates)
-            # a residual is f's expansion without the candidate's terms
-            rest_of = np.array([[j not in c for j in support] for c in candidates])
-            residuals = {p: {} for p in cfg.p_values}
-            rests = _span_batch(plan, entries, cfg, rest_of)
-            for cand, (rows, even) in zip(candidates, rests):
-                rest = None
-                for p in cfg.p_values:
+            for p in cfg.p_values:
+                residuals = {}
+                for cand in candidates:
                     if p == 2.0:
                         kept = sum(by_index[j] * by_index[j] for j in cand)
-                        residuals[p][cand] = math.sqrt(max(total_sq - kept, 0.0))
-                    elif p in even:
-                        residuals[p][cand] = even[p]
+                        residuals[cand] = math.sqrt(max(total_sq - kept, 0.0))
                     else:
-                        rest = plan.gather(rows) if rest is None else rest
-                        residuals[p][cand] = _norm(rest, p, cfg, 11).value
-            for p in cfg.p_values:
-                numer = residuals[p][greedy_set]
-                denom = min(residuals[p].values())
+                        rest = f - plan.weighted_spectrum(
+                            (j, by_index[j]) for j in sorted(cand)
+                        )
+                        residuals[cand] = _norm(rest, p, cfg, 11).value
+                numer = residuals[greedy_set]
+                denom = min(residuals.values())
                 value = 1.0 if numer == denom else numer / denom
                 est = NormEstimate(p, value, "exact")
                 records.append(
@@ -711,19 +670,12 @@ def baseline_walsh_comparison(cfg: ExperimentConfig):
         psi_order = greedy_order(psi_coeffs).rho
         norms_walsh = _norms(f, cfg, 13, fi)
         norms_psi = _norms(synthesize_coefficients(psi_coeffs, plan), cfg, 14, fi)
-        walsh_even = _walsh_prefix_norms(walsh_order, walsh_by_index, cfg)
-        psi_batch = _span_batch(plan, [(j, psi_by_index[j]) for j in psi_order], cfg)
-        for m, (even_w, (rows, even_b)) in enumerate(zip(walsh_even, psi_batch), 1):
+        for m in range(1, len(walsh_order) + 1):
+            g_walsh = WalshSpectrum({n: walsh_by_index[n] for n in walsh_order[:m]})
+            g_psi = plan.weighted_spectrum((j, psi_by_index[j]) for j in psi_order[:m])
             for p in cfg.p_values:
-                if p in even_w:
-                    est_w = NormEstimate(p, even_w[p], "exact")
-                    est_b = NormEstimate(p, even_b[p], "exact")
-                else:
-                    g_walsh = WalshSpectrum(
-                        {n: walsh_by_index[n] for n in walsh_order[:m]}
-                    )
-                    est_w = _norm(g_walsh, p, cfg, 15, fi, m)
-                    est_b = _norm(plan.gather(rows), p, cfg, 16, fi, m)
+                est_w = _norm(g_walsh, p, cfg, 15, fi, m)
+                est_b = _norm(g_psi, p, cfg, 16, fi, m)
                 records.append(
                     _record("walsh-baseline", "walsh", p, m, fi, est_w,
                             norms_walsh[p], cfg.seed)

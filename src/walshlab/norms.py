@@ -5,9 +5,7 @@ Routes, as ``lp_norm`` (shared by the experiments and the CLI) picks them:
     even p <= 10           lp_even_spectral: Parseval at 2, else the split
     other p, depth <= 24   lp_dense
     other p, deeper        lp_monte_carlo
-    batches of rows        even_moments: the split, one function per row,
-                           e.g. span functions read off their symbol rows
-                           (BlockPlan.split_rows)
+    rows of coefficients   even_moments: the split, one function per row
 
 * ``lp_dense`` synthesizes the function on its full dyadic grid and is
   exact for any p >= 1, but needs depth <= 24.  ``synthesize`` places
@@ -81,9 +79,9 @@ MAX_DENSE_DEPTH = 24
 # 2^v head cells above which the split takes head moments from head powers
 _SPLIT_CELL_CAP = 1 << 12
 
-# Largest even p whose split norms stay within 1e-12 of lp_dense: on
-# random 1-9-term tails, some led by one term, the worst relative errors
-# seen are 2.0e-14 at p = 8, 5.6e-13 at p = 10 and 1.3e-11 at p = 12
+# Largest even p whose split norms stay within 1e-12 of lp_dense: worst
+# relative errors on random 1-9-term tails, some led by one term, are
+# 2.0e-14 at p = 8, 5.6e-13 at p = 10 and 1.3e-11 at p = 12
 EVEN_SPLIT_MAX_P = 10
 
 _Z95 = 1.959963984540054
@@ -268,67 +266,63 @@ def _byte_signs() -> np.ndarray:
     return signs
 
 
-def even_moments(head: np.ndarray, tail: np.ndarray, ms) -> np.ndarray:
-    """(rows, len(ms)) array of integral f_r^(2m): row r of ``head`` holds
-    f_r's head on its v head bits (column n: the frequency with bits n),
-    row r of ``tail`` the coefficients of its Rademacher tail."""
-    cells = np.array(head, dtype=float)
-    _fwht_inplace(cells)  # q on its 2^v cells, in bit-reversed order
-    q2 = cells * cells
-    m_max = max(ms)
-    eq = np.ones((len(q2), m_max + 1))  # eq[:, j] = E q^(2j)
-    powers = np.cumprod(np.repeat(q2[:, None, :], m_max, axis=1), axis=1)
-    eq[:, 1:] = powers.mean(axis=2)
-    return _split_combine(eq, tail, ms)
-
-
-def _split_combine(eq: np.ndarray, tail: np.ndarray, ms) -> np.ndarray:
-    """The binomial sum of the split, per row and m, from E q^(2j) and T."""
-    m_max = max(ms)
-    b2 = np.square(tail)
-    # power_sums[:, i - 1] = S_2i
-    powers = np.cumprod(np.repeat(b2[:, None, :], m_max, axis=1), axis=1)
-    power_sums = powers.sum(axis=2)
-    _, recursion, cumulants = _split_table(m_max)
-    kappa = list((power_sums * cumulants).T)
-    mu = [np.ones(len(b2))]  # mu[j] = E T^(2j)
-    for j, weights in enumerate(recursion, start=1):
-        mu.append(sum(w * kappa[i] * mu[j - 1 - i] for i, w in enumerate(weights)))
-    return np.stack([
-        sum(w * eq[:, m - j] * mu[j] for j, w in enumerate(_split_table(m)[0]))
-        for m in ms
-    ], axis=1)
-
-
-def _head_tail_moment(f: WalshSpectrum, m: int, max_bytes: int = BYTE_BUDGET) -> float:
-    """integral f^(2m) by the independent-tail identity."""
+def even_moments(freqs, coeffs: np.ndarray, ms, max_bytes: int = BYTE_BUDGET):
+    """(R, len(ms)) array of integral f_r^(2m) for m in ``ms``, where row
+    r of ``coeffs`` holds f_r's coefficients at the frequencies ``freqs``.
+    Every row shares one head/tail split of ``freqs``."""
     head_bits = 0
-    for n in f:
+    for n in freqs:
         if n.bit_count() != 1:
             head_bits |= n
     # single bits outside the head bits are the independent tail
-    head, tail = {}, []
     outside = ~head_bits
-    for n, c in f.items():
-        if n & outside:
-            tail.append(c)
-        else:
-            head[n] = c
-    tail = np.array([tail], dtype=float)
+    in_tail = np.array([n & outside != 0 for n in freqs], dtype=bool)
+    head = [n for n in freqs if not n & outside]
+    m_max = max(ms, default=0)
+    eq = np.ones((len(coeffs), m_max + 1))  # eq[:, j] = E q^(2j)
     v = head_bits.bit_count()
     if (1 << v) > _SPLIT_CELL_CAP:
         # E q^(2j) = ||q^j||_2^2 from the XOR powers of the head
-        q = power = WalshSpectrum._from_clean_dict(head)
-        eq = [1.0, inner_product(q, q)]
-        for _ in range(m - 1):
-            power = spectrum_product(power, q, max_bytes)
-            eq.append(inner_product(power, power))
-        return float(_split_combine(np.array([eq]), tail, [m])[0, 0])
-    shifts = [s for s in range(head_bits.bit_length()) if head_bits >> s & 1]
-    remapped = np.zeros((1, 1 << v))
-    for n, c in head.items():
-        remapped[0, sum(((n >> s) & 1) << i for i, s in enumerate(shifts))] = c
-    return float(even_moments(remapped, tail, [m])[0, 0])
+        for r, row in enumerate(coeffs[:, ~in_tail].tolist()):
+            q = power = WalshSpectrum({n: c for n, c in zip(head, row) if c})
+            for j in range(1, m_max + 1):
+                if j > 1:
+                    power = spectrum_product(power, q, max_bytes)
+                eq[r, j] = inner_product(power, power)
+    else:
+        shifts = [s for s in range(head_bits.bit_length()) if head_bits >> s & 1]
+        # the head remapped onto bits 0..v-1 and evaluated on its 2^v
+        # cells, in bit-reversed order; moments ignore order
+        slots = [sum((n >> s & 1) << i for i, s in enumerate(shifts)) for n in head]
+        cells = np.zeros((len(coeffs), 1 << v))
+        cells[:, slots] = coeffs[:, ~in_tail]
+        _fwht_inplace(cells)
+        q2 = cells * cells
+        power = np.ones_like(q2)
+        for j in range(1, m_max + 1):
+            power *= q2
+            eq[:, j] = power.mean(axis=1)
+    b2 = np.square(coeffs[:, in_tail], order="C")  # rows summed as on their own
+    power = np.ones_like(b2)
+    _, recursion, cumulants = _split_table(m_max)
+    kappa = []  # kappa[i - 1] = c_i S_2i
+    for c in cumulants:
+        power *= b2
+        kappa.append(c * power.sum(axis=1))
+    mu = [np.ones(len(coeffs))]  # mu[j] = E T^(2j)
+    for j, weights in enumerate(recursion, start=1):
+        mu.append(sum(w * kappa[i] * mu[j - 1 - i] for i, w in enumerate(weights)))
+    out = np.empty((len(coeffs), len(ms)))
+    for col, m in enumerate(ms):
+        outer = _split_table(m)[0]
+        out[:, col] = sum(w * eq[:, m - j] * mu[j] for j, w in enumerate(outer))
+    return out
+
+
+def _head_tail_moment(f: WalshSpectrum, m: int, max_bytes: int = BYTE_BUDGET) -> float:
+    """integral f^(2m) by the independent-tail identity: one row."""
+    row = np.array([[c for _, c in f.items()]], dtype=float)
+    return float(even_moments(list(f), row, [m], max_bytes)[0, 0])
 
 
 @functools.cache

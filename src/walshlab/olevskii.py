@@ -151,8 +151,7 @@ def rmatvec(k: int, row_weights: np.ndarray) -> np.ndarray:
     """A^T w: weighted column sums, walking the band structure.
 
     Used to synthesize weighted sums of rows; O(k 2^k) per row.  Acts on
-    the last axis, so a stack of weight rows gives the stack of their
-    transforms, each the same as its own single-row call.
+    the last axis: a stack of weight rows gives their stacked transforms.
     """
     size = 1 << k
     w = np.asarray(row_weights, dtype=float)

@@ -406,7 +406,7 @@ def test_uniform_draw_over_the_paper_horizon_exit3(tmp_path, capsys, kind, doc):
         capsys, "experiment", kind, "--config", str(cfg_path), "--out", str(out_path),
     )
     assert code == 3 and out == "" and not out_path.exists()
-    assert "uniform draws over a block of" in err and "Traceback" not in err
+    assert "uniform draws over a block above" in err and "Traceback" not in err
 
 
 def test_consecutive_main_calls_share_one_parser(tmp_path, capsys):

@@ -1,14 +1,15 @@
 """Symbol-row batches of span functions against the per-function routes.
 
-The greedy drivers build every greedy prefix (and every almost-greedy
-candidate residual) as rows of one batch: coefficient rows, one
-batched ``rmatvec`` per block, then the plan-level head/tail split of
-``norms.even_moments``.  ``reference_prefix_norms`` is the loop they
-replace, one ``weighted_spectrum`` and one ``lp_even_spectral`` per
-prefix; ``reference_gather`` is the per-symbol loop ``gather`` replaced.
+quasigreedy builds every greedy prefix as a row of one batch:
+coefficient rows, one batched ``rmatvec`` per block, then one head/tail
+split of ``norms.even_moments`` over the touched blocks' symbols.
+``reference_prefix_norms`` is the loop it replaces, one
+``weighted_spectrum`` and one ``lp_even_spectral`` per prefix;
+``reference_gather`` is the per-symbol loop ``gather`` replaced.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,9 +20,7 @@ import walshlab.experiments as experiments
 from walshlab.blocks import load_plan, validate_schedule
 from walshlab.experiments import (
     ExperimentConfig,
-    _span_batch,
-    _walsh_prefix_norms,
-    corpus_with_coefficients,
+    _prefix_norms,
     quasi_greedy_experiment,
 )
 from walshlab.greedy import (
@@ -30,7 +29,7 @@ from walshlab.greedy import (
     greedy_order,
     synthesize_coefficients,
 )
-from walshlab.norms import lp_even_spectral
+from walshlab.norms import even_moments, lp_dense, lp_even_spectral
 from walshlab.spectra import WalshSpectrum
 
 
@@ -81,8 +80,7 @@ def test_prefix_norms_equal_the_per_prefix_split(case, p):
     coeffs = analyze(f, plan)
     by_index = coeffs.as_dict()
     ordered = [(m, by_index[m]) for m in greedy_order(coeffs).rho]
-    cfg = ExperimentConfig(plan=plan, p_values=(float(p),))
-    batch = list(_span_batch(plan, ordered, cfg))
+    batch = list(_prefix_norms(plan, ordered, [float(p)]))
     assert len(batch) == len(ordered)
     got = [norms[float(p)] for _, norms in batch]
     assert _relative_close(got, reference_prefix_norms(plan, ordered, p), 1e-12)
@@ -95,16 +93,16 @@ def test_small_batches_give_the_same_rows(monkeypatch):
     rng = np.random.default_rng(3)
     positions = rng.choice(plan.horizon_size, size=25, replace=False) + 1
     entries = [(int(m), float(rng.normal())) for m in positions]
-    cfg = ExperimentConfig(plan=plan, p_values=(2.0, 3.0, 4.0, 6.0))
-    whole = list(_span_batch(plan, entries, cfg))
+    ps = [4.0, 6.0]
+    whole = list(_prefix_norms(plan, entries, ps))
     # room for two rows of desk's 276 symbols per batch
     monkeypatch.setattr(experiments, "_BATCH_BYTES", 2 * 8 * 276)
-    split = list(_span_batch(plan, entries, cfg))
+    split = list(_prefix_norms(plan, entries, ps))
     assert len(split) == len(whole) == 25
     for (rows_a, norms_a), (rows_b, norms_b) in zip(whole, split):
         assert rows_a.keys() == rows_b.keys()
         assert all(np.array_equal(rows_a[k], rows_b[k]) for k in rows_a)
-        assert norms_a == norms_b and set(norms_a) == {2.0, 4.0, 6.0}
+        assert norms_a == norms_b and set(norms_a) == {4.0, 6.0}
 
 
 @settings(max_examples=40, deadline=None)
@@ -125,47 +123,6 @@ def test_gather_matches_the_per_symbol_loop(data):
     assert list(got.items()) == list(want.items())
 
 
-def test_almostgreedy_residual_rows_match_the_spectra():
-    plan = load_plan("desk")
-    spec = {"kind": "mixed", "count": 5, "terms": 20}
-    rng = np.random.default_rng(11)
-    cfg = ExperimentConfig(plan=plan, p_values=(2.0, 4.0, 6.0, 10.0))
-    for _, f in corpus_with_coefficients(spec, 7, plan):
-        by_index = analyze(f, plan).as_dict()
-        support = sorted(by_index)
-        entries = [(j, by_index[j]) for j in support]
-        cands = [
-            frozenset(rng.choice(support, size=m, replace=False).tolist())
-            for m in (1, 3, len(support) - 1)
-        ]
-        rest_of = np.array([[j not in cand for j in support] for cand in cands])
-        batch = _span_batch(plan, entries, cfg, rest_of)
-        for cand, (rows, norms) in zip(cands, batch):
-            rest = f - plan.weighted_spectrum((j, by_index[j]) for j in sorted(cand))
-            assert plan.gather(rows).allclose(rest, tol=1e-12)
-            for p in (4, 6, 10):
-                want = lp_even_spectral(rest, p).value
-                assert norms[float(p)] == pytest.approx(want, rel=1e-12)
-            want = lp_even_spectral(rest, 2).value
-            assert norms[2.0] == pytest.approx(want, rel=1e-12)
-
-
-def test_walsh_prefix_norms_match_the_spectra():
-    rng = np.random.default_rng(5)
-    freqs = rng.permutation(64)[:40].tolist()
-    coeffs = dict(zip(freqs, rng.normal(size=40).tolist()))
-    order = sorted(coeffs, key=lambda n: -abs(coeffs[n]))
-    cfg = ExperimentConfig(plan=load_plan("desk"), p_values=(2.0, 3.0, 8.0))
-    got = list(_walsh_prefix_norms(order, coeffs, cfg))
-    for m, norms in enumerate(got, start=1):
-        prefix = WalshSpectrum({n: coeffs[n] for n in order[:m]})
-        assert set(norms) == {2.0, 8.0}
-        for p in (2, 8):
-            assert norms[float(p)] == pytest.approx(
-                lp_even_spectral(prefix, p).value, rel=1e-12
-            )
-
-
 def test_quasigreedy_rows_equal_the_per_prefix_loop():
     plan = load_plan("desk")
     cfg = ExperimentConfig(
@@ -184,3 +141,34 @@ def test_quasigreedy_rows_equal_the_per_prefix_loop():
             assert _relative_close(got, want, 1e-12)
             assert all(r.exact for r in records if r.p == p)
     assert math.isfinite(max(r.value for r in records))
+
+
+def test_prefix_batches_peak_near_six_batches(monkeypatch):
+    plan = validate_schedule([2, 12])
+    rng = np.random.default_rng(8)
+    positions = rng.choice(plan.horizon_size, size=120, replace=False) + 1
+    entries = [(int(m), float(rng.normal())) for m in positions]
+    plan.symbol_frequencies(2)  # the plan's cached symbols are not the batch's
+    budget = 1 << 20
+    monkeypatch.setattr(experiments, "_BATCH_BYTES", budget)
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in _prefix_norms(plan, entries, [4.0, 10.0]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 120 and peak <= 7 * budget
+
+
+def test_even_moments_rows_equal_dense_with_a_wide_head():
+    # bits 0..13 are head (16384 cells, left to the XOR powers), 1 << 3
+    # lies inside them, 1 << 16 and 1 << 20 are the tail
+    freqs = [0b11 << 12, 0b111111111111, 1 << 3, 1 << 16, 1 << 20]
+    coeffs = np.random.default_rng(12).normal(size=(3, len(freqs)))
+    coeffs[1, :2] = 0.0  # a row whose own head would be narrow
+    got = even_moments(freqs, coeffs, [2, 3])
+    for row, moments in zip(coeffs.tolist(), got):
+        f = WalshSpectrum(dict(zip(freqs, row)))
+        for m, x in zip([2, 3], moments):
+            assert x == pytest.approx(lp_dense(f, 2 * m).value ** (2 * m), rel=1e-12)
+    assert even_moments(freqs, coeffs, []).shape == (3, 0)
