@@ -16,9 +16,10 @@ approximants are built from prefixes ``order[:m]`` of the greedy order.
 Norm routes: p = 2 ratios of expansions are computed in coefficient
 space (orthonormal Parseval, exact by construction; the test suite
 separately confirms coefficient and spectral routes agree), even p up
-to 10 the exact head/tail split (quasigreedy's prefixes as symbol rows
-of one batch), anything else dense synthesis when the depth allows and
-seeded Monte Carlo otherwise.
+to 10 the exact head/tail split (quasigreedy's prefixes and
+partialsum's S_n f as symbol rows of one batch per function, f's own
+row giving partialsum's denominator), anything else dense synthesis
+when the depth allows and seeded Monte Carlo otherwise.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .norms import (
     rademacher_fourth_moment,
     takes_split,
 )
-from .spectra import WalshSpectrum, analyze_dense, rademacher_index, synthesize
+from .spectra import WalshSpectrum, analyze_dense, phi_index, rademacher_index, synthesize
 
 CSV_COLUMNS = (
     "experiment",
@@ -254,7 +255,11 @@ def _generate_one(spec: dict, rng, plan: BlockPlan) -> WalshSpectrum:
         positions = [1 << j for j in range(horizon.bit_length())]
         pairs = zip(positions, rng.choice([-1.0, 1.0], size=len(positions)))
     elif kind == "indicator":
-        depth = _corpus_number(spec, "depth", 3, least=1)
+        # by default the deepest d <= 3 with every frequency below 2^d a
+        # symbol; r_1..r_3 are symbols of every plan that has phi_2 = 3
+        phis = {phi_index(k) for k in range(1, min(plan.horizon_blocks, 5) + 1)}
+        spanned = max(d for d in (1, 2, 3) if phis | {1, 2, 4} >= set(range(1 << d)))
+        depth = _corpus_number(spec, "depth", spanned, least=1)
         cells = 1 << depth
         lo = int(rng.integers(0, cells - 1))
         hi = int(rng.integers(lo + 1, cells + 1))
@@ -358,16 +363,17 @@ def _corpus_expansions(cfg: ExperimentConfig):
 _BATCH_BYTES = 1 << 22
 
 
-def _prefix_norms(plan: BlockPlan, entries, ps):
-    """(symbol vectors, {p: norm} at the even ``ps``) of the prefix sums
-    of the (position, weight) ``entries``, one at a time; a batch shares
-    one ``rmatvec`` per block and one ``even_moments`` pass."""
+def _prefix_norms(plan: BlockPlan, entries, cuts, ps):
+    """(symbol vectors, {p: norm} at the even ``ps``) of the sum of the
+    first ``cuts[r]`` (position, weight) ``entries``, row r at a time:
+    quasigreedy's greedy prefixes, partialsum's S_n f after f's own row
+    (the horizon cut, its denominator).  A batch shares one ``rmatvec``
+    per block and one ``even_moments`` pass."""
     blocks = sorted({plan.to_block(m)[0] for m, _ in entries})
     freqs = [n for k in blocks for n in plan.symbol_frequencies(k)]
-    count = len(entries)
     step = max(1, _BATCH_BYTES // (8 * max(len(freqs), 1)))
-    for lo in range(0, count, step):
-        select = np.arange(count) <= np.arange(lo, min(lo + step, count))[:, None]
+    for lo in range(0, len(cuts), step):
+        select = np.arange(len(entries)) < np.array(cuts[lo:lo + step])[:, None]
         rows = plan.symbol_rows(entries, select)
         coeffs = np.concatenate([rows[k] for k in blocks], axis=1)
         moments = even_moments(freqs, coeffs, [int(p) // 2 for p in ps])
@@ -440,7 +446,9 @@ def quasi_greedy_experiment(cfg: ExperimentConfig):
         head_sq = 0.0
         # an empty order means f = 0, whose residual is 0 as well
         spectral_tail = 0.0
-        prefixes = _prefix_norms(plan, [(s, by_index[s]) for s in order], even_ps)
+        prefixes = _prefix_norms(
+            plan, [(s, by_index[s]) for s in order], range(1, len(order) + 1), even_ps
+        )
         for m, (sel, (rows, even)) in enumerate(zip(order, prefixes), start=1):
             head_sq += by_index[sel] * by_index[sel]
             approx = plan.gather(rows)
@@ -479,6 +487,8 @@ def partial_sum_experiment(cfg: ExperimentConfig):
 
     The p = 2 ratio is additionally checked over every n (cumulative
     Parseval sums), and the summary reports that full sweep's max.
+    Each S_n f is a symbol row of one batch, checked at block ends
+    against ``partial_sum`` (l2 distance, ``block_end_dev_max``).
     """
     plan = cfg.plan
     label = plan.label()
@@ -488,37 +498,50 @@ def partial_sum_experiment(cfg: ExperimentConfig):
     )
     if grid[-1] > horizon:
         raise ConfigError(f"n={grid[-1]} beyond horizon {horizon}")
+    # S_n inside a block transforms all of it, so refuse one above the cap
+    for k, i in (plan.to_block(n) for n in grid if n):
+        if i < plan.N[k - 1]:
+            plan._check_cap(k)
+    even_ps = [p for p in cfg.p_values if takes_split(p) and p != 2.0]
+    other_ps = [p for p in cfg.p_values if p != 2.0 and p not in even_ps]
     records: list[ResultRecord] = []
-    p2_all_max = 0.0
+    p2_all_max = block_end_dev = 0.0
     for fi, f, coeffs, _ in _corpus_expansions(cfg):
         by_index = coeffs.as_dict()
         # head_sq[t]: squared l2 norm of the first t coefficients in
-        # basis order, so ||S_n f||_2^2 = head_sq[#support <= n]; its
-        # last entry is the total, so the full-support ratio is 1
+        # basis order, so ||S_n f||_2^2 = head_sq[#support <= n]
         support = sorted(by_index)
         head_sq = np.cumsum([0.0] + [by_index[m] * by_index[m] for m in support])
-        total = head_sq[-1]
-        p2_all_max = max(p2_all_max, float(np.sqrt(head_sq.max() / total)))
-        norms_f = _norms(f, cfg, 7, fi, l2_sq=total)
-        for n in grid:
-            sn = None
+        p2_all_max = max(p2_all_max, float(np.sqrt(head_sq.max() / head_sq[-1])))
+        cuts = [bisect_right(support, n) for n in grid]
+        # row 0 is f, equal to the horizon's row: its norms are the
+        # denominators, so the ratio at the horizon is exactly 1
+        entries = [(m, by_index[m]) for m in support]
+        sums = _prefix_norms(plan, entries, [len(support), *cuts], even_ps)
+        norms_f = {2.0: math.sqrt(head_sq[-1]), **next(sums)[1]}
+        norms_f.update((p, _norm(f, p, cfg, 7, fi).value) for p in other_ps)
+        for n, cut, (rows, even) in zip(grid, cuts, sums):
+            sn = plan.gather(rows) if other_ps or n in plan.offsets else None
             for p in cfg.p_values:
                 if p == 2.0:
-                    kept_sq = head_sq[bisect_right(support, n)]
-                    est = NormEstimate(2.0, float(np.sqrt(kept_sq)), "exact")
+                    est = NormEstimate(2.0, float(np.sqrt(head_sq[cut])), "exact")
+                elif p in even:
+                    est = NormEstimate(p, even[p], "exact")
                 else:
-                    if sn is None:
-                        sn = partial_sum(f, plan, n)
                     est = _norm(sn, p, cfg, 8, fi, n)
                 records.append(
                     _record("partialsum", label, p, n, fi, est, norms_f[p], cfg.seed)
                 )
+            if n in plan.offsets:
+                gap = lp_even_spectral(sn - partial_sum(f, plan, n), 2).value
+                block_end_dev = max(block_end_dev, gap)
     summary = {
         "experiment": "partialsum",
         "plan": label,
         "n_grid": list(grid),
         "p2_max_over_all_n": p2_all_max,
         "ratio_max": _extremes(records, cfg.p_values, max, 0.0),
+        "block_end_dev_max": block_end_dev,
     }
     return records, summary
 

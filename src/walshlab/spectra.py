@@ -135,6 +135,8 @@ class WalshSpectrum:
             if n < 0:
                 raise ValueError(f"frequency must be >= 0, got {n}")
             acc[n] = acc.get(n, 0.0) + float(c)
+        if not all(map(math.isfinite, acc.values())):
+            raise ValueError("coefficients must be finite (after summing repeats)")
         self._terms = {n: c for n, c in acc.items() if c != 0.0}
 
     @classmethod

@@ -59,6 +59,7 @@ ACCEPTANCE_CONFIG = {
         "corpus": {"kind": "mixed", "count": 50, "terms": 40},
         "p2_bound": 1.0 + 1e-12,
         "p4_bound": 2.0,
+        "block_end_tol": 1e-12,
     },
     "khintchine": {
         "plan": "desk",
@@ -186,13 +187,15 @@ def test_criterion_07_partial_sums():
     ok = (
         summary["p2_max_over_all_n"] <= doc["p2_bound"]
         and summary["ratio_max"]["4.0"] <= doc["p4_bound"]
+        and summary["block_end_dev_max"] <= doc["block_end_tol"]
     )
     _report(
         7,
         "partial-sum operator bounds",
         ok,
         f"p2 sup over all n {summary['p2_max_over_all_n']:.12f} <= {doc['p2_bound']}, "
-        f"p4 sup {summary['ratio_max']['4.0']:.4f} <= frozen {doc['p4_bound']}",
+        f"p4 sup {summary['ratio_max']['4.0']:.4f} <= frozen {doc['p4_bound']}, "
+        f"rows-vs-restriction dev at block ends {summary['block_end_dev_max']:.2e}",
     )
 
 

@@ -433,3 +433,18 @@ def test_consecutive_main_calls_share_one_parser(tmp_path, capsys):
     assert code == 0 and json.loads(out)["kind"] == "exact"
     info = cli._parser.cache_info()
     assert (info.misses, info.hits) == (1, 4)
+
+
+@pytest.mark.parametrize("kind", ["quasigreedy", "partialsum"])
+def test_indicator_corpus_default_stays_in_the_desk_span(tmp_path, capsys, kind):
+    # desk spans frequencies 0-5 of 0-7, so the default depth is 2 there
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "plan": "desk", "seed": 2, "corpus": {"kind": "indicator", "count": 5},
+    }))
+    out_path = tmp_path / "r.csv"
+    code, out, err = run_cli(
+        capsys, "experiment", kind, "--config", str(cfg_path), "--out", str(out_path),
+    )
+    assert code == 0 and err == ""
+    assert json.loads(out)["rows"] > 0

@@ -106,6 +106,21 @@ def test_corpus_indicator_parseval(desk):
         assert sq > 0
 
 
+def test_corpus_indicator_default_depth_follows_the_plan_span(desk):
+    # phi_1..phi_5 = 0, 3, 5, 6, 7 need five blocks; desk has three
+    spec = {"kind": "indicator", "count": 6}
+    assert all(f.depth() <= 2 for f in corpus_generate(spec, 7, desk))
+    assert corpus_generate(spec, 7, desk) == corpus_generate(
+        {**spec, "depth": 2}, 7, desk
+    )
+    five = validate_schedule([1, 2, 3, 4, 5])
+    assert corpus_generate(spec, 7, five) == corpus_generate(
+        {**spec, "depth": 3}, 7, five
+    )
+    one = validate_schedule([1])  # spans 0 and 1 only
+    assert {f.depth() for f in corpus_generate(spec, 7, one)} <= {0, 1}
+
+
 def test_corpus_unknown_kind(desk):
     with pytest.raises(ConfigError):
         corpus_generate({"kind": "wat"}, 0, desk)

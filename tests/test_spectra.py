@@ -245,6 +245,22 @@ def test_numpy_integer_inputs_are_coerced():
     assert walsh_eval(np.int64(3), DyadicPoint(np.int64(2), np.int64(0))) == 1
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_coefficients_are_refused(bad):
+    # a NaN would otherwise reach lp_even_spectral and be labelled exact
+    with pytest.raises(ValueError, match="finite"):
+        WalshSpectrum({1: bad, 3: 1.0})
+    with pytest.raises(ValueError, match="finite"):
+        WalshSpectrum([(3, 1.0), (5, np.float64(bad))])
+
+
+def test_coefficients_summing_past_the_float_range_are_refused():
+    with pytest.raises(ValueError, match="finite"):
+        WalshSpectrum([(1, 1e308), (1, 1e308)])
+    # only accumulated values are checked: two huge terms may cancel
+    assert dict(WalshSpectrum([(1, 1e308), (1, -1e308), (2, 1e308)]).items()) == {2: 1e308}
+
+
 def test_json_roundtrip(tmp_path):
     f = WalshSpectrum({0: 0.25, (1 << 272): -1.5, 5: 2.0})
     doc = spectrum_to_json(f)
