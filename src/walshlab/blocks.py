@@ -231,16 +231,18 @@ class BlockPlan:
         function r sums w psi_m over the (index, weight) ``entries`` that
         row r of the boolean ``member`` selects.  One batched ``rmatvec``
         per block; each row equals its own single-row transform."""
-        located = [
-            self.to_block(self.to_global(*m) if isinstance(m, tuple) else m)
-            for m, _ in entries
-        ]
+        index = np.array([
+            self.to_global(*m) if isinstance(m, tuple) else int(m) for m, _ in entries
+        ])
+        for m in index[(index < 1) | (index > self.horizon_size)][:1]:
+            self.to_block(m)  # raises HorizonError
+        block = np.searchsorted(self.offsets, index)
         picks = np.where(member, np.array([w for _, w in entries], dtype=float), 0.0)
         rows = {}
-        for k in sorted({k for k, _ in located}):
+        for k in sorted(set(block.tolist())):
             self._check_cap(k)
-            mine = [t for t, (b, _) in enumerate(located) if b == k]
-            cols = [located[t][1] - 1 for t in mine]
+            mine = block == k
+            cols = (index[mine] - self.offsets[k - 1] - 1).astype(np.intp)
             coeffs = np.zeros((len(member), self.N[k - 1]))
             np.add.at(coeffs, (slice(None), cols), picks[:, mine])
             rows[k] = olevskii.rmatvec(self.g[k - 1], coeffs)

@@ -14,12 +14,13 @@ functions and expansion coefficients from one iterator, and greedy
 approximants are built from prefixes ``order[:m]`` of the greedy order.
 
 Norm routes: p = 2 ratios of expansions are computed in coefficient
-space (orthonormal Parseval, exact by construction; the test suite
-separately confirms coefficient and spectral routes agree), even p up
-to 10 the exact head/tail split (quasigreedy's prefixes and
-partialsum's S_n f as symbol rows of one batch per function, f's own
-row giving partialsum's denominator), anything else dense synthesis
-when the depth allows and seeded Monte Carlo otherwise.
+space (orthonormal Parseval, exact by construction; partialsum checks
+them against its rows' Walsh coefficients), even p up to 10 the exact
+head/tail split over symbol rows (``_span_norms``: democracy's sets,
+quasigreedy's prefixes and partialsum's S_n f, each a row of a
+byte-bounded batch, f's own row giving partialsum's denominator),
+anything else dense synthesis when the depth allows and seeded Monte
+Carlo otherwise.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import csv
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations, islice, tee
 from typing import Callable
 
 import numpy as np
@@ -230,11 +231,13 @@ _MIXED_ROTATION = (
 
 
 def _corpus_number(spec: dict, name: str, default, cast=int, least=None):
-    """spec[name] (or ``default``) as a number; ConfigError names the field."""
+    """spec[name] (or ``default``) as a finite number; errors name it."""
     try:
         value = cast(spec.get(name, default))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"corpus {name}: {exc}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"corpus {name} must be finite, got {value}")
     if least is not None and not value >= least:
         raise ConfigError(f"corpus {name} must be >= {least}, got {value}")
     return value
@@ -247,7 +250,10 @@ def _generate_one(spec: dict, rng, plan: BlockPlan) -> WalshSpectrum:
     if kind == "decay":
         alpha = _corpus_number(spec, "alpha", 1.0, float)
         signs = rng.choice([-1.0, 1.0], size=terms)
-        pairs = [(m, signs[m - 1] * m ** -alpha) for m in range(1, terms + 1)]
+        try:
+            pairs = [(m, signs[m - 1] * m ** -alpha) for m in range(1, terms + 1)]
+        except OverflowError as exc:
+            raise ConfigError(f"corpus alpha {alpha}: {terms}**{-alpha} overflows") from exc
     elif kind == "flat_block":
         positions = _draw_positions(rng, plan, terms)
         pairs = zip(positions, rng.choice([-1.0, 1.0], size=terms))
@@ -272,6 +278,8 @@ def _generate_one(spec: dict, rng, plan: BlockPlan) -> WalshSpectrum:
         # (the worst observed direction for plain-Walsh thresholding)
         depth = _corpus_number(spec, "depth", 6, least=0)
         tilt = _corpus_number(spec, "tilt", 1e-3, float)
+        if not math.isfinite(tilt * (depth + 1)):
+            raise ConfigError(f"corpus tilt {tilt}: coefficients overflow")
         jitter = rng.random(1 << depth) * (tilt / 8.0)
         bands = [n.bit_length() for n in range(1 << depth)]
         return WalshSpectrum({
@@ -359,27 +367,28 @@ def _corpus_expansions(cfg: ExperimentConfig):
         yield trial, f, coeffs, sum(c * c for _, c in coeffs.entries)
 
 
-# bytes of prefix rows per batch; the norm pass peaks near six times this
+# bytes of symbol rows per batch; the norm pass peaks near six times this
 _BATCH_BYTES = 1 << 22
 
 
-def _prefix_norms(plan: BlockPlan, entries, cuts, ps):
-    """(symbol vectors, {p: norm} at the even ``ps``) of the sum of the
-    first ``cuts[r]`` (position, weight) ``entries``, row r at a time:
-    quasigreedy's greedy prefixes, partialsum's S_n f after f's own row
-    (the horizon cut, its denominator).  A batch shares one ``rmatvec``
-    per block and one ``even_moments`` pass."""
-    blocks = sorted({plan.to_block(m)[0] for m, _ in entries})
+def _span_norms(plan: BlockPlan, entries, member, ps):
+    """(symbol vectors, {p: norm} at the even ``ps``, squared l2) of one
+    span function per boolean row of ``member`` (an array, or any
+    iterable of rows): row r sums the (position, weight) ``entries`` it
+    selects.  Rows are read and built ``_BATCH_BYTES`` at a time; a batch
+    shares one ``rmatvec`` per block and one ``even_moments`` pass."""
+    blocks = sorted(set(np.searchsorted(plan.offsets, [m for m, _ in entries]).tolist()))
     freqs = [n for k in blocks for n in plan.symbol_frequencies(k)]
     step = max(1, _BATCH_BYTES // (8 * max(len(freqs), 1)))
-    for lo in range(0, len(cuts), step):
-        select = np.arange(len(entries)) < np.array(cuts[lo:lo + step])[:, None]
-        rows = plan.symbol_rows(entries, select)
+    member = iter(member)
+    while batch := list(islice(member, step)):
+        rows = plan.symbol_rows(entries, np.array(batch))
         coeffs = np.concatenate([rows[k] for k in blocks], axis=1)
         moments = even_moments(freqs, coeffs, [int(p) // 2 for p in ps])
+        l2_sq = (coeffs * coeffs).sum(axis=1).tolist()
         for r, row in enumerate(moments.tolist()):
             norms = {p: x ** (1.0 / p) for p, x in zip(ps, row)}
-            yield {k: w[r] for k, w in rows.items()}, norms
+            yield {k: w[r] for k, w in rows.items()}, norms, l2_sq[r]
 
 
 # -- experiments ---------------------------------------------------------------
@@ -389,32 +398,50 @@ def democracy_experiment(cfg: ExperimentConfig):
 
     At p = 2 the ratio is Parseval-exact: the expansion coefficients of
     the sum are the 0/1 indicator of A, so the quotient is literally
-    1.0 without any synthesis.
+    1.0 without any synthesis.  Each set is a membership row over the
+    horizon in ``_span_norms`` batches: even p up to 10 from their even
+    moments, other p from the row's spectrum.  The first set also takes
+    the spectrum route: ``spectrum_route_dev_max``.
     """
     plan = cfg.plan
     label = plan.label()
     horizon = plan.horizon_size
     sizes = cfg.sizes or tuple(range(1, min(horizon, 200) + 1))
+    if max(sizes) > horizon:
+        raise ConfigError(f"set size {max(sizes)} above horizon {horizon}")
+    even_ps = [p for p in cfg.p_values if takes_split(p) and p != 2.0]
+
+    def members(key):
+        size, _, seed = key
+        return _draw_positions(np.random.default_rng(seed), plan, size)
+
+    pairs = ((size, trial) for size in sizes for trial in range(cfg.trials))
+    keys, drawn = tee((s, t, derive_seed(cfg.seed, 2, s, t)) for s, t in pairs)
+    # drawn before the horizon is listed, so a block above the cap is refused first
+    first = members(next(drawn))
+    drawn_sets = chain([first], map(members, drawn))
+    member = (np.bincount(x - 1, minlength=horizon) > 0 for x in drawn_sets)
+    entries = [(m, 1.0) for m in range(1, horizon + 1)]
     records: list[ResultRecord] = []
-    for size in sizes:
-        if size > horizon:
-            raise ConfigError(f"set size {size} above horizon {horizon}")
-        for trial in range(cfg.trials):
-            set_seed = derive_seed(cfg.seed, 2, size, trial)
-            rng = np.random.default_rng(set_seed)
-            members = _draw_positions(rng, plan, size)
-            scale = math.sqrt(size)
-            spectrum = None
-            for p_idx, p in enumerate(cfg.p_values):
-                if p == 2.0:
-                    est = NormEstimate(2.0, scale, "exact")
-                else:
-                    if spectrum is None:
-                        spectrum = plan.sum_spectrum(int(m) for m in members)
-                    est = _norm(spectrum, p, cfg, 3, size, trial, p_idx)
-                records.append(
-                    _record("democracy", label, p, size, trial, est, scale, set_seed)
-                )
+    route_dev = 0.0
+    sets = _span_norms(plan, entries, member, even_ps)
+    for (size, trial, set_seed), (rows, even, _) in zip(keys, sets):
+        if even_ps and not records:
+            f = plan.sum_spectrum(int(m) for m in first)
+            route_dev = max(
+                abs(even[p] / lp_even_spectral(f, int(p)).value - 1) for p in even_ps
+            )
+        scale = math.sqrt(size)
+        for p_idx, p in enumerate(cfg.p_values):
+            if p == 2.0:
+                est = NormEstimate(2.0, scale, "exact")
+            elif p in even:
+                est = NormEstimate(p, even[p], "exact")
+            else:
+                est = _norm(plan.gather(rows), p, cfg, 3, size, trial, p_idx)
+            records.append(
+                _record("democracy", label, p, size, trial, est, scale, set_seed)
+            )
     summary = {
         "experiment": "democracy",
         "plan": label,
@@ -422,6 +449,7 @@ def democracy_experiment(cfg: ExperimentConfig):
         "trials": cfg.trials,
         "ratio_min": _extremes(records, cfg.p_values, min, math.inf),
         "ratio_max": _extremes(records, cfg.p_values, max, -math.inf),
+        "spectrum_route_dev_max": route_dev,
     }
     return records, summary
 
@@ -446,10 +474,10 @@ def quasi_greedy_experiment(cfg: ExperimentConfig):
         head_sq = 0.0
         # an empty order means f = 0, whose residual is 0 as well
         spectral_tail = 0.0
-        prefixes = _prefix_norms(
-            plan, [(s, by_index[s]) for s in order], range(1, len(order) + 1), even_ps
-        )
-        for m, (sel, (rows, even)) in enumerate(zip(order, prefixes), start=1):
+        # row m - 1 of the lower triangle selects the greedy prefix order[:m]
+        entries = [(s, by_index[s]) for s in order]
+        prefixes = _span_norms(plan, entries, np.tri(len(order), dtype=bool), even_ps)
+        for m, (sel, (rows, even, _)) in enumerate(zip(order, prefixes), start=1):
             head_sq += by_index[sel] * by_index[sel]
             approx = plan.gather(rows)
             for p in cfg.p_values:
@@ -485,10 +513,11 @@ def quasi_greedy_experiment(cfg: ExperimentConfig):
 def partial_sum_experiment(cfg: ExperimentConfig):
     """||S_n f||_p / ||f||_p over the corpus, on an n grid.
 
-    The p = 2 ratio is additionally checked over every n (cumulative
-    Parseval sums), and the summary reports that full sweep's max.
-    Each S_n f is a symbol row of one batch, checked at block ends
-    against ``partial_sum`` (l2 distance, ``block_end_dev_max``).
+    The p = 2 ratio is additionally taken over every n (cumulative
+    Parseval sums, at most 1 by construction), and checked at the grid
+    against the Walsh side of each row (``p2_route_dev_max``).  Each
+    S_n f is a symbol row of one batch, checked at block ends against
+    ``partial_sum`` (l2 distance, ``block_end_dev_max``).
     """
     plan = cfg.plan
     label = plan.label()
@@ -505,9 +534,11 @@ def partial_sum_experiment(cfg: ExperimentConfig):
     even_ps = [p for p in cfg.p_values if takes_split(p) and p != 2.0]
     other_ps = [p for p in cfg.p_values if p != 2.0 and p not in even_ps]
     records: list[ResultRecord] = []
-    p2_all_max = block_end_dev = 0.0
+    p2_all_max = p2_route_dev = block_end_dev = 0.0
     for fi, f, coeffs, _ in _corpus_expansions(cfg):
         by_index = coeffs.as_dict()
+        if not by_index:
+            raise ConfigError(f"corpus function {fi} is 0, so it has no ratios")
         # head_sq[t]: squared l2 norm of the first t coefficients in
         # basis order, so ||S_n f||_2^2 = head_sq[#support <= n]
         support = sorted(by_index)
@@ -516,11 +547,11 @@ def partial_sum_experiment(cfg: ExperimentConfig):
         cuts = [bisect_right(support, n) for n in grid]
         # row 0 is f, equal to the horizon's row: its norms are the
         # denominators, so the ratio at the horizon is exactly 1
-        entries = [(m, by_index[m]) for m in support]
-        sums = _prefix_norms(plan, entries, [len(support), *cuts], even_ps)
+        member = np.arange(len(support)) < np.array([len(support), *cuts])[:, None]
+        sums = _span_norms(plan, [(m, by_index[m]) for m in support], member, even_ps)
         norms_f = {2.0: math.sqrt(head_sq[-1]), **next(sums)[1]}
         norms_f.update((p, _norm(f, p, cfg, 7, fi).value) for p in other_ps)
-        for n, cut, (rows, even) in zip(grid, cuts, sums):
+        for n, cut, (rows, even, walsh_sq) in zip(grid, cuts, sums):
             sn = plan.gather(rows) if other_ps or n in plan.offsets else None
             for p in cfg.p_values:
                 if p == 2.0:
@@ -532,6 +563,9 @@ def partial_sum_experiment(cfg: ExperimentConfig):
                 records.append(
                     _record("partialsum", label, p, n, fi, est, norms_f[p], cfg.seed)
                 )
+            # the p = 2 ratio once more, from the Walsh side of the row
+            gap = abs(math.sqrt(walsh_sq) - math.sqrt(head_sq[cut])) / norms_f[2.0]
+            p2_route_dev = max(p2_route_dev, gap)
             if n in plan.offsets:
                 gap = lp_even_spectral(sn - partial_sum(f, plan, n), 2).value
                 block_end_dev = max(block_end_dev, gap)
@@ -540,6 +574,7 @@ def partial_sum_experiment(cfg: ExperimentConfig):
         "plan": label,
         "n_grid": list(grid),
         "p2_max_over_all_n": p2_all_max,
+        "p2_route_dev_max": p2_route_dev,
         "ratio_max": _extremes(records, cfg.p_values, max, 0.0),
         "block_end_dev_max": block_end_dev,
     }

@@ -42,6 +42,7 @@ ACCEPTANCE_CONFIG = {
         "seed": 20240809,
         "ratio_low": 1.0 - 1e-12,
         "ratio_high": 3.0,
+        "spectrum_route_tol": 1e-12,
     },
     "quasigreedy": {
         "plan": "desk",
@@ -58,6 +59,7 @@ ACCEPTANCE_CONFIG = {
         "seed": 31415,
         "corpus": {"kind": "mixed", "count": 50, "terms": 40},
         "p2_bound": 1.0 + 1e-12,
+        "p2_route_tol": 1e-12,
         "p4_bound": 2.0,
         "block_end_tol": 1e-12,
     },
@@ -148,6 +150,7 @@ def test_criterion_05_democracy():
         and all(r.value == 1.0 for r in p2)
         and all(r.exact for r in records)
         and all(doc["ratio_low"] <= r.value <= doc["ratio_high"] for r in p4)
+        and summary["spectrum_route_dev_max"] <= doc["spectrum_route_tol"]
     )
     _report(
         5,
@@ -155,7 +158,8 @@ def test_criterion_05_democracy():
         ok,
         f"p4 ratios in [{summary['ratio_min']['4.0']:.4f}, "
         f"{summary['ratio_max']['4.0']:.4f}] within "
-        f"[{doc['ratio_low']}, {doc['ratio_high']}]; p2 all exactly 1.0",
+        f"[{doc['ratio_low']}, {doc['ratio_high']}]; p2 all exactly 1.0; "
+        f"rows-vs-spectrum dev {summary['spectrum_route_dev_max']:.2e}",
     )
 
 
@@ -184,8 +188,11 @@ def test_criterion_07_partial_sums():
     doc = ACCEPTANCE_CONFIG["partialsum"]
     cfg = ExperimentConfig.from_dict(doc)
     _, summary = partial_sum_experiment(cfg)
+    # p2_max_over_all_n is at most 1 by construction; p2_route_dev_max
+    # checks the p = 2 ratios against the Walsh side of each S_n f row
     ok = (
         summary["p2_max_over_all_n"] <= doc["p2_bound"]
+        and summary["p2_route_dev_max"] <= doc["p2_route_tol"]
         and summary["ratio_max"]["4.0"] <= doc["p4_bound"]
         and summary["block_end_dev_max"] <= doc["block_end_tol"]
     )
@@ -194,6 +201,7 @@ def test_criterion_07_partial_sums():
         "partial-sum operator bounds",
         ok,
         f"p2 sup over all n {summary['p2_max_over_all_n']:.12f} <= {doc['p2_bound']}, "
+        f"p2 coefficient-vs-Walsh dev {summary['p2_route_dev_max']:.2e}, "
         f"p4 sup {summary['ratio_max']['4.0']:.4f} <= frozen {doc['p4_bound']}, "
         f"rows-vs-restriction dev at block ends {summary['block_end_dev_max']:.2e}",
     )

@@ -448,3 +448,47 @@ def test_indicator_corpus_default_stays_in_the_desk_span(tmp_path, capsys, kind)
     )
     assert code == 0 and err == ""
     assert json.loads(out)["rows"] > 0
+
+
+def _experiment_exit(tmp_path, capsys, kind, doc):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    out_path = tmp_path / "r.csv"
+    code, out, err = run_cli(
+        capsys, "experiment", kind, "--config", str(cfg_path), "--out", str(out_path),
+    )
+    assert out == "" and not out_path.exists() and "Traceback" not in err
+    return code, err
+
+
+@pytest.mark.parametrize("kind, corpus, field", [
+    ("quasigreedy", {"kind": "decay", "alpha": "nan"}, "alpha"),
+    ("partialsum", {"kind": "decay", "alpha": "nan"}, "alpha"),
+    ("partialsum", {"kind": "decay", "alpha": "-inf"}, "alpha"),
+    ("walsh-baseline", {"kind": "adversarial_walsh", "tilt": "nan"}, "tilt"),
+])
+def test_non_finite_corpus_field_exit2(tmp_path, capsys, kind, corpus, field):
+    doc = {"plan": "desk", "corpus": {**corpus, "count": 1, "terms": 5}}
+    code, err = _experiment_exit(tmp_path, capsys, kind, doc)
+    assert code == 2 and f"corpus {field} must be finite" in err
+
+
+@pytest.mark.parametrize("kind, corpus", [
+    ("quasigreedy", {"kind": "decay", "alpha": -1000}),
+    ("partialsum", {"kind": "decay", "alpha": -1000}),
+    ("walsh-baseline", {"kind": "adversarial_walsh", "tilt": 1e308}),
+])
+def test_overflowing_corpus_coefficient_exit2(tmp_path, capsys, kind, corpus):
+    doc = {"plan": "desk", "corpus": {**corpus, "count": 1, "terms": 40}}
+    code, err = _experiment_exit(tmp_path, capsys, kind, doc)
+    assert code == 2 and "overflow" in err
+
+
+def test_partialsum_zero_corpus_function_exit2(tmp_path, capsys, monkeypatch):
+    import walshlab.experiments as experiments
+
+    # no corpus kind yields 0 from a valid config, so stand one in
+    monkeypatch.setattr(experiments, "_generate_one", lambda *_: WalshSpectrum({}))
+    doc = {"plan": "desk", "corpus": {"kind": "decay", "count": 2}}
+    code, err = _experiment_exit(tmp_path, capsys, "partialsum", doc)
+    assert code == 2 and "corpus function 0 is 0" in err

@@ -1,16 +1,20 @@
 """Symbol-row batches of span functions against the per-function routes.
 
-quasigreedy builds every greedy prefix, and partialsum every S_n f, as
-a row of one batch: coefficient rows, one batched ``rmatvec`` per
-block, then one head/tail split of ``norms.even_moments`` over the
-touched blocks' symbols.  ``reference_prefix_norms`` is the loop it
-replaces in quasigreedy, one ``weighted_spectrum`` and one
-``lp_even_spectral`` per prefix; ``reference_partial_sum_norms`` the
-one in partialsum, one ``partial_sum`` and one ``lp_even_spectral`` per
-grid point; ``reference_gather`` is the per-symbol loop ``gather``
-replaced.
+quasigreedy builds every greedy prefix, partialsum every S_n f and
+democracy every index set as a row of one batch (``_span_norms``):
+coefficient rows selected by a boolean membership matrix, one batched
+``rmatvec`` per block, then one head/tail split of
+``norms.even_moments`` over the touched blocks' symbols.
+``reference_prefix_norms`` is the loop it replaces in quasigreedy, one
+``weighted_spectrum`` and one ``lp_even_spectral`` per prefix;
+``reference_partial_sum_norms`` the one in partialsum, one
+``partial_sum`` and one ``lp_even_spectral`` per grid point;
+``reference_democracy`` the one in democracy, one ``sum_spectrum`` and
+one ``lp_norm`` per set; ``reference_gather`` is the per-symbol loop
+``gather`` replaced.
 """
 
+import dataclasses
 import math
 import tracemalloc
 from bisect import bisect_right
@@ -25,7 +29,12 @@ import walshlab.norms
 from walshlab.blocks import load_plan, validate_schedule
 from walshlab.experiments import (
     ExperimentConfig,
-    _prefix_norms,
+    _draw_positions,
+    _norm,
+    _record,
+    _span_norms,
+    democracy_experiment,
+    derive_seed,
     partial_sum_experiment,
     quasi_greedy_experiment,
 )
@@ -36,8 +45,16 @@ from walshlab.greedy import (
     partial_sum,
     synthesize_coefficients,
 )
-from walshlab.norms import even_moments, lp_dense, lp_even_spectral
+from walshlab.norms import NormEstimate, even_moments, lp_dense, lp_even_spectral
 from walshlab.spectra import WalshSpectrum
+
+
+def prefix_norms(plan, entries, cuts, ps):
+    """(symbol vectors, norms) of the sum of the first ``cuts[r]``
+    entries, row r at a time, through ``_span_norms``."""
+    member = np.arange(len(entries)) < np.array(cuts, dtype=int)[:, None]
+    for rows, norms, _ in _span_norms(plan, entries, member, ps):
+        yield rows, norms
 
 
 def reference_prefix_norms(plan, entries, p):
@@ -92,7 +109,7 @@ def test_prefix_norms_equal_the_per_prefix_split(case, p):
     coeffs = analyze(f, plan)
     by_index = coeffs.as_dict()
     ordered = [(m, by_index[m]) for m in greedy_order(coeffs).rho]
-    batch = list(_prefix_norms(plan, ordered, range(1, len(ordered) + 1), [float(p)]))
+    batch = list(prefix_norms(plan, ordered, range(1, len(ordered) + 1), [float(p)]))
     assert len(batch) == len(ordered)
     got = [norms[float(p)] for _, norms in batch]
     assert _relative_close(got, reference_prefix_norms(plan, ordered, p), 1e-12)
@@ -106,10 +123,10 @@ def test_small_batches_give_the_same_rows(monkeypatch):
     positions = rng.choice(plan.horizon_size, size=25, replace=False) + 1
     entries = [(int(m), float(rng.normal())) for m in positions]
     ps, cuts = [4.0, 6.0], range(1, 26)
-    whole = list(_prefix_norms(plan, entries, cuts, ps))
+    whole = list(prefix_norms(plan, entries, cuts, ps))
     # room for two rows of desk's 276 symbols per batch
     monkeypatch.setattr(experiments, "_BATCH_BYTES", 2 * 8 * 276)
-    split = list(_prefix_norms(plan, entries, cuts, ps))
+    split = list(prefix_norms(plan, entries, cuts, ps))
     assert len(split) == len(whole) == 25
     for (rows_a, norms_a), (rows_b, norms_b) in zip(whole, split):
         assert rows_a.keys() == rows_b.keys()
@@ -165,7 +182,7 @@ def test_prefix_batches_peak_near_six_batches(monkeypatch):
     monkeypatch.setattr(experiments, "_BATCH_BYTES", budget)
     tracemalloc.start()
     try:
-        count = sum(1 for _ in _prefix_norms(plan, entries, range(1, 121), [4.0, 10.0]))
+        count = sum(1 for _ in prefix_norms(plan, entries, range(1, 121), [4.0, 10.0]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -211,7 +228,7 @@ def test_partial_sum_rows_equal_the_per_grid_point_split(case, p, scale):
     f = synthesize_coefficients(CoefficientList.from_pairs(entries), plan)
     coeffs = list(analyze(f, plan).entries)  # basis order
     cuts = [bisect_right([m for m, _ in coeffs], n) for n in grid]
-    got = [norms[p] for _, norms in _prefix_norms(plan, coeffs, cuts, [p])]
+    got = [norms[p] for _, norms in prefix_norms(plan, coeffs, cuts, [p])]
     want = reference_partial_sum_norms(plan, f, grid, p)
     norm_f = want[-1]
     for cut, a, b in zip(cuts, got, want):
@@ -221,7 +238,7 @@ def test_partial_sum_rows_equal_the_per_grid_point_split(case, p, scale):
             assert a == 0.0 and b <= 1e-12 * norm_f
     # the ratios do not change when the coefficients are scaled
     scaled = [(m, scale * c) for m, c in coeffs]
-    got_scaled = [norms[p] for _, norms in _prefix_norms(plan, scaled, cuts, [p])]
+    got_scaled = [norms[p] for _, norms in prefix_norms(plan, scaled, cuts, [p])]
     for a, b in zip(got, got_scaled):
         assert abs(b / got_scaled[-1] - a / got[-1]) <= 1e-12 * (a / got[-1])
 
@@ -258,3 +275,117 @@ def test_partialsum_takes_even_norms_from_rows(monkeypatch):
             want = reference_partial_sum_norms(plan, f, grid, p)
             got = [r.value for r in records if r.trial == fi and r.p == p]
             assert all(abs(a - w / want[-1]) <= 1e-12 for a, w in zip(got, want))
+
+
+def reference_democracy(cfg):
+    """The per-set loop democracy replaced: one ``sum_spectrum`` and one
+    ``lp_norm`` per drawn set, p = 2 from Parseval."""
+    plan, records = cfg.plan, []
+    for size in cfg.sizes:
+        for trial in range(cfg.trials):
+            set_seed = derive_seed(cfg.seed, 2, size, trial)
+            members = _draw_positions(np.random.default_rng(set_seed), plan, size)
+            spectrum = plan.sum_spectrum(int(m) for m in members)
+            scale = math.sqrt(size)
+            for p_idx, p in enumerate(cfg.p_values):
+                est = (NormEstimate(2.0, scale, "exact") if p == 2.0
+                       else _norm(spectrum, p, cfg, 3, size, trial, p_idx))
+                records.append(_record(
+                    "democracy", plan.label(), p, size, trial, est, scale, set_seed
+                ))
+    return records
+
+
+@st.composite
+def democracy_configs(draw):
+    """A strictly increasing plan with blocks of at most 2^8 elements,
+    a few set sizes and trials, p = 2 and some of 3, 4, 6, 8, 10."""
+    g = sorted(draw(st.sets(st.integers(1, 8), min_size=1, max_size=3)))
+    plan = validate_schedule(g)
+    sizes = draw(st.lists(
+        st.integers(1, min(plan.horizon_size, 40)), min_size=1, max_size=3
+    ))
+    ps = draw(st.sets(st.sampled_from([3.0, 4.0, 6.0, 8.0, 10.0]), min_size=1))
+    return ExperimentConfig(
+        plan=plan, p_values=(2.0, *sorted(ps)), sizes=tuple(sizes),
+        trials=draw(st.integers(1, 4)), seed=draw(st.integers(0, 2 ** 32)),
+        mc_samples=200,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(democracy_configs(), st.sampled_from([1, 3, 8]))
+def test_democracy_rows_equal_the_per_set_loop(cfg, rows_per_batch):
+    records, summary = democracy_experiment(cfg)
+    want = reference_democracy(cfg)
+    assert len(records) == len(want)
+    for got, ref in zip(records, want):
+        if got.p in (4.0, 6.0, 8.0, 10.0):
+            assert abs(got.value - ref.value) <= 1e-12 * ref.value
+            assert got == dataclasses.replace(ref, value=got.value)
+        else:  # Parseval and the dense or sampled route read the same spectrum
+            assert got == ref
+    assert summary["spectrum_route_dev_max"] <= 1e-12
+    # a set's row does not depend on the batch it falls in
+    symbols = sum(cfg.plan.N)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "_BATCH_BYTES", 8 * symbols * rows_per_batch)
+        assert democracy_experiment(cfg) == (records, summary)
+
+
+def test_democracy_takes_even_norms_from_rows(monkeypatch):
+    calls = {"even": [], "sum_spectrum": 0}
+
+    def counting_even(f, p, *args):
+        calls["even"].append(p)
+        return lp_even_spectral(f, p, *args)
+
+    plan = load_plan("desk")
+    sum_spectrum = type(plan).sum_spectrum
+
+    def counting_sum_spectrum(self, indices):
+        calls["sum_spectrum"] += 1
+        return sum_spectrum(self, indices)
+
+    monkeypatch.setattr(experiments, "lp_even_spectral", counting_even)
+    monkeypatch.setattr(walshlab.norms, "lp_even_spectral", counting_even)
+    monkeypatch.setattr(type(plan), "sum_spectrum", counting_sum_spectrum)
+    cfg = ExperimentConfig(
+        plan=plan, p_values=(2.0, 4.0, 6.0, 12.0), sizes=(5, 60, 200), trials=4, seed=9,
+    )
+    records, summary = democracy_experiment(cfg)
+    # only the first set's cross-check, at 4 and 6, reads a spectrum
+    # there; p = 12 is above the split and samples every set's spectrum
+    assert calls == {"even": [4, 6], "sum_spectrum": 1}
+    assert len(records) == 4 * 3 * 4
+    assert all(r.exact == (r.p != 12.0) for r in records)
+    assert summary["spectrum_route_dev_max"] <= 1e-12
+
+
+def test_democracy_batches_peak_near_six_batches(monkeypatch):
+    plan = load_plan("desk")
+    cfg = ExperimentConfig(
+        plan=plan, p_values=(2.0, 4.0), sizes=tuple(range(1, 201)), trials=20, seed=3,
+    )
+    democracy_experiment(ExperimentConfig(plan=plan, sizes=(3,), trials=1))
+    budget = 1 << 20
+    monkeypatch.setattr(experiments, "_BATCH_BYTES", budget)
+    tracemalloc.start()
+    try:
+        records, _ = democracy_experiment(cfg)
+        # the records are the output and stay; the batches must not
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 4,000 sets make about nine batches of 1,899 rows of desk's 276 symbols
+    assert len(records) == 8000 and peak - kept <= 7 * budget
+
+
+def test_partialsum_p2_ratios_agree_from_both_sides():
+    cfg = ExperimentConfig(
+        plan=load_plan("desk"), p_values=(2.0, 4.0), seed=6,
+        corpus={"kind": "mixed", "count": 5, "terms": 50},
+    )
+    _, summary = partial_sum_experiment(cfg)
+    assert summary["p2_max_over_all_n"] == 1.0  # at most 1 by construction
+    assert summary["p2_route_dev_max"] <= 1e-12
