@@ -119,14 +119,12 @@ class BlockPlan:
     @property
     def democracy_condition(self) -> bool:
         """g(k+1) >= 2 g(k) for all k (recomputed, never cached)."""
-        g = self.g
-        return all(g[k + 1] >= 2 * g[k] for k in range(len(g) - 1))
+        return all(b >= 2 * a for a, b in zip(self.g, self.g[1:]))
 
     @property
     def lambda_separation(self) -> bool:
         """g(k+1) >= 10 g(k) for all k (recomputed, never cached)."""
-        g = self.g
-        return all(g[k + 1] >= 10 * g[k] for k in range(len(g) - 1))
+        return all(b >= 10 * a for a, b in zip(self.g, self.g[1:]))
 
     def label(self) -> str:
         return "g=" + ",".join(str(x) for x in self.g)

@@ -364,7 +364,9 @@ def _corpus_expansions(cfg: ExperimentConfig):
     corpus = corpus_with_coefficients(spec, derive_seed(cfg.seed, 4), cfg.plan)
     for trial, (_, f) in enumerate(corpus):
         coeffs = analyze(f, cfg.plan)
-        yield trial, f, coeffs, sum(c * c for _, c in coeffs.entries)
+        if not math.isfinite(l2_sq := sum(c * c for _, c in coeffs.entries)):
+            raise ConfigError(f"corpus function {trial}: its squared l2 norm overflows")
+        yield trial, f, coeffs, l2_sq
 
 
 # bytes of symbol rows per batch; the norm pass peaks near six times this
@@ -428,9 +430,8 @@ def democracy_experiment(cfg: ExperimentConfig):
     for (size, trial, set_seed), (rows, even, _) in zip(keys, sets):
         if even_ps and not records:
             f = plan.sum_spectrum(int(m) for m in first)
-            route_dev = max(
-                abs(even[p] / lp_even_spectral(f, int(p)).value - 1) for p in even_ps
-            )
+            devs = [abs(even[p] / lp_even_spectral(f, int(p)).value - 1) for p in even_ps]
+            route_dev = np.max(devs)  # np.max and np.maximum keep a NaN that max drops
         scale = math.sqrt(size)
         for p_idx, p in enumerate(cfg.p_values):
             if p == 2.0:
@@ -495,8 +496,8 @@ def quasi_greedy_experiment(cfg: ExperimentConfig):
                 _record("quasigreedy-residual", label, 2.0, m, fi, tail, 1.0, cfg.seed)
             )
             spectral_tail = lp_even_spectral(f - approx, 2).value
-            residual_dev_max = max(residual_dev_max, abs(spectral_tail - tail.value))
-        terminal_residual_max = max(terminal_residual_max, spectral_tail)
+            residual_dev_max = np.maximum(residual_dev_max, abs(spectral_tail - tail.value))
+        terminal_residual_max = np.maximum(terminal_residual_max, spectral_tail)
     summary = {
         "experiment": "quasigreedy",
         "plan": label,
@@ -543,7 +544,7 @@ def partial_sum_experiment(cfg: ExperimentConfig):
         # basis order, so ||S_n f||_2^2 = head_sq[#support <= n]
         support = sorted(by_index)
         head_sq = np.cumsum([0.0] + [by_index[m] * by_index[m] for m in support])
-        p2_all_max = max(p2_all_max, float(np.sqrt(head_sq.max() / head_sq[-1])))
+        p2_all_max = np.maximum(p2_all_max, np.sqrt(head_sq.max() / head_sq[-1]))
         cuts = [bisect_right(support, n) for n in grid]
         # row 0 is f, equal to the horizon's row: its norms are the
         # denominators, so the ratio at the horizon is exactly 1
@@ -565,10 +566,10 @@ def partial_sum_experiment(cfg: ExperimentConfig):
                 )
             # the p = 2 ratio once more, from the Walsh side of the row
             gap = abs(math.sqrt(walsh_sq) - math.sqrt(head_sq[cut])) / norms_f[2.0]
-            p2_route_dev = max(p2_route_dev, gap)
+            p2_route_dev = np.maximum(p2_route_dev, gap)
             if n in plan.offsets:
                 gap = lp_even_spectral(sn - partial_sum(f, plan, n), 2).value
-                block_end_dev = max(block_end_dev, gap)
+                block_end_dev = np.maximum(block_end_dev, gap)
     summary = {
         "experiment": "partialsum",
         "plan": label,
@@ -596,35 +597,42 @@ def khintchine_experiment(cfg: ExperimentConfig):
 
     Lengths stay <= 16 so that dense synthesis enumerates all sign
     patterns exactly; the p = 4 runs are cross-checked against the
-    closed fourth-moment value 3 (sum a^2)^2 - 2 sum a^4.
+    closed fourth-moment value 3 (sum a^2)^2 - 2 sum a^4.  Even p in 4..10
+    come from one ``even_moments`` pass per batch of zero-padded rows.
     """
     if cfg.max_terms > 16:
         raise ConfigError(f"max_terms {cfg.max_terms} above enumeration cap 16")
     label = cfg.plan.label()
     records: list[ResultRecord] = []
     identity_dev = 0.0
-    for trial in range(cfg.trials):
-        trial_seed = derive_seed(cfg.seed, 9, trial)
-        rng = np.random.default_rng(trial_seed)
-        length = int(rng.integers(1, cfg.max_terms + 1))
-        a = rng.normal(size=length)
-        # unit vectors keep the moment magnitudes O(1), so the absolute
-        # tolerance on the fourth-moment identity is meaningful
-        a /= np.sqrt(np.sum(a * a))
-        f = WalshSpectrum(
-            {rademacher_index(j + 1): float(a[j]) for j in range(length)}
-        )
-        l2 = float(np.sqrt(np.sum(a * a)))
-        for p in cfg.p_values:
-            est = _norm(f, p, cfg, 9, trial)
-            records.append(
-                _record("khintchine", label, p, length, trial, est, l2, trial_seed)
-            )
-        if 4.0 in cfg.p_values:
-            moment_dense = float(np.mean(synthesize(f, length) ** 4))
-            identity_dev = max(
-                identity_dev, abs(moment_dense - rademacher_fourth_moment(a))
-            )
+    even_ps = [p for p in cfg.p_values if takes_split(p) and p != 2.0]
+    freqs = [rademacher_index(j + 1) for j in range(cfg.max_terms)]
+    trials = iter(range(cfg.trials))
+    while batch := list(islice(trials, max(1, _BATCH_BYTES // (8 * cfg.max_terms)))):
+        seeds = [derive_seed(cfg.seed, 9, trial) for trial in batch]
+        vectors = []
+        for rng in map(np.random.default_rng, seeds):
+            a = rng.normal(size=int(rng.integers(1, cfg.max_terms + 1)))
+            # unit vectors keep the moment magnitudes O(1), so the absolute
+            # tolerance on the fourth-moment identity is meaningful
+            vectors.append(a / np.sqrt(np.sum(a * a)))
+        table = np.array([np.pad(a, (0, cfg.max_terms - len(a))) for a in vectors])
+        moments = even_moments(freqs, table, [int(p) // 2 for p in even_ps]).tolist()
+        for trial, trial_seed, a, row in zip(batch, seeds, vectors, moments):
+            f = WalshSpectrum(zip(freqs, a.tolist()))
+            l2 = float(np.sqrt(np.sum(a * a)))
+            even = {p: x ** (1.0 / p) for p, x in zip(even_ps, row)}
+            for p in cfg.p_values:
+                est = (NormEstimate(p, even[p], "exact") if p in even
+                       else _norm(f, p, cfg, 9, trial))
+                records.append(
+                    _record("khintchine", label, p, len(a), trial, est, l2, trial_seed)
+                )
+            if 4.0 in cfg.p_values:
+                moment_dense = float(np.mean(synthesize(f, len(a)) ** 4))
+                identity_dev = np.maximum(
+                    identity_dev, abs(moment_dense - rademacher_fourth_moment(a))
+                )
     summary = {
         "experiment": "khintchine",
         "trials": cfg.trials,

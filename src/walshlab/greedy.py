@@ -227,11 +227,8 @@ def lambda_classify(coeffs: CoefficientList, plan: BlockPlan) -> LambdaPartition
             lo_seen, hi_seen = mid_bounds.get(k, (np.inf, 0.0))
             mid_bounds[k] = (min(lo_seen, mag), max(hi_seen, mag))
     # consecutive occupied blocks ordered => all pairs ordered (transitive)
-    data_sep = True
     ks = sorted(mid_bounds)
-    for a, b in zip(ks, ks[1:]):
-        if mid_bounds[a][0] <= mid_bounds[b][1]:
-            data_sep = False
+    data_sep = all(mid_bounds[a][0] > mid_bounds[b][1] for a, b in zip(ks, ks[1:]))
     return LambdaPartition(
         middle={k: tuple(v) for k, v in middle.items()},
         small={k: tuple(v) for k, v in small.items()},

@@ -9,7 +9,8 @@ Routes, as ``lp_norm`` (shared by the experiments and the CLI) picks them:
 
 * ``lp_dense`` synthesizes the function on its full dyadic grid and is
   exact for any p >= 1, but needs depth <= 24.  ``synthesize`` places
-  the terms at bit-reversed indices before the butterfly, so no
+  the terms at bit-reversed indices before the butterfly, or builds a
+  constant plus Rademacher terms (a Khintchine sum) by doubling, so no
   permutation of the 2^depth cell values is built.
 * ``lp_even_spectral`` is exact for even integer p <= 10 at any depth.
   For p = 2 it is Parseval.  For p = 2m >= 4 it splits f = q + T, where
@@ -38,9 +39,9 @@ Routes, as ``lp_norm`` (shared by the experiments and the CLI) picks them:
 * ``lp_monte_carlo`` samples uniform cells at the spectrum's own depth
   (the integrand is constant per cell, so sampling adds no
   discretization error) and reports a 95% CI propagated from the
-  normal-approximation CI of the p-th power mean.  Randomness is
-  counter-based (Philox keyed by the seed), so sample i depends only on
-  (seed, i) and results do not depend on any execution schedule.
+  normal-approximation CI of the p-th power mean.  The digit masks are
+  the raw uint64 stream of Philox keyed by the seed, so sample i depends
+  only on (seed, i) and not on any execution schedule.
   Samples are evaluated with byte tables: every term whose frequency
   has its nonzero bits inside one byte of the packed little-endian
   limbs (every Rademacher term, and any other frequency inside one
@@ -63,7 +64,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BudgetError, DepthError
+from .errors import BudgetError, ConfigError, DepthError
 from .spectra import (
     BYTE_BUDGET,
     WalshSpectrum,
@@ -119,7 +120,9 @@ def lp_dense(f: WalshSpectrum, p: float) -> NormEstimate:
     if depth > MAX_DENSE_DEPTH:
         raise DepthError(f"spectrum depth {depth} above dense cap {MAX_DENSE_DEPTH}")
     values = synthesize(f, depth)
-    moment = float(np.mean(np.abs(values) ** p))
+    np.abs(values, out=values)
+    values **= p
+    moment = float(np.mean(values))
     return NormEstimate(p=p, value=moment ** (1.0 / p), kind="exact")
 
 
@@ -158,15 +161,12 @@ def lp_monte_carlo(
             f"{samples} samples x {limbs} limbs need about {need} bytes, "
             f"budget {BYTE_BUDGET}"
         )
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    masks = rng.integers(0, 2 ** 64, size=(samples, limbs), dtype=np.uint64)
-    spare = limbs * 64 - depth
-    if spare >= 64:  # depth 0: the only cell is t = 0
-        masks[:, -1] = 0
-    elif spare:
-        masks[:, -1] >>= np.uint64(spare)
-    values = _eval_masks(f, masks)
-    powers = np.abs(values) ** p
+    masks = np.random.Philox(key=seed).random_raw(samples * limbs).reshape(samples, limbs)
+    # the top limb's spare high bits shift out (all 64 at depth 0: t = 0)
+    masks[:, -1] >>= np.uint64(limbs * 64 - depth)
+    powers = _eval_masks(f, masks)
+    np.abs(powers, out=powers)
+    powers **= p
     if np.all(powers == powers[0]):
         # constant integrand: exact value, zero-width interval
         mean = float(powers[0])
@@ -266,10 +266,11 @@ def _byte_signs() -> np.ndarray:
     return signs
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def even_moments(freqs, coeffs: np.ndarray, ms, max_bytes: int = BYTE_BUDGET):
     """(R, len(ms)) array of integral f_r^(2m) for m in ``ms``, where row
     r of ``coeffs`` holds f_r's coefficients at the frequencies ``freqs``.
-    Every row shares one head/tail split of ``freqs``."""
+    Every row shares one head/tail split of ``freqs``; overflow is a ConfigError."""
     head_bits = 0
     for n in freqs:
         if n.bit_count() != 1:
@@ -316,6 +317,8 @@ def even_moments(freqs, coeffs: np.ndarray, ms, max_bytes: int = BYTE_BUDGET):
     for col, m in enumerate(ms):
         outer = _split_table(m)[0]
         out[:, col] = sum(w * eq[:, m - j] * mu[j] for j, w in enumerate(outer))
+    if not np.isfinite(out).all():
+        raise ConfigError(f"an even moment of order {[2 * m for m in ms]} overflows")
     return out
 
 

@@ -280,11 +280,12 @@ def spectrum_product(
 def synthesize(f: WalshSpectrum, depth: int) -> np.ndarray:
     """Exact values of f on all 2**depth dyadic cells, in cell order.
 
-    Uses the fast Walsh-Hadamard butterfly.  Cell digits are MSB-first
-    and Paley bits LSB-first, so each coefficient of W_n is placed at
-    the bit reversal of n; the butterfly then leaves every cell's value
-    at the cell's own index, and only the terms are permuted, never the
-    2**depth values.
+    Cell digits are MSB-first and Paley bits LSB-first, so the fast
+    Walsh-Hadamard butterfly, run on W_n's coefficient placed at the bit
+    reversal of n, leaves each cell's value at its own index.  A constant
+    plus Rademacher terms skips it: level h adds to and subtracts from
+    cells 0..h-1 the one value f[2^(depth-1)/h] that cells h..2h-1 hold,
+    so doubling does the same floating operations in O(2**depth).
     """
     if depth > MAX_SYNTH_DEPTH:
         raise DepthError(f"depth {depth} exceeds cap {MAX_SYNTH_DEPTH}")
@@ -293,6 +294,13 @@ def synthesize(f: WalshSpectrum, depth: int) -> np.ndarray:
             f"depth {depth} below spectrum depth {f.depth()}"
         )
     values = np.zeros(1 << depth)
+    if all(n & (n - 1) == 0 for n in f):
+        values[0] = f[0]
+        for h in (1 << k for k in range(depth)):
+            c = f[(1 << (depth - 1)) // h]
+            np.subtract(values[:h], c, out=values[h:2 * h])
+            values[:h] += c
+        return values
     freqs = np.fromiter(f, dtype=np.int64, count=len(f))
     values[_bit_reverse(freqs, depth)] = np.fromiter(
         (c for _, c in f.items()), dtype=float, count=len(f)

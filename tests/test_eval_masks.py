@@ -1,21 +1,25 @@
-"""The byte-table sample evaluator, its memory estimate, and synthesis
-without a permutation of the cells.
+"""The byte-table sample evaluator, its memory estimate and mask stream,
+and synthesis without a permutation of the cells.
 
 ``reference_eval_masks`` is the per-term parity loop that evaluated
 every sample before the byte tables: one pass over all samples per limb
 of every term; ``reference_synthesize`` is synthesis as it was before
-the terms were placed at bit-reversed indices.  The properties run over
-frequencies with 0 to 4 nonzero bytes out to bit 300, with and without
-a constant term, at depths that include 0 and multiples of 8 and 64.
+the terms were placed at bit-reversed indices, and
+``reference_butterfly`` the butterfly that Rademacher sums skip now.
+The properties run over frequencies with 0 to 4 nonzero bytes out to
+bit 300, with and without a constant term, at depths that include 0
+and multiples of 8 and 64.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import walshlab.norms
+from walshlab.blocks import load_plan
 from walshlab.norms import _eval_masks, _mc_peak_bytes, lp_dense, lp_monte_carlo
 from walshlab.spectra import (
     DyadicPoint,
@@ -50,6 +54,15 @@ def reference_synthesize(f, depth):
         values[n] = c
     _fwht_inplace(values)
     return values[_bit_reverse(np.arange(1 << depth, dtype=np.int64), depth)]
+
+
+def reference_butterfly(f, depth):
+    """Synthesis through the butterfly: terms at bit-reversed indices."""
+    values = np.zeros(1 << depth)
+    freqs = np.array(list(f), dtype=np.int64)
+    values[_bit_reverse(freqs, depth)] = [c for _, c in f.items()]
+    _fwht_inplace(values)
+    return values
 
 
 depths = st.one_of(
@@ -135,6 +148,63 @@ def test_synthesis_matches_the_permuted_butterfly(case):
     f, depth = case
     got = synthesize(f, depth)
     assert np.max(np.abs(got - reference_synthesize(f, depth))) <= 1e-12 * max(_l1(f), 1.0)
+
+
+@st.composite
+def rademacher_sums(draw):
+    """A constant plus 0 to 16 Rademacher terms r_j, j in 1..16 (fewer
+    than 16 leave gaps), at a depth 0 to 2 above the spectrum's own."""
+    js = draw(st.lists(st.integers(1, 16), max_size=16, unique=True))
+    terms = {1 << (j - 1): draw(coefficients) for j in js}
+    if draw(st.booleans()):
+        terms[0] = draw(coefficients)
+    f = WalshSpectrum(terms)
+    return f, draw(st.integers(f.depth(), f.depth() + 2))
+
+
+@settings(max_examples=120, deadline=None)
+@given(rademacher_sums())
+@example((WalshSpectrum(), 0))
+@example((WalshSpectrum({0: -2.5}), 0))
+@example((WalshSpectrum({0: 1.0, 1: 0.5, 1 << 15: -0.25}), 18))
+def test_rademacher_sums_double_to_the_butterfly_values(case):
+    f, depth = case
+    assert np.array_equal(synthesize(f, depth), reference_butterfly(f, depth))
+
+
+@pytest.mark.parametrize("depth", [0, 1, 63, 64, 65, 273])
+def test_monte_carlo_masks_are_the_philox_integer_stream(monkeypatch, depth):
+    seen = []
+
+    def recording_eval(f, masks):
+        seen.append(masks.copy())
+        return _eval_masks(f, masks)
+
+    monkeypatch.setattr(walshlab.norms, "_eval_masks", recording_eval)
+    f = WalshSpectrum({0: 1.0, **({1 << (depth - 1): 0.5} if depth else {})})
+    seed, limbs = 2 ** 63 + 11, max(1, (depth + 63) // 64)
+    lp_monte_carlo(f, 3.0, 257, seed)
+    want = np.random.Generator(np.random.Philox(key=seed)).integers(
+        0, 2 ** 64, size=(257, limbs), dtype=np.uint64
+    )
+    spare = limbs * 64 - depth  # at depth 0 the only cell is t = 0
+    want[:, -1] = 0 if spare == 64 else want[:, -1] >> np.uint64(spare)
+    assert np.array_equal(seen[0], want)
+
+
+def test_monte_carlo_on_a_deep_spectrum_repeats_recorded_values():
+    # recorded when the masks were drawn through Generator.integers
+    f = load_plan("desk").sum_spectrum([2, 7, 40, 150, 276])
+    assert (f.depth(), len(f)) == (273, 29)
+    est = lp_monte_carlo(f, 3.0, 4000, 20261018)
+    assert (est.value, est.ci_low, est.ci_high) == (
+        2.587864078613591, 2.5317452440087873, 2.6416491604287304
+    )
+    g = WalshSpectrum({0: 0.5, 1 << 70: -1.25, (1 << 130) | 5: 0.75, 3 << 200: 2.0})
+    est = lp_monte_carlo(g, 2.5, 1000, 7)
+    assert (est.value, est.ci_low, est.ci_high) == (
+        2.6199476560082027, 2.536579673822902, 2.6995151454983914
+    )
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,5 +1,8 @@
+import math
+
 import pytest
 
+import walshlab.experiments as experiments
 from walshlab.blocks import load_plan, validate_schedule
 from walshlab.errors import ConfigError
 from walshlab.experiments import (
@@ -16,6 +19,7 @@ from walshlab.experiments import (
     run_experiment,
     write_records_csv,
 )
+from walshlab.norms import NormEstimate, lp_even_spectral
 from walshlab.spectra import inner_product
 
 
@@ -406,3 +410,24 @@ def test_summary_extremes_are_the_csv_rows_extremes(kind, tmp_path):
         assert set(summary[key]) == set(by_p) == {str(p) for p in cfg.p_values}
         for p, values in by_p.items():
             assert summary[key][p] == pick(values), (key, p)
+
+
+def test_summary_checks_keep_a_nan(desk, monkeypatch):
+    # Python's max(0.0, nan) is 0.0, which would report a failed check as passed
+    def nan_at_2_and_6(f, p):
+        if p in (2, 6):
+            return NormEstimate(float(p), math.nan, "exact")
+        return lp_even_spectral(f, p)
+
+    monkeypatch.setattr(experiments, "lp_even_spectral", nan_at_2_and_6)
+    corpus = {"kind": "mixed", "count": 2, "terms": 12}
+    cfg = ExperimentConfig(
+        plan=desk, p_values=(2.0, 4.0, 6.0), corpus=corpus, sizes=(3,), trials=2
+    )
+    _, summary = quasi_greedy_experiment(cfg)
+    assert math.isnan(summary["residual_parseval_dev_max"])
+    assert math.isnan(summary["terminal_residual_max"])
+    _, summary = partial_sum_experiment(cfg)
+    assert math.isnan(summary["block_end_dev_max"])
+    _, summary = democracy_experiment(cfg)
+    assert math.isnan(summary["spectrum_route_dev_max"])
