@@ -15,17 +15,23 @@ approximants are built from prefixes ``order[:m]`` of the greedy order.
 
 Norm routes: p = 2 ratios of expansions are computed in coefficient
 space (orthonormal Parseval, exact by construction; partialsum checks
-them against its rows' Walsh coefficients), even p up to 10 the exact
-head/tail split over symbol rows (``_span_norms``: democracy's sets,
-quasigreedy's prefixes and partialsum's S_n f, each a row of a
-byte-bounded batch, f's own row giving partialsum's denominator),
-anything else dense synthesis when the depth allows and seeded Monte
-Carlo otherwise.
+them against its rows' Walsh coefficients, and quasigreedy its residual
+tails against the distance of each prefix's symbol vectors to f's),
+even p up to 10 the exact head/tail split over symbol rows
+(``_span_norms``: democracy's sets, quasigreedy's prefixes and
+partialsum's S_n f, each a row of a byte-bounded batch, f's own row
+giving partialsum's denominator; the split's classification is cached
+per plan and block tuple), anything else dense synthesis when the depth
+allows and seeded Monte Carlo otherwise.  Sparse spectra inside the
+plan are built only for those other p and for the cross-checks:
+democracy's first set, partialsum's block ends and quasigreedy's full
+prefix.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -47,6 +53,7 @@ from .greedy import (
 from .norms import (
     NormEstimate,
     even_moments,
+    even_split,
     lp_even_spectral,
     lp_norm,
     rademacher_fourth_moment,
@@ -342,7 +349,8 @@ def _record(
 def _extremes(
     records: list[ResultRecord], p_values, pick: Callable, start: float, **fields
 ) -> dict[str, float]:
-    """``pick`` (min or max) over ``start`` and the row values at each p.
+    """``pick`` (np.min or np.max, which keep a NaN) over ``start`` and
+    the row values at each p.
 
     Only rows whose attributes equal ``fields`` count, which splits the
     series one driver writes (quasigreedy's residual rows, the two plans
@@ -373,24 +381,38 @@ def _corpus_expansions(cfg: ExperimentConfig):
 _BATCH_BYTES = 1 << 22
 
 
+@functools.lru_cache(maxsize=32)
+def _block_split(plan: BlockPlan, blocks: tuple[int, ...]):
+    """``even_split`` of the symbols of ``blocks``, once per plan and blocks."""
+    return even_split([n for k in blocks for n in plan.symbol_frequencies(k)])
+
+
 def _span_norms(plan: BlockPlan, entries, member, ps):
     """(symbol vectors, {p: norm} at the even ``ps``, squared l2) of one
     span function per boolean row of ``member`` (an array, or any
     iterable of rows): row r sums the (position, weight) ``entries`` it
     selects.  Rows are read and built ``_BATCH_BYTES`` at a time; a batch
-    shares one ``rmatvec`` per block and one ``even_moments`` pass."""
-    blocks = sorted(set(np.searchsorted(plan.offsets, [m for m, _ in entries]).tolist()))
-    freqs = [n for k in blocks for n in plan.symbol_frequencies(k)]
-    step = max(1, _BATCH_BYTES // (8 * max(len(freqs), 1)))
+    shares one ``rmatvec`` per block and one ``even_moments`` pass, and
+    every batch on the same blocks one cached split."""
+    index = np.searchsorted(plan.offsets, [m for m, _ in entries])
+    blocks = tuple(sorted(set(index.tolist())))
+    split = _block_split(plan, blocks)
+    step = max(1, _BATCH_BYTES // (8 * max(len(split.in_tail), 1)))
     member = iter(member)
     while batch := list(islice(member, step)):
         rows = plan.symbol_rows(entries, np.array(batch))
         coeffs = np.concatenate([rows[k] for k in blocks], axis=1)
-        moments = even_moments(freqs, coeffs, [int(p) // 2 for p in ps])
+        moments = even_moments(split, coeffs, [int(p) // 2 for p in ps])
         l2_sq = (coeffs * coeffs).sum(axis=1).tolist()
         for r, row in enumerate(moments.tolist()):
             norms = {p: x ** (1.0 / p) for p, x in zip(ps, row)}
             yield {k: w[r] for k, w in rows.items()}, norms, l2_sq[r]
+
+
+def _residual_sq(vectors: dict, rows: dict) -> float:
+    """Squared l2 distance of two span functions' per-block symbol vectors."""
+    gaps = (vectors.get(k, 0.0) - rows.get(k, 0.0) for k in vectors.keys() | rows.keys())
+    return sum(float(d @ d) for d in gaps)
 
 
 # -- experiments ---------------------------------------------------------------
@@ -448,8 +470,8 @@ def democracy_experiment(cfg: ExperimentConfig):
         "plan": label,
         "sizes": [min(sizes), max(sizes)],
         "trials": cfg.trials,
-        "ratio_min": _extremes(records, cfg.p_values, min, math.inf),
-        "ratio_max": _extremes(records, cfg.p_values, max, -math.inf),
+        "ratio_min": _extremes(records, cfg.p_values, np.min, math.inf),
+        "ratio_max": _extremes(records, cfg.p_values, np.max, -math.inf),
         "spectrum_route_dev_max": route_dev,
     }
     return records, summary
@@ -459,7 +481,12 @@ def quasi_greedy_experiment(cfg: ExperimentConfig):
     """sup over m of ||G_m f||_p / ||f||_p per corpus function.
 
     Also emits the exact L2 residual curve (Parseval tails) so greedy
-    convergence is visible in the same output file.
+    convergence is visible in the same output file.  Each tail is
+    checked against ||f - G_m f||_2 taken from the Walsh side, the
+    distance of the prefix's symbol vectors to f's; at the full prefix
+    also from the spectrum of f - G_m f (``terminal_residual_max``).
+    Both gaps feed ``residual_parseval_dev_max``.  A prefix's spectrum
+    is gathered only there and for p outside the split.
     """
     plan = cfg.plan
     label = plan.label()
@@ -467,11 +494,13 @@ def quasi_greedy_experiment(cfg: ExperimentConfig):
     residual_dev_max = 0.0
     terminal_residual_max = 0.0
     even_ps = [p for p in cfg.p_values if takes_split(p) and p != 2.0]
+    other_ps = [p for p in cfg.p_values if p != 2.0 and p not in even_ps]
     for fi, f, coeffs, total_sq in _corpus_expansions(cfg):
         by_index = coeffs.as_dict()
         order = greedy_order(coeffs).rho
         tail_sq = parseval_tails([by_index[sel] for sel in order])
         norms_f = _norms(f, cfg, 5, fi, l2_sq=total_sq)
+        symbols_f = plan.scatter(f)
         head_sq = 0.0
         # an empty order means f = 0, whose residual is 0 as well
         spectral_tail = 0.0
@@ -480,7 +509,8 @@ def quasi_greedy_experiment(cfg: ExperimentConfig):
         prefixes = _span_norms(plan, entries, np.tri(len(order), dtype=bool), even_ps)
         for m, (sel, (rows, even, _)) in enumerate(zip(order, prefixes), start=1):
             head_sq += by_index[sel] * by_index[sel]
-            approx = plan.gather(rows)
+            last = m == len(order)
+            approx = plan.gather(rows) if other_ps or last else None
             for p in cfg.p_values:
                 if p == 2.0:
                     est = NormEstimate(2.0, math.sqrt(head_sq), "exact")
@@ -495,15 +525,18 @@ def quasi_greedy_experiment(cfg: ExperimentConfig):
             records.append(
                 _record("quasigreedy-residual", label, 2.0, m, fi, tail, 1.0, cfg.seed)
             )
-            spectral_tail = lp_even_spectral(f - approx, 2).value
-            residual_dev_max = np.maximum(residual_dev_max, abs(spectral_tail - tail.value))
+            gap = abs(math.sqrt(_residual_sq(symbols_f, rows)) - tail.value)
+            if last:  # and once more from the spectra
+                spectral_tail = lp_even_spectral(f - approx, 2).value
+                gap = np.maximum(gap, abs(spectral_tail - tail.value))
+            residual_dev_max = np.maximum(residual_dev_max, gap)
         terminal_residual_max = np.maximum(terminal_residual_max, spectral_tail)
     summary = {
         "experiment": "quasigreedy",
         "plan": label,
         "corpus_size": len(set(r.trial for r in records)),
         "empirical_constant": _extremes(
-            records, cfg.p_values, max, 0.0, experiment="quasigreedy"
+            records, cfg.p_values, np.max, 0.0, experiment="quasigreedy"
         ),
         "residual_parseval_dev_max": residual_dev_max,
         "terminal_residual_max": terminal_residual_max,
@@ -576,7 +609,7 @@ def partial_sum_experiment(cfg: ExperimentConfig):
         "n_grid": list(grid),
         "p2_max_over_all_n": p2_all_max,
         "p2_route_dev_max": p2_route_dev,
-        "ratio_max": _extremes(records, cfg.p_values, max, 0.0),
+        "ratio_max": _extremes(records, cfg.p_values, np.max, 0.0),
         "block_end_dev_max": block_end_dev,
     }
     return records, summary
@@ -607,6 +640,7 @@ def khintchine_experiment(cfg: ExperimentConfig):
     identity_dev = 0.0
     even_ps = [p for p in cfg.p_values if takes_split(p) and p != 2.0]
     freqs = [rademacher_index(j + 1) for j in range(cfg.max_terms)]
+    split = even_split(freqs)
     trials = iter(range(cfg.trials))
     while batch := list(islice(trials, max(1, _BATCH_BYTES // (8 * cfg.max_terms)))):
         seeds = [derive_seed(cfg.seed, 9, trial) for trial in batch]
@@ -617,7 +651,7 @@ def khintchine_experiment(cfg: ExperimentConfig):
             # tolerance on the fourth-moment identity is meaningful
             vectors.append(a / np.sqrt(np.sum(a * a)))
         table = np.array([np.pad(a, (0, cfg.max_terms - len(a))) for a in vectors])
-        moments = even_moments(freqs, table, [int(p) // 2 for p in even_ps]).tolist()
+        moments = even_moments(split, table, [int(p) // 2 for p in even_ps]).tolist()
         for trial, trial_seed, a, row in zip(batch, seeds, vectors, moments):
             f = WalshSpectrum(zip(freqs, a.tolist()))
             l2 = float(np.sqrt(np.sum(a * a)))
@@ -636,8 +670,8 @@ def khintchine_experiment(cfg: ExperimentConfig):
     summary = {
         "experiment": "khintchine",
         "trials": cfg.trials,
-        "A_empirical": _extremes(records, cfg.p_values, min, math.inf),
-        "B_empirical": _extremes(records, cfg.p_values, max, -math.inf),
+        "A_empirical": _extremes(records, cfg.p_values, np.min, math.inf),
+        "B_empirical": _extremes(records, cfg.p_values, np.max, -math.inf),
         "fourth_moment_dev_max": identity_dev,
         "B4_bound": 3.0 ** 0.25,
     }
@@ -696,7 +730,7 @@ def almost_greedy_experiment(cfg: ExperimentConfig):
     summary = {
         "experiment": "almostgreedy",
         "plan": label,
-        "ratio_max": _extremes(records, cfg.p_values, max, 0.0),
+        "ratio_max": _extremes(records, cfg.p_values, np.max, 0.0),
         "candidate_note": "denominator is an upper bound on the projection infimum",
     }
     return records, summary
@@ -753,9 +787,9 @@ def baseline_walsh_comparison(cfg: ExperimentConfig):
     summary = {
         "experiment": "walsh-baseline",
         "plan": label,
-        "walsh_constant": _extremes(records, cfg.p_values, max, 0.0, plan="walsh"),
+        "walsh_constant": _extremes(records, cfg.p_values, np.max, 0.0, plan="walsh"),
         "mixed_basis_constant": _extremes(
-            records, cfg.p_values, max, 0.0, plan=label
+            records, cfg.p_values, np.max, 0.0, plan=label
         ),
     }
     return records, summary

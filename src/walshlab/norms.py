@@ -35,7 +35,13 @@ Routes, as ``lp_norm`` (shared by the experiments and the CLI) picks them:
   above 10 is refused.  Heads wider than 12 bits take E q^(2j) =
   ||q^j||_2^2 from the XOR powers of the head alone
   (``spectrum_product``, under its byte budget); tail terms never enter
-  a convolution.
+  a convolution.  ``even_split`` classifies a frequency list (head
+  bits, tail mask, head cells) once; ``even_moments`` applies that one
+  classification to every row on the list, and callers keep it (per
+  plan and block tuple in the experiments, per call in khintchine).
+* ``lp_dense`` and ``lp_monte_carlo`` refuse a p-th power mean (or
+  its sampled spread) past the float range with ConfigError, as
+  ``even_moments`` refuses such an even moment.
 * ``lp_monte_carlo`` samples uniform cells at the spectrum's own depth
   (the integrand is constant per cell, so sampling adds no
   discretization error) and reports a 95% CI propagated from the
@@ -59,6 +65,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable
 
@@ -112,8 +119,10 @@ class NormEstimate:
         return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def lp_dense(f: WalshSpectrum, p: float) -> NormEstimate:
-    """Exact ||f||_p from the values on the 2^depth cells."""
+    """Exact ||f||_p from the values on the 2^depth cells; a p-th power
+    mean past the float range is a ConfigError."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     depth = f.depth()
@@ -123,6 +132,7 @@ def lp_dense(f: WalshSpectrum, p: float) -> NormEstimate:
     np.abs(values, out=values)
     values **= p
     moment = float(np.mean(values))
+    _check_power_mean(moment, p)
     return NormEstimate(p=p, value=moment ** (1.0 / p), kind="exact")
 
 
@@ -145,10 +155,12 @@ def lp_even_spectral(
     return NormEstimate(p=float(p), value=moment ** (1.0 / p), kind="exact")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def lp_monte_carlo(
     f: WalshSpectrum, p: float, samples: int, seed: int
 ) -> NormEstimate:
-    """Seeded estimate of ||f||_p with a 95% CI; p > 1, samples >= 2."""
+    """Seeded estimate of ||f||_p with a 95% CI; p > 1, samples >= 2.
+    A p-th power mean or its spread past the float range is a ConfigError."""
     if p <= 1:
         raise ValueError(f"p must be > 1, got {p}")
     if samples < 2:
@@ -176,6 +188,7 @@ def lp_monte_carlo(
         se = float(powers.std(ddof=1) / np.sqrt(samples))
     lo = max(mean - _Z95 * se, 0.0)
     hi = mean + _Z95 * se
+    _check_power_mean(hi, p)  # not finite when the mean or its spread is not
     return NormEstimate(
         p=p,
         value=mean ** (1.0 / p),
@@ -217,6 +230,11 @@ def rademacher_fourth_moment(a: np.ndarray) -> float:
 
 
 # -- internals ---------------------------------------------------------------
+
+def _check_power_mean(x: float, p: float) -> None:
+    if not math.isfinite(x):
+        raise ConfigError(f"the mean of |f|^{p} overflows")
+
 
 def _mc_peak_bytes(samples: int, limbs: int) -> int:
     """Upper bound on what one ``lp_monte_carlo`` draw allocates: the
@@ -266,11 +284,13 @@ def _byte_signs() -> np.ndarray:
     return signs
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def even_moments(freqs, coeffs: np.ndarray, ms, max_bytes: int = BYTE_BUDGET):
-    """(R, len(ms)) array of integral f_r^(2m) for m in ``ms``, where row
-    r of ``coeffs`` holds f_r's coefficients at the frequencies ``freqs``.
-    Every row shares one head/tail split of ``freqs``; overflow is a ConfigError."""
+# one frequency list classified: which are tail terms, the head's in list
+# order, and their cells among the head's 2^v when 2^v <= the cap, else None
+EvenSplit = namedtuple("EvenSplit", "in_tail head slots v")
+
+
+def even_split(freqs) -> EvenSplit:
+    """Classify ``freqs`` for ``even_moments``, once per frequency list."""
     head_bits = 0
     for n in freqs:
         if n.bit_count() != 1:
@@ -278,11 +298,30 @@ def even_moments(freqs, coeffs: np.ndarray, ms, max_bytes: int = BYTE_BUDGET):
     # single bits outside the head bits are the independent tail
     outside = ~head_bits
     in_tail = np.array([n & outside != 0 for n in freqs], dtype=bool)
-    head = [n for n in freqs if not n & outside]
+    head = tuple(n for n in freqs if not n & outside)
+    v = head_bits.bit_count()
+    slots = None
+    if (1 << v) <= _SPLIT_CELL_CAP:
+        shifts = [s for s in range(head_bits.bit_length()) if head_bits >> s & 1]
+        # the head remapped onto bits 0..v-1, its 2^v cells in
+        # bit-reversed order; moments ignore order
+        slots = [sum((n >> s & 1) << i for i, s in enumerate(shifts)) for n in head]
+        slots = np.array(slots, dtype=np.intp)
+        slots.flags.writeable = False
+    in_tail.flags.writeable = False  # callers may cache and share the split
+    return EvenSplit(in_tail, head, slots, v)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def even_moments(split: EvenSplit, coeffs: np.ndarray, ms, max_bytes: int = BYTE_BUDGET):
+    """(R, len(ms)) array of integral f_r^(2m) for m in ``ms``, where row
+    r of ``coeffs`` holds f_r's coefficients at the frequencies that
+    ``split = even_split(freqs)`` classified.  Every row shares that
+    one head/tail split; overflow is a ConfigError."""
+    in_tail, head, slots, v = split
     m_max = max(ms, default=0)
     eq = np.ones((len(coeffs), m_max + 1))  # eq[:, j] = E q^(2j)
-    v = head_bits.bit_count()
-    if (1 << v) > _SPLIT_CELL_CAP:
+    if slots is None:
         # E q^(2j) = ||q^j||_2^2 from the XOR powers of the head
         for r, row in enumerate(coeffs[:, ~in_tail].tolist()):
             q = power = WalshSpectrum({n: c for n, c in zip(head, row) if c})
@@ -291,10 +330,6 @@ def even_moments(freqs, coeffs: np.ndarray, ms, max_bytes: int = BYTE_BUDGET):
                     power = spectrum_product(power, q, max_bytes)
                 eq[r, j] = inner_product(power, power)
     else:
-        shifts = [s for s in range(head_bits.bit_length()) if head_bits >> s & 1]
-        # the head remapped onto bits 0..v-1 and evaluated on its 2^v
-        # cells, in bit-reversed order; moments ignore order
-        slots = [sum((n >> s & 1) << i for i, s in enumerate(shifts)) for n in head]
         cells = np.zeros((len(coeffs), 1 << v))
         cells[:, slots] = coeffs[:, ~in_tail]
         _fwht_inplace(cells)
@@ -325,7 +360,7 @@ def even_moments(freqs, coeffs: np.ndarray, ms, max_bytes: int = BYTE_BUDGET):
 def _head_tail_moment(f: WalshSpectrum, m: int, max_bytes: int = BYTE_BUDGET) -> float:
     """integral f^(2m) by the independent-tail identity: one row."""
     row = np.array([[c for _, c in f.items()]], dtype=float)
-    return float(even_moments(list(f), row, [m], max_bytes)[0, 0])
+    return float(even_moments(even_split(list(f)), row, [m], max_bytes)[0, 0])
 
 
 @functools.cache

@@ -217,10 +217,17 @@ def spectrum_add(f: WalshSpectrum, g: WalshSpectrum) -> WalshSpectrum:
 
 
 def spectrum_scale(f: WalshSpectrum, c: float) -> WalshSpectrum:
-    """Scalar multiple; scaling by 0 gives the empty spectrum."""
+    """Scalar multiple; scaling by 0 gives the empty spectrum.  A
+    non-finite scalar or product is refused with ValueError."""
+    c = float(c)
+    if not math.isfinite(c):
+        raise ValueError(f"scalar must be finite, got {c}")
     if c == 0.0:
         return WalshSpectrum()
-    return WalshSpectrum._from_clean_dict({n: c * v for n, v in f.items()})
+    terms = {n: x for n, v in f.items() if (x := c * v) != 0.0}  # 0 if underflowed
+    if not all(map(math.isfinite, terms.values())):
+        raise ValueError(f"scaling by {c} overflows a coefficient")
+    return WalshSpectrum._from_clean_dict(terms)
 
 
 def inner_product(f: WalshSpectrum, g: WalshSpectrum) -> float:

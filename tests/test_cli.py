@@ -485,11 +485,12 @@ def test_overflowing_corpus_coefficient_exit2(tmp_path, capsys, kind, corpus):
 
 
 @pytest.mark.parametrize("kind", ["quasigreedy", "partialsum"])
-@pytest.mark.parametrize("alpha, ps", [(-100, [2, 4]), (-50, [2, 4, 6])])
+@pytest.mark.parametrize("alpha, ps", [(-100, [2, 4]), (-50, [2, 4, 6]), (-70, [2, 3])])
 def test_corpus_function_whose_powers_overflow_exit2(tmp_path, capsys, kind, alpha, ps):
-    # finite coefficients m**100 (m <= 40) whose squares overflow, and
-    # m**50 whose squares are finite but whose fourth powers are not;
-    # a numpy overflow warning would fail the test instead of exiting 2
+    # finite coefficients m**100 (m <= 40) whose squares overflow,
+    # m**50 whose squares are finite but whose fourth powers are not,
+    # and m**70 whose cubes overflow on the sampled p = 3 route; a
+    # numpy overflow warning would fail the test instead of exiting 2
     corpus = {"kind": "decay", "alpha": alpha, "count": 1, "terms": 40}
     doc = {"plan": "desk", "p": ps, "corpus": corpus}
     code, err = _experiment_exit(tmp_path, capsys, kind, doc)

@@ -431,3 +431,22 @@ def test_summary_checks_keep_a_nan(desk, monkeypatch):
     assert math.isnan(summary["block_end_dev_max"])
     _, summary = democracy_experiment(cfg)
     assert math.isnan(summary["spectrum_route_dev_max"])
+
+
+@pytest.mark.parametrize("kind", ["democracy", "quasigreedy", "partialsum", "khintchine"])
+def test_summary_extremes_keep_a_nan(kind, monkeypatch):
+    # Python's max and min skip a NaN that comes after the start value
+    lp_norm = experiments.lp_norm
+
+    def nan_at_3(f, p, *args):
+        return NormEstimate(3.0, math.nan, "exact") if p == 3.0 else lp_norm(f, p, *args)
+
+    monkeypatch.setattr(experiments, "lp_norm", nan_at_3)
+    cfg = ExperimentConfig.from_dict({
+        "plan": "desk", "p": [2, 3, 4], "sizes": [2, 5], "trials": 2, "seed": 3,
+        "corpus": {"kind": "mixed", "count": 2, "terms": 10}, "max_terms": 6,
+    })
+    _, summary = run_experiment(kind, cfg)
+    for key, _, _ in SUMMARY_EXTREMES[kind]:
+        assert math.isnan(summary[key]["3.0"]), key
+        assert math.isfinite(summary[key]["4.0"]) and math.isfinite(summary[key]["2.0"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from walshlab.errors import BudgetError, DepthError
+from walshlab.errors import BudgetError, ConfigError, DepthError
 from walshlab.norms import (
     lp_dense,
     lp_even_spectral,
@@ -186,3 +186,15 @@ def test_estimate_dict_shapes():
     assert {"p", "value", "kind", "ci_low", "ci_high", "samples", "seed"} == set(
         sampled.as_dict()
     )
+
+
+def test_non_even_power_means_past_the_float_range_are_refused():
+    # |f|^3 of 1e200 overflows; a numpy warning would fail instead
+    with pytest.raises(ConfigError, match="overflows"):
+        lp_dense(WalshSpectrum({0: 1e200, 5: 1.0}), 3.0)
+    with pytest.raises(ConfigError, match="overflows"):
+        lp_monte_carlo(WalshSpectrum({1 << 40: 1e200}), 3.0, 100, 1)
+    # the cubes (0 or 8e159) and their mean are finite, their spread is not
+    with pytest.raises(ConfigError, match="overflows"):
+        lp_monte_carlo(WalshSpectrum({1: 1e53, 1 << 40: 1e53}), 3.0, 100, 1)
+    assert lp_dense(WalshSpectrum({0: 1e100}), 3.0).value == pytest.approx(1e100)

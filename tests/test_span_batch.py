@@ -6,18 +6,23 @@ coefficient rows selected by a boolean membership matrix, one batched
 ``rmatvec`` per block, then one head/tail split of
 ``norms.even_moments`` over the touched blocks' symbols.
 ``reference_prefix_norms`` is the loop it replaces in quasigreedy, one
-``weighted_spectrum`` and one ``lp_even_spectral`` per prefix;
+``weighted_spectrum`` and one ``lp_even_spectral`` per prefix, and
+``reference_residuals`` the residual check quasigreedy now takes from
+the rows' symbol vectors below the full prefix;
 ``reference_partial_sum_norms`` the one in partialsum, one
 ``partial_sum`` and one ``lp_even_spectral`` per grid point;
 ``reference_democracy`` the one in democracy, one ``sum_spectrum`` and
 one ``lp_norm`` per set; ``reference_gather`` is the per-symbol loop
 ``gather`` replaced.  Khintchine's even p share one ``even_moments``
 pass per batch of zero-padded trial rows; ``reference_khintchine`` is
-its per-trial loop, one ``lp_norm`` per trial and p.
+its per-trial loop, one ``lp_norm`` per trial and p.  Every batch on
+the same plan and blocks shares one cached head/tail classification
+(``_block_split``); khintchine classifies once per call.
 """
 
 import dataclasses
 import math
+import sys
 import tracemalloc
 from bisect import bisect_right
 
@@ -28,6 +33,7 @@ from hypothesis import strategies as st
 
 import walshlab.experiments as experiments
 import walshlab.norms
+import walshlab.spectra
 from walshlab.blocks import load_plan, validate_schedule
 from walshlab.experiments import (
     ExperimentConfig,
@@ -51,11 +57,12 @@ from walshlab.greedy import (
 from walshlab.norms import (
     NormEstimate,
     even_moments,
+    even_split,
     lp_dense,
     lp_even_spectral,
     rademacher_fourth_moment,
 )
-from walshlab.spectra import WalshSpectrum, rademacher_index, synthesize
+from walshlab.spectra import WalshSpectrum, rademacher_index, spectrum_scale, synthesize
 
 
 def prefix_norms(plan, entries, cuts, ps):
@@ -204,12 +211,12 @@ def test_even_moments_rows_equal_dense_with_a_wide_head():
     freqs = [0b11 << 12, 0b111111111111, 1 << 3, 1 << 16, 1 << 20]
     coeffs = np.random.default_rng(12).normal(size=(3, len(freqs)))
     coeffs[1, :2] = 0.0  # a row whose own head would be narrow
-    got = even_moments(freqs, coeffs, [2, 3])
+    got = even_moments(even_split(freqs), coeffs, [2, 3])
     for row, moments in zip(coeffs.tolist(), got):
         f = WalshSpectrum(dict(zip(freqs, row)))
         for m, x in zip([2, 3], moments):
             assert x == pytest.approx(lp_dense(f, 2 * m).value ** (2 * m), rel=1e-12)
-    assert even_moments(freqs, coeffs, []).shape == (3, 0)
+    assert even_moments(even_split(freqs), coeffs, []).shape == (3, 0)
 
 
 @st.composite
@@ -470,9 +477,9 @@ def test_khintchine_takes_even_norms_from_one_pass_per_batch(monkeypatch):
         calls["even"].append(p)
         return lp_even_spectral(f, p, *args)
 
-    def counting_moments(freqs, coeffs, ms, *args):
-        calls["moments"].append((len(freqs), coeffs.shape, list(ms)))
-        return even_moments(freqs, coeffs, ms, *args)
+    def counting_moments(split, coeffs, ms, *args):
+        calls["moments"].append((len(split.in_tail), coeffs.shape, list(ms)))
+        return even_moments(split, coeffs, ms, *args)
 
     monkeypatch.setattr(walshlab.norms, "lp_even_spectral", counting_even)
     monkeypatch.setattr(experiments, "even_moments", counting_moments)
@@ -485,3 +492,179 @@ def test_khintchine_takes_even_norms_from_one_pass_per_batch(monkeypatch):
     assert calls["even"] == [2] * 12
     assert calls["moments"] == [(16, (5, 16), [2, 3])] * 2 + [(16, (2, 16), [2, 3])]
     assert len(records) == 12 * 4 and all(r.exact for r in records)
+
+
+def reference_residuals(plan, f, prefix_rows):
+    """||f - G_m f||_2 per prefix as quasigreedy took it for every m
+    before: one spectrum of the prefix, one of the difference, and its
+    Parseval sum."""
+    return [lp_even_spectral(f - plan.gather(rows), 2).value for rows in prefix_rows]
+
+
+@st.composite
+def plans_and_corpus_functions(draw):
+    """A strictly increasing plan with blocks of at most 2^8 elements
+    and one function of a mixed-corpus kind in its span."""
+    g = sorted(draw(st.sets(st.integers(1, 8), min_size=1, max_size=4)))
+    plan = validate_schedule(g)
+    kind = draw(st.sampled_from(experiments._MIXED_ROTATION))
+    spec = {**kind, "count": 1, "terms": draw(st.integers(1, 40))}
+    return plan, experiments.corpus_generate(spec, draw(st.integers(0, 2 ** 32)), plan)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(plans_and_corpus_functions(), st.floats(-20.0, 20.0).map(lambda e: 10.0 ** e))
+def test_symbol_residuals_equal_the_per_prefix_spectra(case, scale):
+    plan, f = case
+    f = spectrum_scale(f, scale)
+    coeffs = analyze(f, plan)
+    by_index = coeffs.as_dict()
+    ordered = [(m, by_index[m]) for m in greedy_order(coeffs).rho]
+    cuts = range(1, len(ordered) + 1)
+    prefix_rows = [rows for rows, _ in prefix_norms(plan, ordered, cuts, [])]
+    symbols_f = plan.scatter(f)
+    got = [math.sqrt(experiments._residual_sq(symbols_f, rows)) for rows in prefix_rows]
+    want = reference_residuals(plan, f, prefix_rows)
+    # both are differences of functions of norm about ||f||, so their
+    # rounding scales with ||f||, not with the residual
+    norm_f = lp_even_spectral(f, 2).value
+    assert len(got) == len(want) == len(ordered)
+    assert all(abs(a - b) <= 1e-12 * norm_f for a, b in zip(got, want))
+    if ordered:
+        assert got[-1] <= 1e-12 * norm_f
+
+
+def test_quasigreedy_reads_spectra_once_per_function(monkeypatch):
+    plan = load_plan("desk")
+    calls = {"add": 0, "even": [], "gather": 0}
+    spectrum_add, gather = walshlab.spectra.spectrum_add, type(plan).gather
+
+    def counting_add(f, g):
+        calls["add"] += 1
+        return spectrum_add(f, g)
+
+    def counting_even(f, p, *args):
+        calls["even"].append(p)
+        return lp_even_spectral(f, p, *args)
+
+    def counting_gather(self, vectors):
+        # only the driver's own calls; corpus synthesis gathers too
+        calls["gather"] += sys._getframe(1).f_code is quasi_greedy_experiment.__code__
+        return gather(self, vectors)
+
+    monkeypatch.setattr(walshlab.spectra, "spectrum_add", counting_add)
+    monkeypatch.setattr(experiments, "lp_even_spectral", counting_even)
+    monkeypatch.setattr(walshlab.norms, "lp_even_spectral", counting_even)
+    monkeypatch.setattr(type(plan), "gather", counting_gather)
+    corpus = {"kind": "mixed", "count": 3, "terms": 12}
+    cfg = ExperimentConfig(plan=plan, p_values=(2.0, 4.0), seed=5, corpus=corpus)
+    records, summary = quasi_greedy_experiment(cfg)
+    prefixes = sum(r.experiment == "quasigreedy-residual" for r in records)
+    assert prefixes > 3
+    # f's own p = 4 norm, then the full prefix's residual at p = 2; the
+    # spectrum of that prefix is the driver's only gather
+    assert calls == {"add": 3, "even": [4, 2] * 3, "gather": 3}
+    assert summary["residual_parseval_dev_max"] <= 1e-12
+    assert summary["terminal_residual_max"] <= 1e-12
+    calls.update(add=0, even=[], gather=0)
+    cfg = dataclasses.replace(cfg, p_values=(2.0, 3.0, 4.0), mc_samples=200)
+    with_p3, summary_p3 = quasi_greedy_experiment(cfg)
+    # p = 3 reads every prefix's spectrum
+    assert calls == {"add": 3, "even": [4, 2] * 3, "gather": prefixes}
+    assert summary_p3 == {**summary, "empirical_constant": summary_p3["empirical_constant"]}
+    assert [r for r in with_p3 if r.p != 3.0] == records
+
+
+def run_recording_moments(driver, cfg, uncached=False, reclassify=None):
+    """(records, every ``even_moments`` result) of one driver run.  With
+    ``uncached``, ``_span_norms`` classifies its frequency list afresh on
+    every call; ``reclassify(width)`` replaces every batch's split."""
+    moments = []
+
+    def recording(split, coeffs, ms, *args):
+        if reclassify is not None:
+            split = reclassify(coeffs.shape[1])
+        moments.append(even_moments(split, coeffs, ms, *args))
+        return moments[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "even_moments", recording)
+        if uncached:
+            mp.setattr(experiments, "_block_split", experiments._block_split.__wrapped__)
+        return driver(cfg), moments
+
+
+def test_cached_and_fresh_splits_give_equal_moments(monkeypatch):
+    plan = load_plan("desk")
+    # three rows of desk's symbols per batch; khintchine's 9-term rows
+    # then come 92 to a batch
+    monkeypatch.setattr(experiments, "_BATCH_BYTES", 3 * 8 * sum(plan.N))
+    cfg = ExperimentConfig(
+        plan=plan, p_values=(2.0, 4.0, 6.0, 10.0), sizes=(1, 4, 30), trials=100,
+        seed=12, corpus={"kind": "mixed", "count": 3, "terms": 25}, max_terms=9,
+    )
+
+    def rademachers(width):
+        return even_split([rademacher_index(j + 1) for j in range(width)])
+
+    for driver, fresh in [
+        (democracy_experiment, {"uncached": True}),
+        (partial_sum_experiment, {"uncached": True}),
+        # khintchine classifies once per call, so afresh means per batch
+        (khintchine_experiment, {"reclassify": rademachers}),
+    ]:
+        driver(cfg)  # the cache is warm from here on
+        cached_records, cached = run_recording_moments(driver, cfg)
+        fresh_records, fresh_moments = run_recording_moments(driver, cfg, **fresh)
+        assert len(cached) == len(fresh_moments) > 1
+        assert all(np.array_equal(a, b) for a, b in zip(cached, fresh_moments))
+        assert cached_records == fresh_records
+    assert experiments._block_split.cache_info().hits > 0
+
+
+def test_quasigreedy_checks_every_prefix_residual(monkeypatch):
+    # a block on one side only counts in full
+    left = {1: np.array([3.0, 0.0]), 2: np.ones(4)}
+    right = {2: np.zeros(4), 3: np.array([0.0, 4.0])}
+    assert experiments._residual_sq(left, right) == 9.0 + 4.0 + 16.0
+    # off by 1 at every prefix but the full one, whose residual is ~0:
+    # the check reads each prefix, terminal_residual_max only the last
+    residual_sq = experiments._residual_sq
+
+    def off_by_one(vectors, rows):
+        x = residual_sq(vectors, rows)
+        return x + 1.0 if x > 1e-20 else x
+
+    monkeypatch.setattr(experiments, "_residual_sq", off_by_one)
+    cfg = ExperimentConfig(
+        plan=load_plan("desk"), p_values=(2.0, 4.0), seed=5,
+        corpus={"kind": "decay", "alpha": 1.0, "count": 2, "terms": 12},
+    )
+    _, summary = quasi_greedy_experiment(cfg)
+    assert summary["residual_parseval_dev_max"] >= 0.1
+    assert summary["terminal_residual_max"] <= 1e-12
+
+
+def test_span_norms_reuse_the_split_of_their_blocks(monkeypatch):
+    classified = []
+
+    def counting_split(freqs):
+        classified.append(len(freqs))
+        return even_split(freqs)
+
+    experiments._block_split.cache_clear()
+    monkeypatch.setattr(experiments, "even_split", counting_split)
+    plan = load_plan("desk")
+    # positions in blocks 1 and 3 (4 and 256 symbols)
+    entries = [(2, 0.5), (30, -1.5), (100, 2.0), (4, 0.25)]
+    cuts = range(1, 5)
+    first = [norms for _, norms in prefix_norms(plan, entries, cuts, [4.0, 6.0])]
+    assert classified == [4 + 256]
+    # an equal plan built anew and the entries in another order: same blocks
+    again = list(prefix_norms(load_plan("desk"), entries[::-1], cuts, [4.0]))
+    assert classified == [4 + 256] and len(again) == 4
+    assert [norms for _, norms in prefix_norms(plan, entries, cuts, [4.0, 6.0])] == first
+    # block 2 joins: a new classification, once
+    list(prefix_norms(plan, entries + [(10, 1.0)], range(1, 6), [4.0]))
+    list(prefix_norms(plan, entries + [(12, 1.0)], range(1, 6), [4.0]))
+    assert classified == [4 + 256, 4 + 16 + 256]

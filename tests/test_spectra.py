@@ -254,6 +254,25 @@ def test_non_finite_coefficients_are_refused(bad):
         WalshSpectrum([(3, 1.0), (5, np.float64(bad))])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), np.float64("-inf")])
+def test_scaling_by_a_non_finite_scalar_is_refused(bad):
+    with pytest.raises(ValueError, match="finite"):
+        spectrum_scale(WalshSpectrum([(1, 1.0)]), bad)
+    with pytest.raises(ValueError, match="finite"):
+        WalshSpectrum({1: 1.0, 6: -2.0}) * bad
+
+
+def test_scaling_past_the_float_range_is_refused():
+    with pytest.raises(ValueError, match="overflows"):
+        spectrum_scale(WalshSpectrum([(1, 1e300)]), 1e300)
+    with pytest.raises(ValueError, match="overflows"):
+        spectrum_scale(WalshSpectrum([(1, 1.0), (2, -1e300)]), np.float64(-1e10))
+    # products that underflow to 0 leave the spectrum, as summed repeats do
+    small = spectrum_scale(WalshSpectrum([(1, 1e-300), (2, 1.0)]), 1e-300)
+    assert list(small.items()) == [(2, 1e-300)]
+    assert spectrum_scale(WalshSpectrum([(1, 1e300)]), 1e8)[1] == 1e308
+
+
 def test_coefficients_summing_past_the_float_range_are_refused():
     with pytest.raises(ValueError, match="finite"):
         WalshSpectrum([(1, 1e308), (1, 1e308)])
