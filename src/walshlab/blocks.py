@@ -217,9 +217,12 @@ class BlockPlan:
         return out
 
     def gather(self, vectors: dict[int, np.ndarray]) -> WalshSpectrum:
-        """Spectrum whose block-k symbol coefficients are vectors[k]."""
+        """Spectrum whose block-k symbol coefficients are vectors[k]; a
+        NaN or infinite coefficient is refused with ValueError."""
         terms: dict[int, float] = {}
         for k in sorted(vectors):
+            if not np.isfinite(vectors[k]).all():
+                raise ValueError(f"block {k} has a coefficient that is not finite")
             freqs, nz = self.symbol_frequencies(k), np.flatnonzero(vectors[k]).tolist()
             terms.update(zip([freqs[i] for i in nz], vectors[k][nz].tolist()))
         return WalshSpectrum._from_clean_dict(terms)

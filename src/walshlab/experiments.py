@@ -13,19 +13,18 @@ The corpus drivers (quasigreedy, partialsum, almostgreedy) read their
 functions and expansion coefficients from one iterator, and greedy
 approximants are built from prefixes ``order[:m]`` of the greedy order.
 
-Norm routes: p = 2 ratios of expansions are computed in coefficient
-space (orthonormal Parseval, exact by construction; partialsum checks
-them against its rows' Walsh coefficients, and quasigreedy its residual
-tails against the distance of each prefix's symbol vectors to f's),
-even p up to 10 the exact head/tail split over symbol rows
-(``_span_norms``: democracy's sets, quasigreedy's prefixes and
-partialsum's S_n f, each a row of a byte-bounded batch, f's own row
-giving partialsum's denominator; the split's classification is cached
-per plan and block tuple), anything else dense synthesis when the depth
-allows and seeded Monte Carlo otherwise.  Sparse spectra inside the
-plan are built only for those other p and for the cross-checks:
-democracy's first set, partialsum's block ends and quasigreedy's full
-prefix.
+Norm routes, picked for every value (row, trial, candidate, prefix or
+denominator) in one place, ``_estimates``: p = 2 ratios of expansions
+in coefficient space (orthonormal Parseval, exact by construction;
+partialsum checks them against its rows' Walsh coefficients, and
+quasigreedy its residual tails against the distance of each prefix's
+symbol vectors to f's), even p up to 10 from the exact head/tail split
+over symbol rows (``_span_norms``: democracy's sets, quasigreedy's
+prefixes and partialsum's S_n f, each a row of a byte-bounded batch,
+with the split cached per plan and block tuple), anything else
+``lp_norm`` of the value's spectrum.  Sparse spectra inside the plan
+are built only for those other p and for the cross-checks: democracy's
+first set, partialsum's block ends and quasigreedy's full prefix.
 """
 
 from __future__ import annotations
@@ -308,28 +307,30 @@ def _draw_positions(rng, plan: BlockPlan, size: int) -> np.ndarray:
 
 # -- norms, rows and summaries -------------------------------------------------
 
-def _norm(
-    f: WalshSpectrum, p: float, cfg: ExperimentConfig, *seed_parts: int
-) -> NormEstimate:
+def _norm(f: WalshSpectrum, p: float, cfg: ExperimentConfig, *seed_parts) -> NormEstimate:
     # seed derivation deferred: exact routes never touch randomness
-    return lp_norm(
-        f, p, cfg.mc_samples, lambda: derive_seed(cfg.seed, *seed_parts)
-    )
+    return lp_norm(f, p, cfg.mc_samples, lambda: derive_seed(cfg.seed, *seed_parts))
 
 
-def _norms(
-    f: WalshSpectrum, cfg: ExperimentConfig, *seed_parts: int, l2_sq=None
-) -> dict[float, float]:
-    """||f||_p for every configured p.
-
-    Given ``l2_sq``, the squared l2 norm of f's expansion coefficients,
-    p = 2 is Parseval-exact and never reads the spectrum.
-    """
-    return {
-        p: math.sqrt(l2_sq) if p == 2.0 and l2_sq is not None
-        else _norm(f, p, cfg, *seed_parts).value
-        for p in cfg.p_values
-    }
+def _estimates(cfg: ExperimentConfig, l2, even: dict, spectrum, parts: Callable):
+    """(p, ||f||_p) for every p of ``cfg.p_values``, in order: ``l2`` at
+    p = 2 when it is given, ``even[p]`` where the split took p, and
+    ``lp_norm`` of f's spectrum otherwise.  ``spectrum`` is that
+    spectrum, f's symbol vectors on ``cfg.plan``, or a callable that
+    builds it, and is built at most once; the sampled route alone
+    derives a seed, from ``parts(p_idx)``."""
+    out = []
+    for p_idx, p in enumerate(cfg.p_values):
+        if p == 2.0 and l2 is not None:
+            est = NormEstimate(2.0, l2, "exact")
+        elif p in even:
+            est = NormEstimate(p, even[p], "exact")
+        else:
+            if not isinstance(spectrum, WalshSpectrum):
+                spectrum = spectrum() if callable(spectrum) else cfg.plan.gather(spectrum)
+            est = _norm(spectrum, p, cfg, *parts(p_idx))
+        out.append((p, est))
+    return out
 
 
 def _record(
@@ -387,13 +388,19 @@ def _block_split(plan: BlockPlan, blocks: tuple[int, ...]):
     return even_split([n for k in blocks for n in plan.symbol_frequencies(k)])
 
 
+def _split_ps(ps) -> list:
+    """The p of ``ps`` that rows take from the even split; 2 stays Parseval."""
+    return [p for p in ps if takes_split(p) and p != 2.0]
+
+
 def _span_norms(plan: BlockPlan, entries, member, ps):
-    """(symbol vectors, {p: norm} at the even ``ps``, squared l2) of one
-    span function per boolean row of ``member`` (an array, or any
-    iterable of rows): row r sums the (position, weight) ``entries`` it
-    selects.  Rows are read and built ``_BATCH_BYTES`` at a time; a batch
-    shares one ``rmatvec`` per block and one ``even_moments`` pass, and
-    every batch on the same blocks one cached split."""
+    """(symbol vectors, {p: norm} at the ``_split_ps`` of ``ps``, squared
+    l2) of one span function per boolean row of ``member`` (an array, or
+    any iterable of rows): row r sums the (position, weight) ``entries``
+    it selects.  Rows are read and built ``_BATCH_BYTES`` at a time; a
+    batch shares one ``rmatvec`` per block and one ``even_moments``
+    pass, and every batch on the same blocks one cached split."""
+    ps = _split_ps(ps)
     index = np.searchsorted(plan.offsets, [m for m, _ in entries])
     blocks = tuple(sorted(set(index.tolist())))
     split = _block_split(plan, blocks)
@@ -433,7 +440,6 @@ def democracy_experiment(cfg: ExperimentConfig):
     sizes = cfg.sizes or tuple(range(1, min(horizon, 200) + 1))
     if max(sizes) > horizon:
         raise ConfigError(f"set size {max(sizes)} above horizon {horizon}")
-    even_ps = [p for p in cfg.p_values if takes_split(p) and p != 2.0]
 
     def members(key):
         size, _, seed = key
@@ -448,20 +454,14 @@ def democracy_experiment(cfg: ExperimentConfig):
     entries = [(m, 1.0) for m in range(1, horizon + 1)]
     records: list[ResultRecord] = []
     route_dev = 0.0
-    sets = _span_norms(plan, entries, member, even_ps)
+    sets = _span_norms(plan, entries, member, cfg.p_values)
     for (size, trial, set_seed), (rows, even, _) in zip(keys, sets):
-        if even_ps and not records:
+        if even and not records:
             f = plan.sum_spectrum(int(m) for m in first)
-            devs = [abs(even[p] / lp_even_spectral(f, int(p)).value - 1) for p in even_ps]
+            devs = [abs(x / lp_even_spectral(f, int(p)).value - 1) for p, x in even.items()]
             route_dev = np.max(devs)  # np.max and np.maximum keep a NaN that max drops
         scale = math.sqrt(size)
-        for p_idx, p in enumerate(cfg.p_values):
-            if p == 2.0:
-                est = NormEstimate(2.0, scale, "exact")
-            elif p in even:
-                est = NormEstimate(p, even[p], "exact")
-            else:
-                est = _norm(plan.gather(rows), p, cfg, 3, size, trial, p_idx)
+        for p, est in _estimates(cfg, scale, even, rows, lambda i: (3, size, trial, i)):
             records.append(
                 _record("democracy", label, p, size, trial, est, scale, set_seed)
             )
@@ -493,33 +493,26 @@ def quasi_greedy_experiment(cfg: ExperimentConfig):
     records: list[ResultRecord] = []
     residual_dev_max = 0.0
     terminal_residual_max = 0.0
-    even_ps = [p for p in cfg.p_values if takes_split(p) and p != 2.0]
-    other_ps = [p for p in cfg.p_values if p != 2.0 and p not in even_ps]
     for fi, f, coeffs, total_sq in _corpus_expansions(cfg):
         by_index = coeffs.as_dict()
         order = greedy_order(coeffs).rho
         tail_sq = parseval_tails([by_index[sel] for sel in order])
-        norms_f = _norms(f, cfg, 5, fi, l2_sq=total_sq)
+        norms_f = dict(_estimates(cfg, math.sqrt(total_sq), {}, f, lambda _: (5, fi)))
         symbols_f = plan.scatter(f)
         head_sq = 0.0
         # an empty order means f = 0, whose residual is 0 as well
         spectral_tail = 0.0
         # row m - 1 of the lower triangle selects the greedy prefix order[:m]
         entries = [(s, by_index[s]) for s in order]
-        prefixes = _span_norms(plan, entries, np.tri(len(order), dtype=bool), even_ps)
+        prefixes = _span_norms(plan, entries, np.tri(len(order), dtype=bool), cfg.p_values)
         for m, (sel, (rows, even, _)) in enumerate(zip(order, prefixes), start=1):
             head_sq += by_index[sel] * by_index[sel]
             last = m == len(order)
-            approx = plan.gather(rows) if other_ps or last else None
-            for p in cfg.p_values:
-                if p == 2.0:
-                    est = NormEstimate(2.0, math.sqrt(head_sq), "exact")
-                elif p in even:
-                    est = NormEstimate(p, even[p], "exact")
-                else:
-                    est = _norm(approx, p, cfg, 6, fi, m)
+            approx = plan.gather(rows) if last else rows  # the last is checked below
+            ests = _estimates(cfg, math.sqrt(head_sq), even, approx, lambda _: (6, fi, m))
+            for p, est in ests:
                 records.append(
-                    _record("quasigreedy", label, p, m, fi, est, norms_f[p], cfg.seed)
+                    _record("quasigreedy", label, p, m, fi, est, norms_f[p].value, cfg.seed)
                 )
             tail = NormEstimate(2.0, math.sqrt(tail_sq[m]), "exact")
             records.append(
@@ -565,8 +558,6 @@ def partial_sum_experiment(cfg: ExperimentConfig):
     for k, i in (plan.to_block(n) for n in grid if n):
         if i < plan.N[k - 1]:
             plan._check_cap(k)
-    even_ps = [p for p in cfg.p_values if takes_split(p) and p != 2.0]
-    other_ps = [p for p in cfg.p_values if p != 2.0 and p not in even_ps]
     records: list[ResultRecord] = []
     p2_all_max = p2_route_dev = block_end_dev = 0.0
     for fi, f, coeffs, _ in _corpus_expansions(cfg):
@@ -582,25 +573,21 @@ def partial_sum_experiment(cfg: ExperimentConfig):
         # row 0 is f, equal to the horizon's row: its norms are the
         # denominators, so the ratio at the horizon is exactly 1
         member = np.arange(len(support)) < np.array([len(support), *cuts])[:, None]
-        sums = _span_norms(plan, [(m, by_index[m]) for m in support], member, even_ps)
-        norms_f = {2.0: math.sqrt(head_sq[-1]), **next(sums)[1]}
-        norms_f.update((p, _norm(f, p, cfg, 7, fi).value) for p in other_ps)
+        sums = _span_norms(plan, [(m, by_index[m]) for m in support], member, cfg.p_values)
+        l2_f = math.sqrt(head_sq[-1])
+        norms_f = dict(_estimates(cfg, l2_f, next(sums)[1], f, lambda _: (7, fi)))
         for n, cut, (rows, even, walsh_sq) in zip(grid, cuts, sums):
-            sn = plan.gather(rows) if other_ps or n in plan.offsets else None
-            for p in cfg.p_values:
-                if p == 2.0:
-                    est = NormEstimate(2.0, float(np.sqrt(head_sq[cut])), "exact")
-                elif p in even:
-                    est = NormEstimate(p, even[p], "exact")
-                else:
-                    est = _norm(sn, p, cfg, 8, fi, n)
+            end = n in plan.offsets
+            sn = plan.gather(rows) if end else rows  # block ends are checked below
+            l2 = float(np.sqrt(head_sq[cut]))
+            for p, est in _estimates(cfg, l2, even, sn, lambda _: (8, fi, n)):
                 records.append(
-                    _record("partialsum", label, p, n, fi, est, norms_f[p], cfg.seed)
+                    _record("partialsum", label, p, n, fi, est, norms_f[p].value, cfg.seed)
                 )
             # the p = 2 ratio once more, from the Walsh side of the row
-            gap = abs(math.sqrt(walsh_sq) - math.sqrt(head_sq[cut])) / norms_f[2.0]
+            gap = abs(math.sqrt(walsh_sq) - l2) / l2_f
             p2_route_dev = np.maximum(p2_route_dev, gap)
-            if n in plan.offsets:
+            if end:
                 gap = lp_even_spectral(sn - partial_sum(f, plan, n), 2).value
                 block_end_dev = np.maximum(block_end_dev, gap)
     summary = {
@@ -638,7 +625,7 @@ def khintchine_experiment(cfg: ExperimentConfig):
     label = cfg.plan.label()
     records: list[ResultRecord] = []
     identity_dev = 0.0
-    even_ps = [p for p in cfg.p_values if takes_split(p) and p != 2.0]
+    even_ps = _split_ps(cfg.p_values)
     freqs = [rademacher_index(j + 1) for j in range(cfg.max_terms)]
     split = even_split(freqs)
     trials = iter(range(cfg.trials))
@@ -656,9 +643,7 @@ def khintchine_experiment(cfg: ExperimentConfig):
             f = WalshSpectrum(zip(freqs, a.tolist()))
             l2 = float(np.sqrt(np.sum(a * a)))
             even = {p: x ** (1.0 / p) for p, x in zip(even_ps, row)}
-            for p in cfg.p_values:
-                est = (NormEstimate(p, even[p], "exact") if p in even
-                       else _norm(f, p, cfg, 9, trial))
+            for p, est in _estimates(cfg, None, even, f, lambda _: (9, trial)):
                 records.append(
                     _record("khintchine", label, p, len(a), trial, est, l2, trial_seed)
                 )
@@ -685,7 +670,8 @@ def almost_greedy_experiment(cfg: ExperimentConfig):
     natural prefix, seeded random ones, and optionally every subset
     when ``exhaustive``), so it upper-bounds the true infimum and the
     reported ratio lower-bounds the definition's quotient.  At p = 2
-    each residual norm is a Parseval tail of the coefficients.
+    each residual norm is a Parseval tail of the coefficients; the other
+    p share one residual spectrum per candidate.
     """
     plan = cfg.plan
     label = plan.label()
@@ -709,19 +695,18 @@ def almost_greedy_experiment(cfg: ExperimentConfig):
                 candidates.update(
                     frozenset(c) for c in combinations(support, m)
                 )
-            for p in cfg.p_values:
-                residuals = {}
-                for cand in candidates:
-                    if p == 2.0:
-                        kept = sum(by_index[j] * by_index[j] for j in cand)
-                        residuals[cand] = math.sqrt(max(total_sq - kept, 0.0))
-                    else:
-                        rest = f - plan.weighted_spectrum(
-                            (j, by_index[j]) for j in sorted(cand)
-                        )
-                        residuals[cand] = _norm(rest, p, cfg, 11).value
-                numer = residuals[greedy_set]
-                denom = min(residuals.values())
+            residuals = {}  # per candidate, ||f - P_cand f||_p at every p
+            for cand in candidates:
+                kept = sum(by_index[j] * by_index[j] for j in cand)
+                l2 = math.sqrt(max(total_sq - kept, 0.0))
+                rest = lambda: f - plan.weighted_spectrum(  # noqa: E731
+                    (j, by_index[j]) for j in sorted(cand)
+                )
+                ests = _estimates(cfg, l2, {}, rest, lambda _: (11,))
+                residuals[cand] = [est.value for _, est in ests]
+            for p_idx, p in enumerate(cfg.p_values):
+                numer = residuals[greedy_set][p_idx]
+                denom = min(r[p_idx] for r in residuals.values())
                 value = 1.0 if numer == denom else numer / denom
                 est = NormEstimate(p, value, "exact")
                 records.append(
@@ -768,21 +753,23 @@ def baseline_walsh_comparison(cfg: ExperimentConfig):
         psi_by_index = psi_coeffs.as_dict()
         walsh_order = greedy_order(walsh_coeffs).rho
         psi_order = greedy_order(psi_coeffs).rho
-        norms_walsh = _norms(f, cfg, 13, fi)
-        norms_psi = _norms(synthesize_coefficients(psi_coeffs, plan), cfg, 14, fi)
+        norms_walsh = dict(_estimates(cfg, None, {}, f, lambda _: (13, fi)))
+        f_psi = synthesize_coefficients(psi_coeffs, plan)
+        norms_psi = dict(_estimates(cfg, None, {}, f_psi, lambda _: (14, fi)))
         for m in range(1, len(walsh_order) + 1):
             g_walsh = WalshSpectrum({n: walsh_by_index[n] for n in walsh_order[:m]})
             g_psi = plan.weighted_spectrum((j, psi_by_index[j]) for j in psi_order[:m])
-            for p in cfg.p_values:
-                est_w = _norm(g_walsh, p, cfg, 15, fi, m)
-                est_b = _norm(g_psi, p, cfg, 16, fi, m)
+            for (p, est_w), (_, est_b) in zip(
+                _estimates(cfg, None, {}, g_walsh, lambda _: (15, fi, m)),
+                _estimates(cfg, None, {}, g_psi, lambda _: (16, fi, m)),
+            ):
                 records.append(
                     _record("walsh-baseline", "walsh", p, m, fi, est_w,
-                            norms_walsh[p], cfg.seed)
+                            norms_walsh[p].value, cfg.seed)
                 )
                 records.append(
                     _record("walsh-baseline", label, p, m, fi, est_b,
-                            norms_psi[p], cfg.seed)
+                            norms_psi[p].value, cfg.seed)
                 )
     summary = {
         "experiment": "walsh-baseline",

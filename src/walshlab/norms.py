@@ -58,7 +58,8 @@ Routes, as ``lp_norm`` (shared by the experiments and the CLI) picks them:
   of mask & frequency.
   The draw is refused before anything is allocated when its peak
   (``_mc_peak_bytes``: the masks, their byte columns and a few float
-  arrays per sample) exceeds ``BYTE_BUDGET``, shared with products.
+  arrays per sample) exceeds ``spectra.BYTE_BUDGET``, which products
+  read at call time too.
 """
 
 from __future__ import annotations
@@ -71,9 +72,9 @@ from typing import Callable
 
 import numpy as np
 
+from . import spectra
 from .errors import BudgetError, ConfigError, DepthError
 from .spectra import (
-    BYTE_BUDGET,
     WalshSpectrum,
     _freq_arrays,
     _fwht_inplace,
@@ -136,12 +137,10 @@ def lp_dense(f: WalshSpectrum, p: float) -> NormEstimate:
     return NormEstimate(p=p, value=moment ** (1.0 / p), kind="exact")
 
 
-def lp_even_spectral(
-    f: WalshSpectrum, p: int, max_bytes: int = BYTE_BUDGET
-) -> NormEstimate:
+def lp_even_spectral(f: WalshSpectrum, p: int) -> NormEstimate:
     """Exact ||f||_p for even integer p <= EVEN_SPLIT_MAX_P, at any depth.
 
-    ``max_bytes`` bounds each XOR product that the powers of a head
+    The byte budget bounds each XOR product that the powers of a head
     wider than 12 bits need; narrower heads convolve nothing.
     """
     if p < 2 or p % 2:
@@ -151,7 +150,7 @@ def lp_even_spectral(
     if p == 2:
         moment = float(np.sum(np.fromiter((c * c for _, c in f.items()), float)))
         return NormEstimate(p=2.0, value=moment ** 0.5, kind="exact")
-    moment = _head_tail_moment(f, p // 2, max_bytes)
+    moment = _head_tail_moment(f, p // 2)
     return NormEstimate(p=float(p), value=moment ** (1.0 / p), kind="exact")
 
 
@@ -168,10 +167,10 @@ def lp_monte_carlo(
     depth = f.depth()
     limbs = max(1, (depth + 63) // 64)
     need = _mc_peak_bytes(samples, limbs)
-    if need > BYTE_BUDGET:
+    if need > spectra.BYTE_BUDGET:
         raise BudgetError(
             f"{samples} samples x {limbs} limbs need about {need} bytes, "
-            f"budget {BYTE_BUDGET}"
+            f"budget {spectra.BYTE_BUDGET}"
         )
     masks = np.random.Philox(key=seed).random_raw(samples * limbs).reshape(samples, limbs)
     # the top limb's spare high bits shift out (all 64 at depth 0: t = 0)
@@ -313,7 +312,7 @@ def even_split(freqs) -> EvenSplit:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def even_moments(split: EvenSplit, coeffs: np.ndarray, ms, max_bytes: int = BYTE_BUDGET):
+def even_moments(split: EvenSplit, coeffs: np.ndarray, ms):
     """(R, len(ms)) array of integral f_r^(2m) for m in ``ms``, where row
     r of ``coeffs`` holds f_r's coefficients at the frequencies that
     ``split = even_split(freqs)`` classified.  Every row shares that
@@ -327,7 +326,10 @@ def even_moments(split: EvenSplit, coeffs: np.ndarray, ms, max_bytes: int = BYTE
             q = power = WalshSpectrum({n: c for n, c in zip(head, row) if c})
             for j in range(1, m_max + 1):
                 if j > 1:
-                    power = spectrum_product(power, q, max_bytes)
+                    try:
+                        power = spectrum_product(power, q)
+                    except ValueError as exc:  # a coefficient of q^j overflowed
+                        raise ConfigError(f"the head's power {j} overflows") from exc
                 eq[r, j] = inner_product(power, power)
     else:
         cells = np.zeros((len(coeffs), 1 << v))
@@ -357,10 +359,10 @@ def even_moments(split: EvenSplit, coeffs: np.ndarray, ms, max_bytes: int = BYTE
     return out
 
 
-def _head_tail_moment(f: WalshSpectrum, m: int, max_bytes: int = BYTE_BUDGET) -> float:
+def _head_tail_moment(f: WalshSpectrum, m: int) -> float:
     """integral f^(2m) by the independent-tail identity: one row."""
     row = np.array([[c for _, c in f.items()]], dtype=float)
-    return float(even_moments(even_split(list(f)), row, [m], max_bytes)[0, 0])
+    return float(even_moments(even_split(list(f)), row, [m])[0, 0])
 
 
 @functools.cache

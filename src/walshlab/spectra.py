@@ -203,7 +203,8 @@ class WalshSpectrum:
 
 
 def spectrum_add(f: WalshSpectrum, g: WalshSpectrum) -> WalshSpectrum:
-    """Coefficient-wise sum with exact zeros pruned."""
+    """Coefficient-wise sum with exact zeros pruned; a sum past the
+    float range is refused with ValueError."""
     if len(f) < len(g):
         f, g = g, f
     out = dict(f.items())
@@ -211,8 +212,10 @@ def spectrum_add(f: WalshSpectrum, g: WalshSpectrum) -> WalshSpectrum:
         v = out.get(n, 0.0) + c
         if v == 0.0:
             out.pop(n, None)
-        else:
+        elif math.isfinite(v):
             out[n] = v
+        else:
+            raise ValueError(f"the sum overflows the coefficient of W_{n:#x}")
     return WalshSpectrum._from_clean_dict(out)
 
 
@@ -237,23 +240,20 @@ def inner_product(f: WalshSpectrum, g: WalshSpectrum) -> float:
     return sum(c * g[n] for n, c in f.items())
 
 
-def spectrum_product(
-    f: WalshSpectrum,
-    g: WalshSpectrum,
-    max_bytes: int = BYTE_BUDGET,
-) -> WalshSpectrum:
+def spectrum_product(f: WalshSpectrum, g: WalshSpectrum) -> WalshSpectrum:
     """Pointwise product of the represented functions (XOR convolution).
 
     result[n] = sum over a ^ b = n of f[a] * g[b].  The len(f)*len(g)
     pair products are refused as intractable when their estimated peak
-    (``_product_peak_bytes``) exceeds ``max_bytes``.
+    (``_product_peak_bytes``) exceeds ``BYTE_BUDGET``, read at call time;
+    a coefficient past the float range is refused with ValueError.
     """
     pairs = len(f) * len(g)
     limbs = max(1, (max(f.depth(), g.depth()) + 63) // 64)
     need = _product_peak_bytes(pairs, limbs)
-    if need > max_bytes:
+    if need > BYTE_BUDGET:
         raise BudgetError(
-            f"product needs about {need} bytes for {pairs} pairs, budget {max_bytes}"
+            f"product needs about {need} bytes for {pairs} pairs, budget {BYTE_BUDGET}"
         )
     if pairs <= _DICT_PRODUCT_CUTOFF:
         out: dict[int, float] = {}
@@ -265,23 +265,27 @@ def spectrum_product(
                     out.pop(n, None)
                 else:
                     out[n] = v
-        return WalshSpectrum._from_clean_dict(out)
-
-    # sum over equal pair keys; rebinding ``keys`` frees the unsorted ones
-    fa, ca = _freq_arrays(f, limbs)
-    ga, cb = _freq_arrays(g, limbs)
-    keys = (fa[:, None, :] ^ ga[None, :, :]).reshape(-1, limbs)
-    order = np.lexsort(keys.T[::-1])
-    keys = keys[order]
-    starts = np.flatnonzero(
-        np.concatenate(([True], np.any(keys[1:] != keys[:-1], axis=1)))
-    )
-    sums = np.add.reduceat(np.multiply.outer(ca, cb).ravel()[order], starts)
-    kept = sums != 0.0
-    buf, width = keys[starts[kept]].tobytes(), 8 * limbs
-    freqs = (int.from_bytes(buf[i:i + width], "little")
-             for i in range(0, len(buf), width))
-    return WalshSpectrum._from_clean_dict(dict(zip(freqs, sums[kept].tolist())))
+    else:
+        # sum over equal pair keys; rebinding ``keys`` frees the unsorted ones
+        fa, ca = _freq_arrays(f, limbs)
+        ga, cb = _freq_arrays(g, limbs)
+        keys = (fa[:, None, :] ^ ga[None, :, :]).reshape(-1, limbs)
+        order = np.lexsort(keys.T[::-1])
+        keys = keys[order]
+        starts = np.flatnonzero(
+            np.concatenate(([True], np.any(keys[1:] != keys[:-1], axis=1)))
+        )
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+            sums = np.add.reduceat(np.multiply.outer(ca, cb).ravel()[order], starts)
+        kept = sums != 0.0
+        buf, width = keys[starts[kept]].tobytes(), 8 * limbs
+        freqs = (int.from_bytes(buf[i:i + width], "little")
+                 for i in range(0, len(buf), width))
+        out = dict(zip(freqs, sums[kept].tolist()))
+    # an overflowed pair sum stays inf or NaN whatever is added to it
+    if not all(map(math.isfinite, out.values())):
+        raise ValueError("the product overflows a coefficient")
+    return WalshSpectrum._from_clean_dict(out)
 
 
 def synthesize(f: WalshSpectrum, depth: int) -> np.ndarray:

@@ -156,6 +156,16 @@ def test_sum_spectrum():
         assert inner_product(total, total) == pytest.approx(size, abs=1e-10)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_gather_refuses_non_finite_coefficients(bad):
+    desk = load_plan("desk")
+    with pytest.raises(ValueError, match="finite"):
+        desk.gather({1: np.array([bad, 0.0, 0.0, 0.0])})
+    with pytest.raises(ValueError, match="finite"):
+        desk.gather({1: np.ones(4), 2: np.full(16, bad)})
+    assert dict(desk.gather({1: np.array([1e308, 0.0, 0.0, 0.0])}).items()) == {0: 1e308}
+
+
 def test_materialization_cap():
     paper = load_plan("paper")
     # block 1 is materializable, block 2 is astronomically wide

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import walshlab.spectra
 from walshlab.errors import BudgetError
 from walshlab.norms import (
     _head_tail_moment,
@@ -132,7 +133,7 @@ def test_wide_head_powers_equal_convolution_and_dense(f, p):
         assert split == pytest.approx(lp_dense(f, p).value ** p, rel=1e-12)
 
 
-def test_wide_head_fits_where_the_full_convolution_did_not():
+def test_wide_head_fits_where_the_full_convolution_did_not(monkeypatch):
     # 24 terms on 13 head bits plus 7 tail bits: at p = 8 the powers of
     # f need 114,390 pairs in their last product, those of the head 34,128
     head, k = {(1 << 13) - 1: 1.0}, 1
@@ -145,7 +146,8 @@ def test_wide_head_fits_where_the_full_convolution_did_not():
     budget = 60_000
     with pytest.raises(BudgetError):
         reference_even_moment(f, 4, max_pairs=budget)
-    est = lp_even_spectral(f, 8, max_bytes=_product_peak_bytes(budget, 1))
+    monkeypatch.setattr(walshlab.spectra, "BYTE_BUDGET", _product_peak_bytes(budget, 1))
+    est = lp_even_spectral(f, 8)
     assert est.value == pytest.approx(lp_dense(f, 8).value, rel=1e-12)
 
 

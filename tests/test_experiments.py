@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -450,3 +451,26 @@ def test_summary_extremes_keep_a_nan(kind, monkeypatch):
     for key, _, _ in SUMMARY_EXTREMES[kind]:
         assert math.isnan(summary[key]["3.0"]), key
         assert math.isfinite(summary[key]["4.0"]) and math.isfinite(summary[key]["2.0"])
+
+
+@pytest.mark.parametrize("kind", sorted(SMALL_DESK_CONFIGS))
+def test_every_norm_route_is_picked_in_estimates(kind, monkeypatch):
+    # rows, trials, candidates, prefixes and denominators all reach
+    # lp_norm through _norm, and _norm only from _estimates
+    norm, lp_norm = experiments._norm, experiments.lp_norm
+    calls = []
+
+    def guarded_norm(*args):
+        assert sys._getframe(1).f_code is experiments._estimates.__code__
+        calls.append(args[1])
+        return norm(*args)
+
+    def guarded_lp_norm(*args):
+        assert sys._getframe(1).f_code is norm.__code__
+        return lp_norm(*args)
+
+    monkeypatch.setattr(experiments, "_norm", guarded_norm)
+    monkeypatch.setattr(experiments, "lp_norm", guarded_lp_norm)
+    doc = {**SMALL_DESK_CONFIGS[kind], "p": [2, 3, 4], "mc_samples": 200}
+    records, _ = run_experiment(kind, ExperimentConfig.from_dict(doc))
+    assert 3.0 in calls and {r.p for r in records} == {2.0, 3.0, 4.0}

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import walshlab.spectra
 from walshlab.errors import BudgetError, ConfigError, DepthError
 from walshlab.norms import (
     lp_dense,
@@ -88,20 +89,31 @@ def test_spectral_p8_small():
     assert lp_even_spectral(f, 8).value == pytest.approx(dense, abs=1e-10)
 
 
-def test_spectral_budget():
+def test_spectral_budget(monkeypatch):
     # non-Rademacher frequencies spanning 14 bits: too wide for the
     # head cells, so p=8 takes the budgeted powers of the head
     f = WalshSpectrum({n | (n << 7): 1.0 for n in range(1 << 7)})
+    monkeypatch.setattr(walshlab.spectra, "BYTE_BUDGET", _product_peak_bytes(10_000, 1))
     with pytest.raises(BudgetError):
-        lp_even_spectral(f, 8, max_bytes=_product_peak_bytes(10_000, 1))
+        lp_even_spectral(f, 8)
 
 
-def test_seven_bit_head_takes_the_split_at_p8():
+def test_seven_bit_head_takes_the_split_at_p8(monkeypatch):
     f = WalshSpectrum({n: 1.0 for n in range(1 << 7)})
-    small = _product_peak_bytes(10_000, 1)
-    assert lp_even_spectral(f, 8, max_bytes=small).value == pytest.approx(
+    monkeypatch.setattr(walshlab.spectra, "BYTE_BUDGET", _product_peak_bytes(10_000, 1))
+    assert lp_even_spectral(f, 8).value == pytest.approx(
         lp_dense(f, 8).value, rel=1e-12
     )
+
+
+def test_monte_carlo_reads_the_byte_budget_when_called(monkeypatch):
+    from walshlab.norms import _mc_peak_bytes
+
+    f = WalshSpectrum({1: 1.0, 6: 0.5})
+    monkeypatch.setattr(walshlab.spectra, "BYTE_BUDGET", _mc_peak_bytes(100, 1))
+    assert lp_monte_carlo(f, 3.0, 100, seed=1).samples == 100
+    with pytest.raises(BudgetError):
+        lp_monte_carlo(f, 3.0, 101, seed=1)
 
 
 def test_monotone_in_p():
@@ -198,3 +210,11 @@ def test_non_even_power_means_past_the_float_range_are_refused():
     with pytest.raises(ConfigError, match="overflows"):
         lp_monte_carlo(WalshSpectrum({1: 1e53, 1 << 40: 1e53}), 3.0, 100, 1)
     assert lp_dense(WalshSpectrum({0: 1e100}), 3.0).value == pytest.approx(1e100)
+
+
+def test_head_powers_past_the_float_range_are_refused():
+    # a 14-bit head takes its moments from XOR powers, whose coefficients
+    # overflow here before any moment is formed
+    f = WalshSpectrum({n | (n << 7): 1e100 for n in range(1 << 7)})
+    with pytest.raises(ConfigError, match="overflows"):
+        lp_even_spectral(f, 8)

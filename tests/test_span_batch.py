@@ -15,7 +15,9 @@ the rows' symbol vectors below the full prefix;
 one ``lp_norm`` per set; ``reference_gather`` is the per-symbol loop
 ``gather`` replaced.  Khintchine's even p share one ``even_moments``
 pass per batch of zero-padded trial rows; ``reference_khintchine`` is
-its per-trial loop, one ``lp_norm`` per trial and p.  Every batch on
+its per-trial loop, one ``lp_norm`` per trial and p;
+``reference_almost_greedy`` almostgreedy's per-p loop, which built each
+candidate's residual spectrum once per p.  Every batch on
 the same plan and blocks shares one cached head/tail classification
 (``_block_split``); khintchine classifies once per call.
 """
@@ -41,6 +43,7 @@ from walshlab.experiments import (
     _norm,
     _record,
     _span_norms,
+    almost_greedy_experiment,
     democracy_experiment,
     derive_seed,
     khintchine_experiment,
@@ -315,15 +318,16 @@ def reference_democracy(cfg):
 @st.composite
 def democracy_configs(draw):
     """A strictly increasing plan with blocks of at most 2^8 elements,
-    a few set sizes and trials, p = 2 and some of 3, 4, 6, 8, 10."""
+    a few set sizes and trials, and a list of p from 2, 3, 4, 6, 8, 10
+    in any order, repeats allowed."""
     g = sorted(draw(st.sets(st.integers(1, 8), min_size=1, max_size=3)))
     plan = validate_schedule(g)
     sizes = draw(st.lists(
         st.integers(1, min(plan.horizon_size, 40)), min_size=1, max_size=3
     ))
-    ps = draw(st.sets(st.sampled_from([3.0, 4.0, 6.0, 8.0, 10.0]), min_size=1))
+    ps = draw(st.lists(st.sampled_from([2.0, 3.0, 4.0, 6.0, 8.0, 10.0]), min_size=1, max_size=6))
     return ExperimentConfig(
-        plan=plan, p_values=(2.0, *sorted(ps)), sizes=tuple(sizes),
+        plan=plan, p_values=tuple(ps), sizes=tuple(sizes),
         trials=draw(st.integers(1, 4)), seed=draw(st.integers(0, 2 ** 32)),
         mc_samples=200,
     )
@@ -494,6 +498,64 @@ def test_khintchine_takes_even_norms_from_one_pass_per_batch(monkeypatch):
     assert len(records) == 12 * 4 and all(r.exact for r in records)
 
 
+def reference_almost_greedy(cfg):
+    """The per-p loop almostgreedy replaced: at each p other than 2 every
+    candidate's residual spectrum is built anew."""
+    plan, records = cfg.plan, []
+    for fi, f, coeffs, total_sq in experiments._corpus_expansions(cfg):
+        by_index = coeffs.as_dict()
+        order = greedy_order(coeffs).rho
+        support = sorted(by_index)
+        for m in range(1, len(order)):
+            greedy_set = frozenset(order[:m])
+            candidates = {greedy_set, frozenset(support[:m])}
+            for ci in range(cfg.random_candidates):
+                rng = np.random.default_rng(derive_seed(cfg.seed, 10, fi, m, ci))
+                pick = rng.choice(len(support), size=m, replace=False)
+                candidates.add(frozenset(support[int(x)] for x in pick))
+            for p in cfg.p_values:
+                residuals = {}
+                for cand in candidates:
+                    if p == 2.0:
+                        kept = sum(by_index[j] * by_index[j] for j in cand)
+                        residuals[cand] = math.sqrt(max(total_sq - kept, 0.0))
+                    else:
+                        rest = f - plan.weighted_spectrum(
+                            (j, by_index[j]) for j in sorted(cand)
+                        )
+                        residuals[cand] = _norm(rest, p, cfg, 11).value
+                numer, denom = residuals[greedy_set], min(residuals.values())
+                est = NormEstimate(p, 1.0 if numer == denom else numer / denom, "exact")
+                records.append(
+                    _record("almostgreedy", plan.label(), p, m, fi, est, 1.0, cfg.seed)
+                )
+    return records
+
+
+def test_almostgreedy_builds_each_candidate_spectrum_once(monkeypatch):
+    plan = load_plan("desk")
+    weighted_spectrum, built = type(plan).weighted_spectrum, []
+
+    def counting(self, entries):
+        built.append(1)
+        return weighted_spectrum(self, entries)
+
+    monkeypatch.setattr(type(plan), "weighted_spectrum", counting)
+    counts = {}
+    for ps in [(2.0,), (2.0, 3.0), (2.0, 3.0, 4.0, 6.0), (6.0, 2.0, 3.0, 6.0)]:
+        cfg = ExperimentConfig(
+            plan=plan, p_values=ps, seed=14, mc_samples=200, random_candidates=3,
+            corpus={"kind": "mixed", "count": 3, "terms": 8},
+        )
+        built.clear()
+        records, _ = almost_greedy_experiment(cfg)
+        counts[ps] = len(built)
+        assert records == reference_almost_greedy(cfg)
+    # the corpus alone at p = 2; one spectrum per candidate at any other p set
+    assert counts[(2.0, 3.0)] > counts[(2.0,)]
+    assert counts[(2.0, 3.0, 4.0, 6.0)] == counts[(6.0, 2.0, 3.0, 6.0)] == counts[(2.0, 3.0)]
+
+
 def reference_residuals(plan, f, prefix_rows):
     """||f - G_m f||_2 per prefix as quasigreedy took it for every m
     before: one spectrum of the prefix, one of the difference, and its
@@ -548,8 +610,9 @@ def test_quasigreedy_reads_spectra_once_per_function(monkeypatch):
         return lp_even_spectral(f, p, *args)
 
     def counting_gather(self, vectors):
-        # only the driver's own calls; corpus synthesis gathers too
-        calls["gather"] += sys._getframe(1).f_code is quasi_greedy_experiment.__code__
+        # only the driver's own calls, some made inside ``_estimates``;
+        # corpus synthesis gathers too
+        calls["gather"] += sys._getframe(1).f_globals is experiments.__dict__
         return gather(self, vectors)
 
     monkeypatch.setattr(walshlab.spectra, "spectrum_add", counting_add)

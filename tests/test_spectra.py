@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import walshlab.spectra
 from walshlab.errors import BudgetError, DepthError
 from walshlab.spectra import (
     DyadicPoint,
@@ -125,10 +126,11 @@ def test_product_commutative_associative():
         assert ((a * b) * c).allclose(a * (b * c), tol=1e-12)
 
 
-def test_product_budget():
+def test_product_budget(monkeypatch):
     f = WalshSpectrum({n: 1.0 for n in range(64)})
+    monkeypatch.setattr(walshlab.spectra, "BYTE_BUDGET", _product_peak_bytes(1000, 1))
     with pytest.raises(BudgetError):
-        spectrum_product(f, f, max_bytes=_product_peak_bytes(1000, 1))
+        spectrum_product(f, f)
 
 
 def test_product_packed_path_matches_dict_path():
@@ -278,6 +280,25 @@ def test_coefficients_summing_past_the_float_range_are_refused():
         WalshSpectrum([(1, 1e308), (1, 1e308)])
     # only accumulated values are checked: two huge terms may cancel
     assert dict(WalshSpectrum([(1, 1e308), (1, -1e308), (2, 1e308)]).items()) == {2: 1e308}
+
+
+def test_sums_past_the_float_range_are_refused():
+    big = WalshSpectrum({1: 1e308, 2: 1.0})
+    for op in (lambda: big + big, lambda: big - -big, lambda: spectrum_add(big, big)):
+        with pytest.raises(ValueError, match="overflows"):
+            op()
+    # huge terms that cancel, or that meet nothing, are summed as before
+    assert dict((big - big).items()) == {}
+    assert dict((big + WalshSpectrum({3: 1e308})).items()) == {1: 1e308, 2: 1.0, 3: 1e308}
+
+
+@pytest.mark.parametrize("pairs", [1, 300])  # the dict and the packed path
+def test_products_past_the_float_range_are_refused(pairs):
+    f = WalshSpectrum({1: 1e200, **{4 * j: 1.0 for j in range(1, pairs)}})
+    g = WalshSpectrum({2: 1e200, **{8 * j: 1.0 for j in range(1, pairs)}})
+    with pytest.raises(ValueError, match="overflows"):  # and no numpy warning first
+        spectrum_product(f, g)
+    assert spectrum_product(f, spectrum_scale(g, 1e-200))[3] == pytest.approx(1e200)
 
 
 def test_json_roundtrip(tmp_path):
