@@ -135,17 +135,18 @@ def _cmd_greedy_run(args) -> int:
     plan = load_plan(args.plan)
     coeffs = load_coefficients(args.infile)
     f = synthesize_coefficients(coeffs, plan)
-
-    def norm_fn(spec, p):
-        return lp_norm(spec, p, _MC_SAMPLES, lambda: _MC_SEED)
-
-    ps = (args.p,) if args.p != 2.0 else ()
-    _, trace = greedy_approximant(f, plan, args.m_max, norm_ps=ps, norm_fn=norm_fn)
+    _, trace = greedy_approximant(f, plan, args.m_max)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["m", "selected", "coefficient", "residual_l2", "p", "residual_p"])
         for step in trace.steps:
-            extra = step.norms.get(args.p)
+            residual_p = ""
+            if args.p != 2.0:  # the L2 residual is the exact residual_l2 column
+                prefix = plan.weighted_spectrum(
+                    (s.selected, s.coefficient) for s in trace.steps[: step.m]
+                )
+                est = lp_norm(f - prefix, args.p, _MC_SAMPLES, lambda: _MC_SEED)
+                residual_p = repr(est.value)
             writer.writerow(
                 [
                     step.m,
@@ -153,7 +154,7 @@ def _cmd_greedy_run(args) -> int:
                     repr(step.coefficient),
                     repr(step.residual_l2),
                     repr(float(args.p)),
-                    "" if extra is None else repr(extra.value),
+                    residual_p,
                 ]
             )
     print(f"wrote {len(trace.steps)} trace rows to {args.out}")

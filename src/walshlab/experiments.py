@@ -13,18 +13,19 @@ The corpus drivers (quasigreedy, partialsum, almostgreedy) read their
 functions and expansion coefficients from one iterator, and greedy
 approximants are built from prefixes ``order[:m]`` of the greedy order.
 
-Norm routes, picked for every value (row, trial, candidate, prefix or
-denominator) in one place, ``_estimates``: p = 2 ratios of expansions
-in coefficient space (orthonormal Parseval, exact by construction;
-partialsum checks them against its rows' Walsh coefficients, and
-quasigreedy its residual tails against the distance of each prefix's
-symbol vectors to f's), even p up to 10 from the exact head/tail split
-over symbol rows (``_span_norms``: democracy's sets, quasigreedy's
-prefixes and partialsum's S_n f, each a row of a byte-bounded batch,
-with the split cached per plan and block tuple), anything else
-``lp_norm`` of the value's spectrum.  Sparse spectra inside the plan
-are built only for those other p and for the cross-checks: democracy's
-first set, partialsum's block ends and quasigreedy's full prefix.
+Every value inside the plan's span is a symbol row of a byte-bounded
+batch (``_span_norms``, the even split cached per plan and block tuple):
+democracy's sets, quasigreedy's and walsh-baseline's greedy prefixes,
+partialsum's S_n f and almostgreedy's candidate residuals f - P_c f.
+``_estimates`` picks the norm route of every value: p = 2 from a known
+l2 norm (Parseval in coefficient space, which partialsum and
+quasigreedy check against their rows' Walsh side, or the Walsh side
+itself in walsh-baseline), even p up to 10 from the rows' exact
+head/tail split, anything else ``lp_norm`` of the spectrum, a row
+gathered at most once.  Other spectra are the corpus, what lies
+outside the plan (khintchine's trials, walsh-baseline's Walsh side)
+and the cross-checks: democracy's first set, partialsum's block ends
+and quasigreedy's full prefix.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain, combinations, islice, tee
+from itertools import chain, combinations, compress, islice, tee
 from typing import Callable
 
 import numpy as np
@@ -314,11 +315,9 @@ def _norm(f: WalshSpectrum, p: float, cfg: ExperimentConfig, *seed_parts) -> Nor
 
 def _estimates(cfg: ExperimentConfig, l2, even: dict, spectrum, parts: Callable):
     """(p, ||f||_p) for every p of ``cfg.p_values``, in order: ``l2`` at
-    p = 2 when it is given, ``even[p]`` where the split took p, and
-    ``lp_norm`` of f's spectrum otherwise.  ``spectrum`` is that
-    spectrum, f's symbol vectors on ``cfg.plan``, or a callable that
-    builds it, and is built at most once; the sampled route alone
-    derives a seed, from ``parts(p_idx)``."""
+    p = 2 when given, ``even[p]`` where the split took p, else ``lp_norm``
+    of ``spectrum``, f's spectrum or its symbol vectors on ``cfg.plan``
+    (gathered once); a sampled value alone derives a seed, ``parts(p_idx)``."""
     out = []
     for p_idx, p in enumerate(cfg.p_values):
         if p == 2.0 and l2 is not None:
@@ -327,7 +326,7 @@ def _estimates(cfg: ExperimentConfig, l2, even: dict, spectrum, parts: Callable)
             est = NormEstimate(p, even[p], "exact")
         else:
             if not isinstance(spectrum, WalshSpectrum):
-                spectrum = spectrum() if callable(spectrum) else cfg.plan.gather(spectrum)
+                spectrum = cfg.plan.gather(spectrum)
             est = _norm(spectrum, p, cfg, *parts(p_idx))
         out.append((p, est))
     return out
@@ -669,21 +668,21 @@ def almost_greedy_experiment(cfg: ExperimentConfig):
     The denominator minimizes over candidate index sets (greedy,
     natural prefix, seeded random ones, and optionally every subset
     when ``exhaustive``), so it upper-bounds the true infimum and the
-    reported ratio lower-bounds the definition's quotient.  At p = 2
-    each residual norm is a Parseval tail of the coefficients; the other
-    p share one residual spectrum per candidate.
+    reported ratio lower-bounds the definition's quotient.  Candidate
+    c's residual f - P_c f is the row of f's support outside c, one
+    ``_span_norms`` call per m, and its p = 2 norm sums those squares.
+    A sampled ratio carries the greedy residual's interval over the minimum.
     """
     plan = cfg.plan
     label = plan.label()
     records: list[ResultRecord] = []
-    for fi, f, coeffs, total_sq in _corpus_expansions(cfg):
-        by_index = coeffs.as_dict()
+    for fi, _, coeffs, _ in _corpus_expansions(cfg):
+        entries = coeffs.entries
+        support = [j for j, _ in entries]  # analyze lists positions in order
+        squares = [c * c for _, c in entries]
         order = greedy_order(coeffs).rho
-        support = sorted(by_index)
         if cfg.exhaustive and len(support) > 10:
-            raise ConfigError(
-                f"exhaustive search needs support <= 10, got {len(support)}"
-            )
+            raise ConfigError(f"exhaustive search needs support <= 10, got {len(support)}")
         for m in range(1, len(order)):
             greedy_set = frozenset(order[:m])
             candidates = {greedy_set, frozenset(support[:m])}
@@ -692,25 +691,20 @@ def almost_greedy_experiment(cfg: ExperimentConfig):
                 pick = rng.choice(len(support), size=m, replace=False)
                 candidates.add(frozenset(support[int(x)] for x in pick))
             if cfg.exhaustive:
-                candidates.update(
-                    frozenset(c) for c in combinations(support, m)
-                )
+                candidates.update(frozenset(c) for c in combinations(support, m))
+            candidates = list(candidates)
+            outside = np.array([[j not in cand for j in support] for cand in candidates])
+            rests = _span_norms(plan, entries, outside, cfg.p_values)
             residuals = {}  # per candidate, ||f - P_cand f||_p at every p
-            for cand in candidates:
-                kept = sum(by_index[j] * by_index[j] for j in cand)
-                l2 = math.sqrt(max(total_sq - kept, 0.0))
-                rest = lambda: f - plan.weighted_spectrum(  # noqa: E731
-                    (j, by_index[j]) for j in sorted(cand)
-                )
-                ests = _estimates(cfg, l2, {}, rest, lambda _: (11,))
-                residuals[cand] = [est.value for _, est in ests]
+            for cand, out, (rows, even, _) in zip(candidates, outside, rests):
+                l2 = math.sqrt(math.fsum(compress(squares, out)))
+                ests = _estimates(cfg, l2, even, rows, lambda _: (11,))
+                residuals[cand] = [est for _, est in ests]
             for p_idx, p in enumerate(cfg.p_values):
-                numer = residuals[greedy_set][p_idx]
-                denom = min(r[p_idx] for r in residuals.values())
-                value = 1.0 if numer == denom else numer / denom
-                est = NormEstimate(p, value, "exact")
+                greedy = residuals[greedy_set][p_idx]
+                denom = min(r[p_idx].value for r in residuals.values())
                 records.append(
-                    _record("almostgreedy", label, p, m, fi, est, 1.0, cfg.seed)
+                    _record("almostgreedy", label, p, m, fi, greedy, denom, cfg.seed)
                 )
     summary = {
         "experiment": "almostgreedy",
@@ -728,7 +722,9 @@ def baseline_walsh_comparison(cfg: ExperimentConfig):
     Walsh coefficients (natural order, identity transform) and once as
     expansion coefficients of the mixed system at matching positions.
     Rows are distinguished by the plan column ("walsh" vs the plan
-    label).
+    label).  The Walsh side lies outside the plan and stays spectra;
+    each mixed-basis greedy prefix is a symbol row of ``_span_norms``,
+    after the full expansion's row, whose norms are the denominators.
     """
     plan = cfg.plan
     label = plan.label()
@@ -753,24 +749,27 @@ def baseline_walsh_comparison(cfg: ExperimentConfig):
         psi_by_index = psi_coeffs.as_dict()
         walsh_order = greedy_order(walsh_coeffs).rho
         psi_order = greedy_order(psi_coeffs).rho
+        # row 0 is the whole expansion, row m the greedy prefix psi_order[:m]
+        entries = [(j, psi_by_index[j]) for j in psi_order]
+        cuts = chain([len(entries)], range(1, len(walsh_order) + 1))
+        member = (np.arange(len(entries)) < m for m in cuts)
+        prefixes = _span_norms(plan, entries, member, cfg.p_values)
         norms_walsh = dict(_estimates(cfg, None, {}, f, lambda _: (13, fi)))
-        f_psi = synthesize_coefficients(psi_coeffs, plan)
-        norms_psi = dict(_estimates(cfg, None, {}, f_psi, lambda _: (14, fi)))
-        for m in range(1, len(walsh_order) + 1):
+        rows, even, walsh_sq = next(prefixes)
+        l2 = math.sqrt(walsh_sq)
+        norms_psi = dict(_estimates(cfg, l2, even, rows, lambda _: (14, fi)))
+        for m, (rows, even, walsh_sq) in enumerate(prefixes, start=1):
             g_walsh = WalshSpectrum({n: walsh_by_index[n] for n in walsh_order[:m]})
-            g_psi = plan.weighted_spectrum((j, psi_by_index[j]) for j in psi_order[:m])
             for (p, est_w), (_, est_b) in zip(
                 _estimates(cfg, None, {}, g_walsh, lambda _: (15, fi, m)),
-                _estimates(cfg, None, {}, g_psi, lambda _: (16, fi, m)),
+                _estimates(cfg, math.sqrt(walsh_sq), even, rows, lambda _: (16, fi, m)),
             ):
-                records.append(
+                records += [
                     _record("walsh-baseline", "walsh", p, m, fi, est_w,
-                            norms_walsh[p].value, cfg.seed)
-                )
-                records.append(
+                            norms_walsh[p].value, cfg.seed),
                     _record("walsh-baseline", label, p, m, fi, est_b,
-                            norms_psi[p].value, cfg.seed)
-                )
+                            norms_psi[p].value, cfg.seed),
+                ]
     summary = {
         "experiment": "walsh-baseline",
         "plan": label,

@@ -18,7 +18,6 @@ import numpy as np
 from . import olevskii
 from .blocks import BlockPlan
 from .errors import ConfigError, HorizonError
-from .norms import NormEstimate
 from .spectra import WalshSpectrum
 
 # zero threshold relative to the l2 norm of the coefficients
@@ -62,7 +61,6 @@ class TraceStep:
     selected: int
     coefficient: float
     residual_l2: float
-    norms: dict[float, NormEstimate] = field(default_factory=dict)
 
 
 @dataclass
@@ -119,17 +117,12 @@ def parseval_tails(coefficients: list[float]) -> list[float]:
 
 
 def greedy_approximant(
-    f: WalshSpectrum,
-    plan: BlockPlan,
-    m: int,
-    norm_ps: tuple[float, ...] = (),
-    norm_fn=None,
+    f: WalshSpectrum, plan: BlockPlan, m: int
 ) -> tuple[WalshSpectrum, ApproximantTrace]:
     """First m greedy terms of f's expansion, plus the selection trace.
 
     The trace carries the exact L2 residual at every step (a Parseval
-    tail, no synthesis involved).  Extra residual norms are recorded
-    for each p in ``norm_ps`` using ``norm_fn(spectrum, p)``.
+    tail, no synthesis involved).
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
@@ -139,22 +132,14 @@ def greedy_approximant(
     chosen = order[: min(m, len(order))]
     tail_sq = parseval_tails([by_index[sel] for sel in order])
     trace = ApproximantTrace()
-    approx = None
     for step, sel in enumerate(chosen, start=1):
-        entry = TraceStep(
+        trace.steps.append(TraceStep(
             m=step,
             selected=sel,
             coefficient=by_index[sel],
             residual_l2=float(np.sqrt(tail_sq[step])),
-        )
-        if norm_ps and norm_fn is not None:
-            approx = plan.weighted_spectrum((s, by_index[s]) for s in order[:step])
-            residual = f - approx
-            for p in norm_ps:
-                entry.norms[p] = norm_fn(residual, p)
-        trace.steps.append(entry)
-    if approx is None:
-        approx = plan.weighted_spectrum((s, by_index[s]) for s in chosen)
+        ))
+    approx = plan.weighted_spectrum((s, by_index[s]) for s in chosen)
     return approx, trace
 
 

@@ -52,7 +52,7 @@ Routes, as ``lp_norm`` (shared by the experiments and the CLI) picks them:
   has its nonzero bits inside one byte of the packed little-endian
   limbs (every Rademacher term, and any other frequency inside one
   aligned byte) joins that byte's 256-entry coefficient row, one
-  matmul with the 8-bit sign matrix turns the rows into value tables,
+  8-bit Walsh-Hadamard butterfly turns the rows into value tables,
   and a sample's value is one lookup per used byte of its digit mask.
   Terms spanning several bytes are added one at a time from the parity
   of mask & frequency.
@@ -260,9 +260,10 @@ def _eval_masks(f: WalshSpectrum, masks: np.ndarray) -> np.ndarray:
         used, table_of = np.unique(byte, return_inverse=True)
         weights = np.zeros((len(used), 256))
         weights[table_of, u] = coeffs[terms]
-        tables = weights @ _byte_signs()
+        # table[x] = sum over u of weights[u] (-1)^popcount(u & x)
+        _fwht_inplace(weights)
         digits = masks.astype("<u8", copy=False).view(np.uint8).T[used]
-        for table, column in zip(tables, digits):
+        for table, column in zip(weights, digits):
             values += np.take(table, column)
     for n in np.flatnonzero(~single):
         row = packed[n]
@@ -272,15 +273,6 @@ def _eval_masks(f: WalshSpectrum, masks: np.ndarray) -> np.ndarray:
         signs = 1.0 - 2.0 * (parity & np.uint64(1)).astype(float)
         values += coeffs[n] * signs
     return values
-
-
-@functools.cache
-def _byte_signs() -> np.ndarray:
-    """(-1)^popcount(u & x) for bytes u, x: the 8-bit Walsh sign matrix."""
-    b = np.arange(256, dtype=np.uint8)
-    signs = 1.0 - 2.0 * (np.bitwise_count(b[:, None] & b) & 1)
-    signs.flags.writeable = False
-    return signs
 
 
 # one frequency list classified: which are tail terms, the head's in list

@@ -282,6 +282,22 @@ def test_almostgreedy_exhaustive_consistency():
         assert b.value >= a.value - 1e-12
 
 
+@pytest.mark.parametrize("ps", [[2, 3], [2, 3, 4, 6]])
+def test_almostgreedy_sampled_ratios_carry_their_interval(ps):
+    # on desk the greedy residual reaches block 3, so p = 3 is sampled
+    cfg = ExperimentConfig.from_dict({
+        "plan": "desk", "p": ps, "seed": 7, "mc_samples": 200,
+        "corpus": {"kind": "lacunary", "count": 1},
+    })
+    records, _ = almost_greedy_experiment(cfg)
+    sampled = [r for r in records if r.p == 3.0]
+    assert sampled and not any(r.exact for r in sampled)
+    assert all(r.ci_low <= r.value <= r.ci_high for r in sampled)
+    others = [r for r in records if r.p != 3.0]
+    assert len(others) == (len(ps) - 1) * len(sampled)
+    assert all(r.exact and r.ci_low is None and r.ci_high is None for r in others)
+
+
 def test_walsh_baseline_direction(desk):
     cfg = ExperimentConfig(
         plan=desk,

@@ -1,7 +1,8 @@
 """Symbol-row batches of span functions against the per-function routes.
 
-quasigreedy builds every greedy prefix, partialsum every S_n f and
-democracy every index set as a row of one batch (``_span_norms``):
+quasigreedy and walsh-baseline build every greedy prefix, partialsum
+every S_n f, democracy every index set and almostgreedy every
+candidate's residual f - P_c f as a row of one batch (``_span_norms``):
 coefficient rows selected by a boolean membership matrix, one batched
 ``rmatvec`` per block, then one head/tail split of
 ``norms.even_moments`` over the touched blocks' symbols.
@@ -16,9 +17,11 @@ one ``lp_norm`` per set; ``reference_gather`` is the per-symbol loop
 ``gather`` replaced.  Khintchine's even p share one ``even_moments``
 pass per batch of zero-padded trial rows; ``reference_khintchine`` is
 its per-trial loop, one ``lp_norm`` per trial and p;
-``reference_almost_greedy`` almostgreedy's per-p loop, which built each
-candidate's residual spectrum once per p.  Every batch on
-the same plan and blocks shares one cached head/tail classification
+``reference_almost_greedy`` almostgreedy's per-candidate loop, one
+residual spectrum ``f - weighted_spectrum(c)`` per candidate;
+``reference_walsh_baseline`` walsh-baseline's per-prefix loop, one
+``weighted_spectrum`` per mixed-basis prefix.  Every batch on the same
+plan and blocks shares one cached head/tail classification
 (``_block_split``); khintchine classifies once per call.
 """
 
@@ -30,7 +33,7 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import walshlab.experiments as experiments
@@ -44,6 +47,7 @@ from walshlab.experiments import (
     _record,
     _span_norms,
     almost_greedy_experiment,
+    baseline_walsh_comparison,
     democracy_experiment,
     derive_seed,
     khintchine_experiment,
@@ -499,10 +503,11 @@ def test_khintchine_takes_even_norms_from_one_pass_per_batch(monkeypatch):
 
 
 def reference_almost_greedy(cfg):
-    """The per-p loop almostgreedy replaced: at each p other than 2 every
-    candidate's residual spectrum is built anew."""
+    """The per-candidate loop almostgreedy replaced: every candidate's
+    residual f - P_c f as the spectrum ``f - weighted_spectrum(c)``,
+    p = 2 from the squares of the coefficients outside c."""
     plan, records = cfg.plan, []
-    for fi, f, coeffs, total_sq in experiments._corpus_expansions(cfg):
+    for fi, f, coeffs, _ in experiments._corpus_expansions(cfg):
         by_index = coeffs.as_dict()
         order = greedy_order(coeffs).rho
         support = sorted(by_index)
@@ -513,47 +518,151 @@ def reference_almost_greedy(cfg):
                 rng = np.random.default_rng(derive_seed(cfg.seed, 10, fi, m, ci))
                 pick = rng.choice(len(support), size=m, replace=False)
                 candidates.add(frozenset(support[int(x)] for x in pick))
-            for p in cfg.p_values:
-                residuals = {}
-                for cand in candidates:
-                    if p == 2.0:
-                        kept = sum(by_index[j] * by_index[j] for j in cand)
-                        residuals[cand] = math.sqrt(max(total_sq - kept, 0.0))
-                    else:
-                        rest = f - plan.weighted_spectrum(
-                            (j, by_index[j]) for j in sorted(cand)
-                        )
-                        residuals[cand] = _norm(rest, p, cfg, 11).value
-                numer, denom = residuals[greedy_set], min(residuals.values())
-                est = NormEstimate(p, 1.0 if numer == denom else numer / denom, "exact")
+            residuals = {}
+            for cand in candidates:
+                rest = f - plan.weighted_spectrum((j, by_index[j]) for j in sorted(cand))
+                l2 = math.sqrt(math.fsum(
+                    by_index[j] * by_index[j] for j in support if j not in cand
+                ))
+                residuals[cand] = [
+                    NormEstimate(2.0, l2, "exact") if p == 2.0 else _norm(rest, p, cfg, 11)
+                    for p in cfg.p_values
+                ]
+            for p_idx, p in enumerate(cfg.p_values):
+                denom = min(r[p_idx].value for r in residuals.values())
+                est = residuals[greedy_set][p_idx]
                 records.append(
-                    _record("almostgreedy", plan.label(), p, m, fi, est, 1.0, cfg.seed)
+                    _record("almostgreedy", plan.label(), p, m, fi, est, denom, cfg.seed)
                 )
     return records
 
 
-def test_almostgreedy_builds_each_candidate_spectrum_once(monkeypatch):
-    plan = load_plan("desk")
-    weighted_spectrum, built = type(plan).weighted_spectrum, []
+def assert_rows_close(records, want, exact_p=(2.0,)):
+    """Equal rows, but values at p outside ``exact_p`` within 1e-12 relative."""
+    assert len(records) == len(want)
+    for got, ref in zip(records, want):
+        if got.p in exact_p:
+            assert got == ref
+        else:
+            assert abs(got.value - ref.value) <= 1e-12 * ref.value
+            assert got == dataclasses.replace(ref, value=got.value)
 
-    def counting(self, entries):
-        built.append(1)
+
+def test_almostgreedy_builds_each_candidate_spectrum_once():
+    # on g = (2, 4) every residual has depth <= 24, so p = 3 is dense on
+    # both routes
+    plan = validate_schedule([2, 4])
+    weighted_spectrum, gather, span_norms = (
+        type(plan).weighted_spectrum, type(plan).gather, experiments._span_norms
+    )
+    calls = {"built": 0, "gathered": 0, "span_norms": 0, "rows": 0}
+
+    def counting_weighted(self, entries):
+        calls["built"] += 1
         return weighted_spectrum(self, entries)
 
-    monkeypatch.setattr(type(plan), "weighted_spectrum", counting)
-    counts = {}
-    for ps in [(2.0,), (2.0, 3.0), (2.0, 3.0, 4.0, 6.0), (6.0, 2.0, 3.0, 6.0)]:
+    def counting_gather(self, vectors):
+        # only the driver's own calls, made inside ``_estimates``
+        calls["gathered"] += sys._getframe(1).f_globals is experiments.__dict__
+        return gather(self, vectors)
+
+    def counting_span_norms(*args):
+        calls["span_norms"] += 1
+        for row in span_norms(*args):
+            calls["rows"] += 1
+            yield row
+
+    corpus = {"kind": "mixed", "count": 3, "terms": 8}
+    p_sets = [(2.0,), (2.0, 3.0), (2.0, 3.0, 4.0, 6.0), (6.0, 2.0, 3.0, 6.0),
+              (4.0, 2.5, 3.0)]
+    for ps in p_sets:
         cfg = ExperimentConfig(
             plan=plan, p_values=ps, seed=14, mc_samples=200, random_candidates=3,
-            corpus={"kind": "mixed", "count": 3, "terms": 8},
+            corpus=corpus,
         )
-        built.clear()
-        records, _ = almost_greedy_experiment(cfg)
-        counts[ps] = len(built)
-        assert records == reference_almost_greedy(cfg)
-    # the corpus alone at p = 2; one spectrum per candidate at any other p set
-    assert counts[(2.0, 3.0)] > counts[(2.0,)]
-    assert counts[(2.0, 3.0, 4.0, 6.0)] == counts[(6.0, 2.0, 3.0, 6.0)] == counts[(2.0, 3.0)]
+        want = reference_almost_greedy(cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(type(plan), "weighted_spectrum", counting_weighted)
+            mp.setattr(type(plan), "gather", counting_gather)
+            mp.setattr(experiments, "_span_norms", counting_span_norms)
+            calls.update(built=0, gathered=0, span_norms=0, rows=0)
+            list(experiments._corpus_expansions(cfg))
+            corpus_built = calls["built"]
+            calls.update(built=0, gathered=0, span_norms=0, rows=0)
+            records, _ = almost_greedy_experiment(cfg)
+        assert_rows_close(records, want)
+        # the corpus's spectra alone, one _span_norms call per m, and one
+        # gather per candidate only where a p is outside the split
+        assert calls["built"] == corpus_built
+        assert calls["span_norms"] == len({(r.trial, r.size_or_m) for r in records})
+        outside_split = any(p in (2.5, 3.0) for p in ps)
+        assert calls["gathered"] == (calls["rows"] if outside_split else 0)
+        assert calls["rows"] > calls["span_norms"]
+
+
+def reference_walsh_baseline(cfg):
+    """The per-prefix loop walsh-baseline replaced: on the mixed-basis
+    side one ``weighted_spectrum`` per greedy prefix and one for the
+    whole expansion, every norm ``lp_norm`` of that spectrum."""
+    plan, label, records = cfg.plan, cfg.plan.label(), []
+    corpus = experiments.corpus_generate(cfg.corpus, derive_seed(cfg.seed, 12), plan)
+    for fi, f in enumerate(corpus):
+        walsh_coeffs = CoefficientList.from_pairs(f.items())
+        walsh = walsh_coeffs.as_dict()
+        psi_coeffs = CoefficientList.from_pairs(
+            (t + 1, walsh[n]) for t, n in enumerate(sorted(walsh))
+        )
+        psi = psi_coeffs.as_dict()
+        walsh_order = greedy_order(walsh_coeffs).rho
+        psi_order = greedy_order(psi_coeffs).rho
+        f_psi = synthesize_coefficients(psi_coeffs, plan)
+        norms_walsh = {p: _norm(f, p, cfg, 13, fi).value for p in cfg.p_values}
+        norms_psi = {p: _norm(f_psi, p, cfg, 14, fi).value for p in cfg.p_values}
+        for m in range(1, len(walsh_order) + 1):
+            g_walsh = WalshSpectrum({n: walsh[n] for n in walsh_order[:m]})
+            g_psi = plan.weighted_spectrum((j, psi[j]) for j in psi_order[:m])
+            for p in cfg.p_values:
+                for plan_label, g, norms, part in [
+                    ("walsh", g_walsh, norms_walsh, 15), (label, g_psi, norms_psi, 16)
+                ]:
+                    est = _norm(g, p, cfg, part, fi, m)
+                    records.append(_record(
+                        "walsh-baseline", plan_label, p, m, fi, est, norms[p], cfg.seed
+                    ))
+    return records
+
+
+@st.composite
+def walsh_baseline_configs(draw):
+    """A shallow plan (blocks of at most 2^4 elements), an
+    adversarial_walsh corpus of depth at most 5 that fits it, and p from
+    2, 2.5, 4 and 6."""
+    g = sorted(draw(st.sets(st.integers(1, 4), min_size=1, max_size=4)))
+    plan = validate_schedule(g)
+    depth = draw(st.integers(0, min(5, plan.horizon_size.bit_length() - 1)))
+    ps = draw(st.lists(st.sampled_from([2.0, 2.5, 4.0, 6.0]), min_size=1, max_size=4))
+    corpus = {"kind": "adversarial_walsh", "depth": depth, "count": draw(st.integers(1, 3)),
+              "tilt": draw(st.sampled_from([1e-3, 0.5, -0.05]))}
+    return ExperimentConfig(
+        plan=plan, p_values=tuple(ps), seed=draw(st.integers(0, 2 ** 32)),
+        corpus=corpus, mc_samples=200,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(walsh_baseline_configs())
+@example(ExperimentConfig(  # late elements of block 4 reach r_42: p = 2.5 is sampled
+    plan=validate_schedule([1, 2, 3, 5]), p_values=(2.5, 2.0), seed=3, mc_samples=200,
+    corpus={"kind": "adversarial_walsh", "depth": 5, "count": 2},
+))
+def test_walsh_baseline_rows_equal_the_per_prefix_loop(cfg):
+    records, _ = baseline_walsh_comparison(cfg)
+    want = reference_walsh_baseline(cfg)
+    # the Walsh side takes the same route; the mixed side's p = 2 norm
+    # is the rows' squared sum, not the spectrum's
+    walsh_rows = [r for r in want if r.plan == "walsh"]
+    assert [r for r in records if r.plan == "walsh"] == walsh_rows
+    assert_rows_close(records, want, exact_p=())
 
 
 def reference_residuals(plan, f, prefix_rows):
