@@ -4,7 +4,6 @@ approximation machinery, and seeded verification experiments."""
 
 from .blocks import (
     BlockPlan,
-    GrowthSchedule,
     load_plan,
     plan_from_json,
     validate_schedule,

@@ -20,6 +20,7 @@ indexing, its Rademacher frequencies being astronomically wide).
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -27,12 +28,15 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import olevskii
-from .errors import BudgetError, HorizonError, ScheduleError
+from .errors import BudgetError, ConfigError, HorizonError, ScheduleError
 from .spectra import WalshSpectrum, phi_index, rademacher_index
 
 # Blocks larger than this are refused by any operation that needs an
 # N_k-sized vector or block-wide frequencies.
 MATERIALIZATION_CAP = 1 << 20
+
+# Largest g(k): 2**4096 prints in 1,234 digits, and 4,096 blocks build in a second
+MAX_EXPONENT = 4096
 
 PRESETS: dict[str, tuple[int, ...]] = {
     "desk": (2, 4, 8),
@@ -40,32 +44,30 @@ PRESETS: dict[str, tuple[int, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class GrowthSchedule:
-    """Strictly increasing exponents g(1..K); block k has 2**g(k) elements."""
-
-    g: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.g:
-            raise ScheduleError("schedule is empty")
-        if any(x < 1 for x in self.g):
-            raise ScheduleError(f"exponents must be >= 1, got {self.g}")
-
-    @classmethod
-    def preset(cls, name: str) -> "GrowthSchedule":
-        if name not in PRESETS:
-            raise ScheduleError(f"unknown preset {name!r}; have {sorted(PRESETS)}")
-        return cls(PRESETS[name])
-
-    @property
-    def horizon(self) -> int:
-        return len(self.g)
+def read_number(value, name: str, cast=int, least=None, error=ConfigError):
+    """``value``, a number or numeric string, as a finite ``cast`` (int or
+    float) of at least ``least``; booleans, fractions where an int is due
+    and non-finite values are refused with ``error``, naming ``name``."""
+    if isinstance(value, bool):
+        raise error(f"{name} must be a number, got {value!r}")
+    try:
+        number = (int if cast is int and not isinstance(value, float) else float)(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{name}: {exc}") from exc
+    if isinstance(number, float) and not math.isfinite(number):
+        raise error(f"{name} must be finite, got {number}")
+    if isinstance(number, float) and cast is int:
+        if not number.is_integer():
+            raise error(f"{name} must be an integer, got {number}")
+        number = int(number)
+    if least is not None and not number >= least:
+        raise error(f"{name} must be >= {least}, got {number}")
+    return number
 
 
 @dataclass(frozen=True)
 class BlockPlan:
-    """A validated schedule with block sizes and Rademacher offsets.
+    """Schedule g, strictly increasing in 1..MAX_EXPONENT, and its blocks.
 
     N[k-1] = 2**g(k); F[k-1] is the index of the last Rademacher used
     by block k, with F_0 = 0 implicit; offsets[k] = N_1 + ... + N_k is
@@ -80,7 +82,7 @@ class BlockPlan:
     vectors; block symbol lists are built once per plan, on first use.
     """
 
-    schedule: GrowthSchedule
+    g: tuple[int, ...]
     N: tuple[int, ...] = field(init=False)
     F: tuple[int, ...] = field(init=False)
     offsets: tuple[int, ...] = field(init=False, repr=False)
@@ -90,22 +92,29 @@ class BlockPlan:
     )
 
     def __post_init__(self):
-        n = tuple(1 << e for e in self.schedule.g)
+        if not isinstance(self.g, (list, tuple)) or not self.g:
+            raise ScheduleError(f"schedule must be a non-empty list, got {self.g!r}")
+        g = tuple(read_number(x, f"g({k})", least=1, error=ScheduleError)
+                  for k, x in enumerate(self.g, start=1))
+        for k in range(1, len(g)):
+            if g[k] <= g[k - 1]:
+                raise ScheduleError(f"schedule must increase strictly: g({k + 1})={g[k]} "
+                                    f"<= g({k})={g[k - 1]}")
+        if g[-1] > MAX_EXPONENT:
+            raise ScheduleError(f"g({len(g)})={g[-1]} above MAX_EXPONENT {MAX_EXPONENT}")
+        n = tuple(1 << e for e in g)
         offsets = [0]
         for size in n:
             offsets.append(offsets[-1] + size)
         # block k spends N_k - 1 Rademachers, so F_k = offsets[k] - k
         f = tuple(m - k for k, m in enumerate(offsets) if k)
         phis = {phi_index(k): k for k in range(1, len(n) + 1)}
+        object.__setattr__(self, "g", g)
         object.__setattr__(self, "N", n)
         object.__setattr__(self, "F", f)
         object.__setattr__(self, "offsets", tuple(offsets))
         object.__setattr__(self, "_phi_block", phis)
         object.__setattr__(self, "_symbols", {})
-
-    @property
-    def g(self) -> tuple[int, ...]:
-        return self.schedule.g
 
     @property
     def horizon_blocks(self) -> int:
@@ -273,38 +282,29 @@ class BlockPlan:
         return self.gather({k: w[0] for k, w in rows.items()})
 
 
-def validate_schedule(schedule: GrowthSchedule | Sequence[int]) -> BlockPlan:
-    """Build a plan, rejecting non-increasing schedules.
-
-    The democracy and separation flags are only diagnostics; a weak
-    schedule still validates.
-    """
-    if not isinstance(schedule, GrowthSchedule):
-        try:
-            schedule = GrowthSchedule(tuple(int(x) for x in schedule))
-        except (TypeError, ValueError) as exc:
-            raise ScheduleError(f"bad schedule {schedule!r}: {exc}") from exc
-    g = schedule.g
-    for k in range(len(g) - 1):
-        if g[k + 1] <= g[k]:
-            raise ScheduleError(
-                f"schedule must increase strictly: g({k + 2})={g[k + 1]} "
-                f"<= g({k + 1})={g[k]}"
-            )
+def validate_schedule(schedule: Sequence[int]) -> BlockPlan:
+    """The plan of a schedule list, which BlockPlan checks."""
     return BlockPlan(schedule)
 
 
-def plan_from_json(doc: dict) -> BlockPlan:
-    if "preset" in doc:
-        return validate_schedule(GrowthSchedule.preset(doc["preset"]))
-    if "g" in doc:
-        return validate_schedule(doc["g"])
-    raise ScheduleError("plan document needs a 'g' list or a 'preset' name")
+def plan_from_json(spec) -> BlockPlan:
+    """The plan of a spec: a preset name, a schedule list, or a document
+    {"preset": name} or {"g": list}."""
+    if isinstance(spec, dict) and "preset" not in spec:
+        if "g" not in spec:
+            raise ScheduleError("plan document needs a 'g' list or a 'preset' name")
+        return BlockPlan(spec["g"])
+    if isinstance(spec, (dict, str)):
+        name = spec["preset"] if isinstance(spec, dict) else spec
+        if not (isinstance(name, str) and name in PRESETS):
+            raise ScheduleError(f"unknown preset {name!r}; have {sorted(PRESETS)}")
+        spec = PRESETS[name]
+    return BlockPlan(spec)
 
 
 def load_plan(source: str) -> BlockPlan:
-    """Plan from a preset name or a JSON file path."""
+    """Plan from a preset name or the path of a JSON plan spec."""
     if source in PRESETS:
-        return validate_schedule(GrowthSchedule.preset(source))
+        return plan_from_json(source)
     with open(source) as fh:
         return plan_from_json(json.load(fh))

@@ -122,6 +122,7 @@ def _cmd_norm(args) -> int:
     else:
         _require(1 < p < math.inf, f"mc engine needs finite p > 1, got {p}")
         _require(args.samples >= 2, f"--samples must be >= 2, got {args.samples}")
+        _require(0 <= args.seed < 2**128, f"--seed must be in [0, 2**128), got {args.seed}")
         est = lp_monte_carlo(f, p, args.samples, args.seed)
     print(json.dumps(est.as_dict()))
     return 0

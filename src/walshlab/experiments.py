@@ -40,7 +40,8 @@ from typing import Callable
 
 import numpy as np
 
-from .blocks import MATERIALIZATION_CAP, BlockPlan, plan_from_json, validate_schedule
+from . import spectra
+from .blocks import MATERIALIZATION_CAP, BlockPlan, plan_from_json, read_number
 from .errors import BudgetError, ConfigError
 from .greedy import (
     CoefficientList,
@@ -132,60 +133,50 @@ class ExperimentConfig:
     max_terms: int = 16
     exhaustive: bool = False
 
+    # the least value of each integer field
+    _INT_LEAST = {"trials": 1, "seed": 0, "mc_samples": 2, "random_candidates": 0,
+                  "max_terms": 1}
+
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        try:
-            plan_spec = doc["plan"]
-        except (KeyError, TypeError) as exc:
-            raise ConfigError("config needs a 'plan'") from exc
-        try:
-            if isinstance(plan_spec, str):
-                plan = plan_from_json({"preset": plan_spec})
-            elif isinstance(plan_spec, dict):
-                plan = plan_from_json(plan_spec)
-            else:
-                plan = validate_schedule(plan_spec)
-        except (TypeError, KeyError) as exc:
-            raise ConfigError(f"bad plan spec {plan_spec!r}") from exc
-        p_raw = doc.get("p", [2, 4])
-        if not isinstance(p_raw, (list, tuple)):
-            p_raw = [p_raw]
-        try:
-            cfg = cls(
-                plan=plan,
-                p_values=tuple(float(p) for p in p_raw),
-                sizes=_expand_sizes(doc.get("sizes", [])),
-                trials=int(doc.get("trials", 100)),
-                seed=int(doc.get("seed", 0)),
-                corpus=dict(doc.get("corpus", {})),
-                n_grid=_expand_sizes(doc.get("n_grid", [])),
-                mc_samples=int(doc.get("mc_samples", 20000)),
-                random_candidates=int(doc.get("random_candidates", 5)),
-                max_terms=int(doc.get("max_terms", 16)),
-                exhaustive=bool(doc.get("exhaustive", False)),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad config value: {exc}") from exc
-        # written so that a NaN fails the comparison and is refused too
-        for name, value, least in [
-            ("trials", cfg.trials, 1),
-            ("mc_samples", cfg.mc_samples, 2),
-            ("max_terms", cfg.max_terms, 1),
-            *(("sizes", n, 1) for n in cfg.sizes),
-            *(("p", p, 1.0) for p in cfg.p_values),
-        ]:
-            if not value >= least:
-                raise ConfigError(f"{name} must be >= {least}, got {value}")
-        return cfg
+        """Config of a JSON document, every number read by ``read_number``;
+        keys that name no field are ignored."""
+        if not isinstance(doc, dict) or "plan" not in doc:
+            raise ConfigError("config needs a 'plan'")
+        plan = plan_from_json(doc["plan"])
+        p, corpus = doc.get("p", cls.p_values), doc.get("corpus", {})
+        if not isinstance(corpus, dict):
+            raise ConfigError(f"corpus must be an object, got {corpus!r}")
+        if not isinstance(exhaustive := doc.get("exhaustive", cls.exhaustive), bool):
+            raise ConfigError(f"exhaustive must be true or false, got {exhaustive!r}")
+        return cls(
+            plan=plan,
+            p_values=tuple(read_number(x, "p", float, 1.0)
+                           for x in (p if isinstance(p, (list, tuple)) else [p])),
+            sizes=_expand_sizes(doc.get("sizes", ()), "sizes", 1, plan),
+            n_grid=_expand_sizes(doc.get("n_grid", ()), "n_grid", 0, plan),
+            corpus=dict(corpus),
+            exhaustive=exhaustive,
+            **{name: read_number(doc.get(name, getattr(cls, name)), name, least=least)
+               for name, least in cls._INT_LEAST.items()},
+        )
 
 
-def _expand_sizes(raw) -> tuple[int, ...]:
+def _expand_sizes(raw, name: str, least: int, plan: BlockPlan) -> tuple[int, ...]:
+    """Integers >= ``least`` from a list or {"range": [lo, hi]}; a range is
+    refused before it is listed when it is empty or has more entries than
+    least..horizon or MATERIALIZATION_CAP."""
     if isinstance(raw, dict):
-        if "range" not in raw or len(raw["range"]) != 2:
-            raise ConfigError(f"size spec {raw!r} needs 'range': [lo, hi]")
-        lo, hi = raw["range"]
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(x) for x in raw)
+        if not isinstance(bounds := raw.get("range"), (list, tuple)) or len(bounds) != 2:
+            raise ConfigError(f"{name} spec {raw!r} needs 'range': [lo, hi]")
+        lo, hi = (read_number(x, name, least=least) for x in bounds)
+        most = min(plan.horizon_size + 1 - least, MATERIALIZATION_CAP)
+        if not lo <= hi < lo + most:
+            raise ConfigError(f"{name} range [{lo}, {hi}] must hold 1 to {most} entries")
+        return tuple(range(lo, hi + 1))
+    if not isinstance(raw, (list, tuple)):
+        raise ConfigError(f"{name} must be a list or a range, got {raw!r}")
+    return tuple(read_number(x, name, least=least) for x in raw)
 
 
 def derive_seed(master: int, *parts: int) -> int:
@@ -216,7 +207,7 @@ def corpus_with_coefficients(
     kind = spec.get("kind")
     if kind is None:
         raise ConfigError("corpus spec needs a 'kind'")
-    count = _corpus_number(spec, "count", 1, least=1)
+    count = read_number(spec.get("count", 1), "corpus count", least=1)
     out = []
     for index in range(count):
         rng = np.random.default_rng(derive_seed(seed, 1, index))
@@ -237,25 +228,13 @@ _MIXED_ROTATION = (
 )
 
 
-def _corpus_number(spec: dict, name: str, default, cast=int, least=None):
-    """spec[name] (or ``default``) as a finite number; errors name it."""
-    try:
-        value = cast(spec.get(name, default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"corpus {name}: {exc}") from exc
-    if not math.isfinite(value):
-        raise ConfigError(f"corpus {name} must be finite, got {value}")
-    if least is not None and not value >= least:
-        raise ConfigError(f"corpus {name} must be >= {least}, got {value}")
-    return value
-
-
 def _generate_one(spec: dict, rng, plan: BlockPlan) -> WalshSpectrum:
     kind = spec["kind"]
     horizon = plan.horizon_size
-    terms = min(_corpus_number(spec, "terms", 40, least=1), horizon)
+    terms = min(read_number(spec.get("terms", 40), "corpus terms", least=1), horizon)
     if kind == "decay":
-        alpha = _corpus_number(spec, "alpha", 1.0, float)
+        alpha = read_number(spec.get("alpha", 1.0), "corpus alpha", float)
+        plan._check_cap(plan.to_block(terms)[0])  # the widest block of 1..terms
         signs = rng.choice([-1.0, 1.0], size=terms)
         try:
             pairs = [(m, signs[m - 1] * m ** -alpha) for m in range(1, terms + 1)]
@@ -272,8 +251,8 @@ def _generate_one(spec: dict, rng, plan: BlockPlan) -> WalshSpectrum:
         # symbol; r_1..r_3 are symbols of every plan that has phi_2 = 3
         phis = {phi_index(k) for k in range(1, min(plan.horizon_blocks, 5) + 1)}
         spanned = max(d for d in (1, 2, 3) if phis | {1, 2, 4} >= set(range(1 << d)))
-        depth = _corpus_number(spec, "depth", spanned, least=1)
-        cells = 1 << depth
+        depth = read_number(spec.get("depth", spanned), "corpus depth", least=1)
+        cells = _cells(kind, depth)
         lo = int(rng.integers(0, cells - 1))
         hi = int(rng.integers(lo + 1, cells + 1))
         values = np.zeros(cells)
@@ -283,12 +262,13 @@ def _generate_one(spec: dict, rng, plan: BlockPlan) -> WalshSpectrum:
         # near-flat magnitudes, signs alternating by dyadic band, tilted
         # so the greedy ordering walks fine bands before coarse ones
         # (the worst observed direction for plain-Walsh thresholding)
-        depth = _corpus_number(spec, "depth", 6, least=0)
-        tilt = _corpus_number(spec, "tilt", 1e-3, float)
+        depth = read_number(spec.get("depth", 6), "corpus depth", least=0)
+        tilt = read_number(spec.get("tilt", 1e-3), "corpus tilt", float)
+        cells = _cells(kind, depth)
         if not math.isfinite(tilt * (depth + 1)):
             raise ConfigError(f"corpus tilt {tilt}: coefficients overflow")
-        jitter = rng.random(1 << depth) * (tilt / 8.0)
-        bands = [n.bit_length() for n in range(1 << depth)]
+        jitter = rng.random(cells) * (tilt / 8.0)
+        bands = [n.bit_length() for n in range(cells)]
         return WalshSpectrum({
             n: float((-1.0) ** band * (1.0 + tilt * band + jitter[n]))
             for n, band in enumerate(bands)
@@ -296,6 +276,18 @@ def _generate_one(spec: dict, rng, plan: BlockPlan) -> WalshSpectrum:
     else:
         raise ConfigError(f"unknown corpus kind {kind!r}")
     return synthesize_coefficients(CoefficientList.from_pairs(pairs), plan)
+
+
+# peak bytes per cell at depth 20 (CPython 3.11, x86-64): the cell arrays and
+# spectrum of analyze_dense, or a spectrum entry, band and jitter per cell
+_CELL_BYTES = {"indicator": 150, "adversarial_walsh": 340}
+
+
+def _cells(kind: str, depth: int) -> int:
+    """2**depth, refused before any allocation when its peak passes BYTE_BUDGET."""
+    if _CELL_BYTES[kind] << min(depth, 64) > spectra.BYTE_BUDGET:
+        raise BudgetError(f"{kind} corpus of depth {depth} needs more than BYTE_BUDGET")
+    return 1 << depth
 
 
 def _draw_positions(rng, plan: BlockPlan, size: int) -> np.ndarray:
@@ -334,14 +326,21 @@ def _estimates(cfg: ExperimentConfig, l2, even: dict, spectrum, parts: Callable)
 
 def _record(
     experiment: str, plan_label: str, p: float, size_or_m: int, trial: int,
-    est: NormEstimate, scale: float, seed: int,
+    est: NormEstimate, den, seed: int,
 ) -> ResultRecord:
-    """One CSV row: ``est`` divided by ``scale``, CI cells only if sampled."""
+    """One CSV row: ``est`` over ``den``, a NormEstimate or an exact number.
+    The ratio is exact only if both sides are; otherwise its CI cells are
+    num_lo / den_hi and num_hi / den_lo (inf when den_lo is 0)."""
     exact = est.kind == "exact"
+    num_lo, num_hi = (est.value,) * 2 if exact else (est.ci_low, est.ci_high)
+    if isinstance(den, NormEstimate) and den.kind != "exact":
+        exact, den_lo, den_hi, den = False, den.ci_low, den.ci_high, den.value
+    else:
+        den = den_lo = den_hi = getattr(den, "value", den)
     return ResultRecord(
-        experiment, plan_label, p, size_or_m, trial, est.value / scale,
-        None if exact else est.ci_low / scale,
-        None if exact else est.ci_high / scale,
+        experiment, plan_label, p, size_or_m, trial, est.value / den,
+        None if exact else num_lo / den_hi,
+        None if exact else (num_hi / den_lo if den_lo else math.inf),
         exact, seed,
     )
 
@@ -511,7 +510,7 @@ def quasi_greedy_experiment(cfg: ExperimentConfig):
             ests = _estimates(cfg, math.sqrt(head_sq), even, approx, lambda _: (6, fi, m))
             for p, est in ests:
                 records.append(
-                    _record("quasigreedy", label, p, m, fi, est, norms_f[p].value, cfg.seed)
+                    _record("quasigreedy", label, p, m, fi, est, norms_f[p], cfg.seed)
                 )
             tail = NormEstimate(2.0, math.sqrt(tail_sq[m]), "exact")
             records.append(
@@ -581,7 +580,7 @@ def partial_sum_experiment(cfg: ExperimentConfig):
             l2 = float(np.sqrt(head_sq[cut]))
             for p, est in _estimates(cfg, l2, even, sn, lambda _: (8, fi, n)):
                 records.append(
-                    _record("partialsum", label, p, n, fi, est, norms_f[p].value, cfg.seed)
+                    _record("partialsum", label, p, n, fi, est, norms_f[p], cfg.seed)
                 )
             # the p = 2 ratio once more, from the Walsh side of the row
             gap = abs(math.sqrt(walsh_sq) - l2) / l2_f
@@ -671,7 +670,7 @@ def almost_greedy_experiment(cfg: ExperimentConfig):
     reported ratio lower-bounds the definition's quotient.  Candidate
     c's residual f - P_c f is the row of f's support outside c, one
     ``_span_norms`` call per m, and its p = 2 norm sums those squares.
-    A sampled ratio carries the greedy residual's interval over the minimum.
+    The ratio divides by the minimizing candidate's estimate.
     """
     plan = cfg.plan
     label = plan.label()
@@ -702,7 +701,7 @@ def almost_greedy_experiment(cfg: ExperimentConfig):
                 residuals[cand] = [est for _, est in ests]
             for p_idx, p in enumerate(cfg.p_values):
                 greedy = residuals[greedy_set][p_idx]
-                denom = min(r[p_idx].value for r in residuals.values())
+                denom = min((r[p_idx] for r in residuals.values()), key=lambda e: e.value)
                 records.append(
                     _record("almostgreedy", label, p, m, fi, greedy, denom, cfg.seed)
                 )
@@ -731,10 +730,9 @@ def baseline_walsh_comparison(cfg: ExperimentConfig):
     spec = cfg.corpus or {"kind": "adversarial_walsh", "depth": 6, "count": 8}
     if spec.get("kind") != "adversarial_walsh":
         raise ConfigError("walsh-baseline wants an 'adversarial_walsh' corpus")
-    if (1 << _corpus_number(spec, "depth", 6, least=0)) > plan.horizon_size:
-        raise ConfigError(
-            f"depth {spec.get('depth', 6)} corpus does not fit the plan horizon"
-        )
+    depth = read_number(spec.get("depth", 6), "corpus depth", least=0)
+    if depth >= plan.horizon_size.bit_length():  # 2^depth > horizon
+        raise ConfigError(f"depth {depth} corpus does not fit the plan horizon")
     records: list[ResultRecord] = []
     for fi, (_, f) in enumerate(
         corpus_with_coefficients(spec, derive_seed(cfg.seed, 12), plan)
@@ -765,10 +763,10 @@ def baseline_walsh_comparison(cfg: ExperimentConfig):
                 _estimates(cfg, math.sqrt(walsh_sq), even, rows, lambda _: (16, fi, m)),
             ):
                 records += [
-                    _record("walsh-baseline", "walsh", p, m, fi, est_w,
-                            norms_walsh[p].value, cfg.seed),
-                    _record("walsh-baseline", label, p, m, fi, est_b,
-                            norms_psi[p].value, cfg.seed),
+                    _record("walsh-baseline", "walsh", p, m, fi, est_w, norms_walsh[p],
+                            cfg.seed),
+                    _record("walsh-baseline", label, p, m, fi, est_b, norms_psi[p],
+                            cfg.seed),
                 ]
     summary = {
         "experiment": "walsh-baseline",

@@ -1,10 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from walshlab.blocks import (
-    GrowthSchedule,
+    MAX_EXPONENT,
     load_plan,
     plan_from_json,
     validate_schedule,
@@ -48,7 +49,32 @@ def test_validate_rejects_non_increasing():
     with pytest.raises(ScheduleError):
         validate_schedule([])
     with pytest.raises(ScheduleError):
-        GrowthSchedule((0, 2))
+        validate_schedule((0, 2))
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"g": [2.7, 4.2, 8.9]}, "g(1) must be an integer"),
+    ({"g": [2, True]}, "g(2) must be a number, got True"),
+    ({"g": [2, 10**9]}, "above MAX_EXPONENT"),
+    ([2, MAX_EXPONENT + 1], "above MAX_EXPONENT"),
+    ({"g": [2, float("inf")]}, "g(2) must be finite"),
+    ({"g": [2, "x"]}, "g(2)"),
+    ({"g": "248"}, "must be a non-empty list"),
+    (5, "must be a non-empty list"),
+    ([], "must be a non-empty list"),
+    ({"preset": ["desk"]}, "unknown preset"),
+    ({"plan": "desk"}, "needs a 'g' list"),
+])
+def test_plan_spec_errors(spec, message):
+    with pytest.raises(ScheduleError, match=re.escape(message)):
+        plan_from_json(spec)
+
+
+def test_plan_spec_forms_agree():
+    desk = load_plan("desk")
+    for spec in ("desk", [2, 4, 8], (2.0, 4, "8"), {"preset": "desk"}, {"g": [2, 4, 8]}):
+        assert plan_from_json(spec) == desk
+    assert validate_schedule([1, MAX_EXPONENT]).N[-1] == 1 << MAX_EXPONENT
 
 
 def test_offsets_consistent():

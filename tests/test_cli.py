@@ -1,12 +1,14 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
 
 import pytest
 
+import walshlab
 from walshlab.cli import main
 from walshlab.blocks import load_plan
 from walshlab.greedy import CoefficientList, save_coefficients
@@ -278,13 +280,27 @@ def test_experiment_bad_config_exit2(tmp_path, capsys):
         "--out", str(tmp_path / "r.csv"),
     )
     assert code == 2
-    for doc in ([1, 2], {"plan": {"g": [2, "x"]}}, {"plan": "desk", "sizes": ["a"]}):
+    for doc, field in [
+        ([1, 2], "plan"),
+        ({"plan": {"g": [2, "x"]}}, "g(2)"),
+        ({"plan": "desk", "sizes": ["a"]}, "sizes"),
+        ({"plan": {"g": [2.7, 4.2, 8.9]}}, "g(1)"),
+        ({"plan": {"g": [2, 10**9]}}, "MAX_EXPONENT"),
+        ({"plan": "desk", "seed": -1}, "seed"),
+        ({"plan": "desk", "trials": 1.7}, "trials"),
+        ({"plan": "desk", "sizes": [3.5]}, "sizes"),
+        ({"plan": "desk", "p": [True, 4]}, "p"),
+        ({"plan": "desk", "p": ["inf"]}, "p"),
+        ({"plan": "desk", "exhaustive": "false"}, "exhaustive"),
+        ({"plan": "desk", "sizes": {"range": [5, 1]}}, "sizes"),
+        ({"plan": "desk", "sizes": {"range": [1, 3000000]}}, "sizes"),
+    ]:
         cfg_path.write_text(json.dumps(doc))
         code, _, err = run_cli(
             capsys, "experiment", "democracy", "--config", str(cfg_path),
             "--out", str(tmp_path / "r.csv"),
         )
-        assert code == 2 and "Traceback" not in err
+        assert code == 2 and field in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("field, value", [("sizes", [0]), ("trials", 0)])
@@ -336,6 +352,8 @@ def test_experiment_empty_corpus_exit2(tmp_path, capsys, kind, corpus, field):
     (["greedy", "run", "--plan", "desk", "--m-max", "-1", "--out", "t.csv"], "--m-max"),
     (["greedy", "run", "--plan", "desk", "--m-max", "2", "--p", "1", "--out", "t.csv"],
      "--p"),
+    (["norm", "--p", "3", "--engine", "mc", "--seed", "-1"], "--seed"),
+    (["norm", "--p", "3", "--engine", "mc", "--seed", str(2**128)], "--seed"),
 ])
 def test_cli_argument_checks_exit2(tmp_path, capsys, argv, message):
     spec_path = tmp_path / "f.json"
@@ -505,3 +523,49 @@ def test_partialsum_zero_corpus_function_exit2(tmp_path, capsys, monkeypatch):
     doc = {"plan": "desk", "corpus": {"kind": "decay", "count": 2}}
     code, err = _experiment_exit(tmp_path, capsys, "partialsum", doc)
     assert code == 2 and "corpus function 0 is 0" in err
+
+
+# Runs ``walshlab`` argv[1:] under an address-space cap of what the child
+# has mapped after its imports plus 256 MB, so an input that allocates in
+# proportion to its value fails with MemoryError, not by exhausting the host.
+_CAPPED_MAIN = """
+import os, resource, sys
+from walshlab.cli import main
+with open("/proc/self/statm") as fh:
+    mapped = int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+resource.setrlimit(resource.RLIMIT_AS, (mapped + (256 << 20),) * 2)
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs Linux /proc")
+@pytest.mark.parametrize("argv, doc, code, text", [
+    (["experiment", "democracy"], {"plan": "desk", "sizes": {"range": [1, 10**12]}},
+     2, "sizes range"),
+    (["experiment", "khintchine"], {"plan": "paper", "sizes": {"range": [1, 2**90]}},
+     2, "sizes range"),
+    (["experiment", "democracy"], {"plan": {"g": [2, 10**9]}}, 2, "MAX_EXPONENT"),
+    (["experiment", "quasigreedy"],
+     {"plan": "desk", "corpus": {"kind": "indicator", "depth": 40, "count": 1}},
+     3, "indicator corpus of depth 40"),
+    (["basis", "info"], {"g": [2, 20000]}, 2, "MAX_EXPONENT"),
+    (["experiment", "quasigreedy"],
+     {"plan": "paper", "corpus": {"kind": "decay", "terms": 10**9, "count": 1}},
+     3, "block 2 has"),
+])
+def test_huge_inputs_refused_before_allocating(tmp_path, argv, doc, code, text):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    if argv[0] == "basis":
+        argv = argv + ["--plan", str(path)]
+    else:
+        argv = argv + ["--config", str(path), "--out", str(tmp_path / "r.csv")]
+    src = os.path.dirname(os.path.dirname(walshlab.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, *argv], capture_output=True, text=True,
+        env=env, timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert text in proc.stderr and "Traceback" not in proc.stderr

@@ -5,7 +5,7 @@ import pytest
 
 import walshlab.experiments as experiments
 from walshlab.blocks import load_plan, validate_schedule
-from walshlab.errors import ConfigError
+from walshlab.errors import BudgetError, ConfigError
 from walshlab.experiments import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -60,6 +60,23 @@ def test_config_errors():
         ("max_terms", 0),
         ("p", [4, 0.5]),
         ("p", [4, float("nan")]),
+        ("p", ["inf"]),
+        ("p", [True, 4]),
+        ("seed", -1),
+        ("seed", 1.9),
+        ("trials", 1.7),
+        ("trials", float("inf")),
+        ("mc_samples", True),
+        ("sizes", [3.5]),
+        ("sizes", 5),
+        ("sizes", {"range": [5, 1]}),
+        ("sizes", {"range": [1, 277]}),
+        ("n_grid", [-1]),
+        ("n_grid", {"range": [0, 277]}),
+        ("random_candidates", -1),
+        ("exhaustive", "false"),
+        ("exhaustive", 1),
+        ("corpus", "mixed"),
     ],
 )
 def test_config_rejects_out_of_range(field, value):
@@ -75,6 +92,69 @@ def test_config_accepts_lower_bounds():
     assert (cfg.trials, cfg.sizes, cfg.mc_samples, cfg.max_terms, cfg.p_values) == (
         1, (1,), 2, 1, (1.0,)
     )
+
+
+def test_config_accepted_forms_load_unchanged(desk):
+    base = ExperimentConfig.from_dict({"plan": "desk", "p": [4], "trials": 5})
+    for doc in [
+        {"plan": [2, 4, 8], "p": 4, "trials": 5.0},
+        {"plan": {"preset": "desk"}, "p": [4.0], "trials": "5"},
+        {"plan": {"g": [2, 4, 8]}, "p": "4", "trials": 5, "seed": 0.0},
+        {"plan": {"g": [2.0, 4.0, 8.0]}, "p": [4], "trials": 5, "ratio_low": 1.0},
+    ]:
+        cfg = ExperimentConfig.from_dict(doc)
+        assert cfg == base and type(cfg.trials) is int and type(cfg.seed) is int
+    cfg = ExperimentConfig.from_dict(
+        {"plan": "desk", "seed": 2**64 - 1, "sizes": {"range": [1, 200]},
+         "n_grid": {"range": [0, 276]}, "exhaustive": True}
+    )
+    assert cfg.seed == 2**64 - 1 and derive_seed(cfg.seed, 1) >= 0
+    assert cfg.sizes == tuple(range(1, 201)) and cfg.n_grid == tuple(range(277))
+    assert cfg.exhaustive is True
+
+
+@pytest.mark.parametrize("kind, part", [("partialsum", 7), ("quasigreedy", 5)])
+def test_ratio_over_a_sampled_denominator_is_sampled(kind, part):
+    # ||f||_3 of these 30-term functions is a Monte Carlo estimate, so
+    # every p = 3 ratio carries its interval even where S_n f or G_m f
+    # is shallow enough for an exact numerator
+    cfg = ExperimentConfig.from_dict({
+        "plan": "desk", "p": [2, 3], "seed": 7, "mc_samples": 2000,
+        "corpus": {"kind": "mixed", "count": 5, "terms": 30},
+    })
+    kinds = {experiments._norm(f, 3.0, cfg, part, fi).kind
+             for fi, f, _, _ in experiments._corpus_expansions(cfg)}
+    assert kinds == {"sampled"}
+    records, _ = run_experiment(kind, cfg)
+    rows = [r for r in records if r.experiment == kind]
+    assert all(r.exact for r in rows if r.p == 2.0)
+    at3 = [r for r in rows if r.p == 3.0]
+    assert at3 and not any(r.exact for r in at3)
+    assert all(r.ci_low <= r.value <= r.ci_high for r in at3)
+
+
+def test_record_divides_intervals():
+    num = NormEstimate(3.0, 1.0, "sampled", ci_low=0.9, ci_high=1.1)
+    one = NormEstimate(3.0, 1.0, "exact")
+    exact = experiments._record("x", "g", 3.0, 1, 0, one, NormEstimate(3.0, 2.0, "exact"), 0)
+    assert (exact.value, exact.ci_low, exact.ci_high, exact.exact) == (0.5, None, None, True)
+    over_exact = experiments._record("x", "g", 3.0, 1, 0, num, 2.0, 0)
+    assert (over_exact.ci_low, over_exact.ci_high, over_exact.exact) == (0.45, 0.55, False)
+    den = NormEstimate(3.0, 2.0, "sampled", ci_low=0.0, ci_high=4.0)
+    row = experiments._record("x", "g", 3.0, 1, 0, one, den, 0)
+    assert (row.value, row.ci_low, row.ci_high, row.exact) == (0.5, 0.25, math.inf, False)
+    den = NormEstimate(3.0, 2.0, "sampled", ci_low=1.0, ci_high=4.0)
+    row = experiments._record("x", "g", 3.0, 1, 0, num, den, 0)
+    assert (row.value, row.ci_low, row.ci_high, row.exact) == (0.5, 0.225, 1.1, False)
+
+
+@pytest.mark.parametrize("kind, budget", [("indicator", 1 << 17), ("adversarial_walsh", 1 << 18)])
+def test_dense_corpus_refused_before_its_cells(desk, monkeypatch, kind, budget):
+    # at 150 and 340 bytes a cell, 2^9 cells fit the budget and 2^10 do not
+    monkeypatch.setattr(experiments.spectra, "BYTE_BUDGET", budget)
+    corpus_generate({"kind": kind, "depth": 9, "count": 1}, 1, desk)
+    with pytest.raises(BudgetError, match=f"{kind} corpus of depth 10"):
+        corpus_generate({"kind": kind, "depth": 10, "count": 1}, 1, desk)
 
 
 def test_derive_seed_stable():

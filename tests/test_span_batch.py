@@ -529,7 +529,7 @@ def reference_almost_greedy(cfg):
                     for p in cfg.p_values
                 ]
             for p_idx, p in enumerate(cfg.p_values):
-                denom = min(r[p_idx].value for r in residuals.values())
+                denom = min((r[p_idx] for r in residuals.values()), key=lambda e: e.value)
                 est = residuals[greedy_set][p_idx]
                 records.append(
                     _record("almostgreedy", plan.label(), p, m, fi, est, denom, cfg.seed)
@@ -616,8 +616,8 @@ def reference_walsh_baseline(cfg):
         walsh_order = greedy_order(walsh_coeffs).rho
         psi_order = greedy_order(psi_coeffs).rho
         f_psi = synthesize_coefficients(psi_coeffs, plan)
-        norms_walsh = {p: _norm(f, p, cfg, 13, fi).value for p in cfg.p_values}
-        norms_psi = {p: _norm(f_psi, p, cfg, 14, fi).value for p in cfg.p_values}
+        norms_walsh = {p: _norm(f, p, cfg, 13, fi) for p in cfg.p_values}
+        norms_psi = {p: _norm(f_psi, p, cfg, 14, fi) for p in cfg.p_values}
         for m in range(1, len(walsh_order) + 1):
             g_walsh = WalshSpectrum({n: walsh[n] for n in walsh_order[:m]})
             g_psi = plan.weighted_spectrum((j, psi[j]) for j in psi_order[:m])
