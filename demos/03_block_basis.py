@@ -10,12 +10,12 @@ Walsh coefficients.
 import numpy as np
 
 from walshlab import (
+    BlockPlan,
     BudgetError,
     inner_product,
     load_plan,
     row_abs_sum,
     synthesize,
-    validate_schedule,
 )
 
 print("== the desk plan ==")
@@ -64,5 +64,5 @@ except BudgetError as exc:
     print("psi(2, 1) ->", exc)
 
 print("\n== weak schedules validate but carry their flags ==")
-weak = validate_schedule([2, 3, 4])
+weak = BlockPlan([2, 3, 4])
 print("g =", weak.g, "democracy_condition:", weak.democracy_condition)

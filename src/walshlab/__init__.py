@@ -2,12 +2,7 @@
 system, with exact spectral arithmetic, three L_p norm engines, greedy
 approximation machinery, and seeded verification experiments."""
 
-from .blocks import (
-    BlockPlan,
-    load_plan,
-    plan_from_json,
-    validate_schedule,
-)
+from .blocks import BlockPlan, load_plan, plan_from_json
 from .errors import (
     BudgetError,
     ConfigError,
@@ -17,9 +12,6 @@ from .errors import (
     WalshLabError,
 )
 from .greedy import (
-    ApproximantTrace,
-    CoefficientList,
-    GreedyOrdering,
     LambdaPartition,
     analyze,
     greedy_approximant,

@@ -19,8 +19,6 @@ indexing, its Rademacher frequencies being astronomically wide).
 
 from __future__ import annotations
 
-import json
-import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -28,7 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import olevskii
-from .errors import BudgetError, ConfigError, HorizonError, ScheduleError
+from .errors import BudgetError, HorizonError, ScheduleError, read_json, read_number
 from .spectra import WalshSpectrum, phi_index, rademacher_index
 
 # Blocks larger than this are refused by any operation that needs an
@@ -42,27 +40,6 @@ PRESETS: dict[str, tuple[int, ...]] = {
     "desk": (2, 4, 8),
     "paper": (10, 100),
 }
-
-
-def read_number(value, name: str, cast=int, least=None, error=ConfigError):
-    """``value``, a number or numeric string, as a finite ``cast`` (int or
-    float) of at least ``least``; booleans, fractions where an int is due
-    and non-finite values are refused with ``error``, naming ``name``."""
-    if isinstance(value, bool):
-        raise error(f"{name} must be a number, got {value!r}")
-    try:
-        number = (int if cast is int and not isinstance(value, float) else float)(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise error(f"{name}: {exc}") from exc
-    if isinstance(number, float) and not math.isfinite(number):
-        raise error(f"{name} must be finite, got {number}")
-    if isinstance(number, float) and cast is int:
-        if not number.is_integer():
-            raise error(f"{name} must be an integer, got {number}")
-        number = int(number)
-    if least is not None and not number >= least:
-        raise error(f"{name} must be >= {least}, got {number}")
-    return number
 
 
 @dataclass(frozen=True)
@@ -282,11 +259,6 @@ class BlockPlan:
         return self.gather({k: w[0] for k, w in rows.items()})
 
 
-def validate_schedule(schedule: Sequence[int]) -> BlockPlan:
-    """The plan of a schedule list, which BlockPlan checks."""
-    return BlockPlan(schedule)
-
-
 def plan_from_json(spec) -> BlockPlan:
     """The plan of a spec: a preset name, a schedule list, or a document
     {"preset": name} or {"g": list}."""
@@ -306,5 +278,4 @@ def load_plan(source: str) -> BlockPlan:
     """Plan from a preset name or the path of a JSON plan spec."""
     if source in PRESETS:
         return plan_from_json(source)
-    with open(source) as fh:
-        return plan_from_json(json.load(fh))
+    return plan_from_json(read_json(source))

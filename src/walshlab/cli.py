@@ -20,6 +20,7 @@ from .errors import (
     DepthError,
     HorizonError,
     ScheduleError,
+    read_json,
 )
 from .experiments import (
     EXPERIMENTS,
@@ -31,9 +32,9 @@ from .greedy import greedy_approximant, load_coefficients, synthesize_coefficien
 from .norms import lp_dense, lp_even_spectral, lp_monte_carlo, lp_norm
 from .spectra import load_spectrum, save_spectrum
 
-# no bare ValueError/KeyError: inputs are checked where read, the rest are bugs
-_CONFIG_ERRORS = (ConfigError, ScheduleError, HorizonError, json.JSONDecodeError,
-                  FileNotFoundError)
+# no bare ValueError/KeyError: inputs are checked where read, the rest are bugs;
+# OSError is a file that cannot be opened, read or written
+_CONFIG_ERRORS = (ConfigError, ScheduleError, HorizonError, OSError)
 _RESOURCE_ERRORS = (BudgetError, DepthError)
 
 # Monte Carlo defaults of `norm`, also used where `greedy run` samples
@@ -140,11 +141,11 @@ def _cmd_greedy_run(args) -> int:
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["m", "selected", "coefficient", "residual_l2", "p", "residual_p"])
-        for step in trace.steps:
+        for step in trace:
             residual_p = ""
             if args.p != 2.0:  # the L2 residual is the exact residual_l2 column
                 prefix = plan.weighted_spectrum(
-                    (s.selected, s.coefficient) for s in trace.steps[: step.m]
+                    (s.selected, s.coefficient) for s in trace[: step.m]
                 )
                 est = lp_norm(f - prefix, args.p, _MC_SAMPLES, lambda: _MC_SEED)
                 residual_p = repr(est.value)
@@ -158,14 +159,12 @@ def _cmd_greedy_run(args) -> int:
                     residual_p,
                 ]
             )
-    print(f"wrote {len(trace.steps)} trace rows to {args.out}")
+    print(f"wrote {len(trace)} trace rows to {args.out}")
     return 0
 
 
 def _cmd_experiment(args) -> int:
-    with open(args.config) as fh:
-        doc = json.load(fh)
-    cfg = ExperimentConfig.from_dict(doc)
+    cfg = ExperimentConfig.from_dict(read_json(args.config))
     records, summary = run_experiment(args.kind, cfg)
     write_records_csv(records, args.out)
     summary["rows"] = len(records)

@@ -41,16 +41,9 @@ from typing import Callable
 import numpy as np
 
 from . import spectra
-from .blocks import MATERIALIZATION_CAP, BlockPlan, plan_from_json, read_number
-from .errors import BudgetError, ConfigError
-from .greedy import (
-    CoefficientList,
-    analyze,
-    greedy_order,
-    parseval_tails,
-    partial_sum,
-    synthesize_coefficients,
-)
+from .blocks import MATERIALIZATION_CAP, BlockPlan, plan_from_json
+from .errors import BudgetError, ConfigError, read_number
+from .greedy import analyze, greedy_order, parseval_tails, partial_sum, synthesize_coefficients
 from .norms import (
     NormEstimate,
     even_moments,
@@ -198,12 +191,6 @@ def corpus_generate(
     adversarial_walsh (near-flat tilted Walsh coefficients, used by the
     plain-Walsh baseline), mixed (rotation of the first three).
     """
-    return [f for _, f in corpus_with_coefficients(spec, seed, plan)]
-
-
-def corpus_with_coefficients(
-    spec: dict, seed: int, plan: BlockPlan
-) -> list[tuple[str, WalshSpectrum]]:
     kind = spec.get("kind")
     if kind is None:
         raise ConfigError("corpus spec needs a 'kind'")
@@ -215,8 +202,12 @@ def corpus_with_coefficients(
             sub = {**spec, **_MIXED_ROTATION[index % len(_MIXED_ROTATION)]}
         else:
             sub = spec
-        out.append((f"{sub['kind']}#{index}", _generate_one(sub, rng, plan)))
+        out.append(_generate_one(sub, rng, plan))
     return out
+
+
+# the name bench/tracer.py wraps; it traces every binding of the function
+corpus_with_coefficients = corpus_generate
 
 
 _MIXED_ROTATION = (
@@ -275,7 +266,7 @@ def _generate_one(spec: dict, rng, plan: BlockPlan) -> WalshSpectrum:
         })
     else:
         raise ConfigError(f"unknown corpus kind {kind!r}")
-    return synthesize_coefficients(CoefficientList.from_pairs(pairs), plan)
+    return synthesize_coefficients(dict(pairs), plan)
 
 
 # peak bytes per cell at depth 20 (CPython 3.11, x86-64): the cell arrays and
@@ -368,10 +359,10 @@ def _corpus_expansions(cfg: ExperimentConfig):
     terms) drawn from derive_seed(seed, 4).
     """
     spec = cfg.corpus or {"kind": "mixed", "count": 50, "terms": 40}
-    corpus = corpus_with_coefficients(spec, derive_seed(cfg.seed, 4), cfg.plan)
-    for trial, (_, f) in enumerate(corpus):
+    corpus = corpus_generate(spec, derive_seed(cfg.seed, 4), cfg.plan)
+    for trial, f in enumerate(corpus):
         coeffs = analyze(f, cfg.plan)
-        if not math.isfinite(l2_sq := sum(c * c for _, c in coeffs.entries)):
+        if not math.isfinite(l2_sq := sum(c * c for c in coeffs.values())):
             raise ConfigError(f"corpus function {trial}: its squared l2 norm overflows")
         yield trial, f, coeffs, l2_sq
 
@@ -492,19 +483,18 @@ def quasi_greedy_experiment(cfg: ExperimentConfig):
     residual_dev_max = 0.0
     terminal_residual_max = 0.0
     for fi, f, coeffs, total_sq in _corpus_expansions(cfg):
-        by_index = coeffs.as_dict()
-        order = greedy_order(coeffs).rho
-        tail_sq = parseval_tails([by_index[sel] for sel in order])
+        order = greedy_order(coeffs)
+        tail_sq = parseval_tails([coeffs[sel] for sel in order])
         norms_f = dict(_estimates(cfg, math.sqrt(total_sq), {}, f, lambda _: (5, fi)))
         symbols_f = plan.scatter(f)
         head_sq = 0.0
         # an empty order means f = 0, whose residual is 0 as well
         spectral_tail = 0.0
         # row m - 1 of the lower triangle selects the greedy prefix order[:m]
-        entries = [(s, by_index[s]) for s in order]
+        entries = [(s, coeffs[s]) for s in order]
         prefixes = _span_norms(plan, entries, np.tri(len(order), dtype=bool), cfg.p_values)
         for m, (sel, (rows, even, _)) in enumerate(zip(order, prefixes), start=1):
-            head_sq += by_index[sel] * by_index[sel]
+            head_sq += coeffs[sel] * coeffs[sel]
             last = m == len(order)
             approx = plan.gather(rows) if last else rows  # the last is checked below
             ests = _estimates(cfg, math.sqrt(head_sq), even, approx, lambda _: (6, fi, m))
@@ -559,19 +549,18 @@ def partial_sum_experiment(cfg: ExperimentConfig):
     records: list[ResultRecord] = []
     p2_all_max = p2_route_dev = block_end_dev = 0.0
     for fi, f, coeffs, _ in _corpus_expansions(cfg):
-        by_index = coeffs.as_dict()
-        if not by_index:
+        if not coeffs:
             raise ConfigError(f"corpus function {fi} is 0, so it has no ratios")
         # head_sq[t]: squared l2 norm of the first t coefficients in
         # basis order, so ||S_n f||_2^2 = head_sq[#support <= n]
-        support = sorted(by_index)
-        head_sq = np.cumsum([0.0] + [by_index[m] * by_index[m] for m in support])
+        support = list(coeffs)  # analyze lists positions in order
+        head_sq = np.cumsum([0.0] + [c * c for c in coeffs.values()])
         p2_all_max = np.maximum(p2_all_max, np.sqrt(head_sq.max() / head_sq[-1]))
         cuts = [bisect_right(support, n) for n in grid]
         # row 0 is f, equal to the horizon's row: its norms are the
         # denominators, so the ratio at the horizon is exactly 1
         member = np.arange(len(support)) < np.array([len(support), *cuts])[:, None]
-        sums = _span_norms(plan, [(m, by_index[m]) for m in support], member, cfg.p_values)
+        sums = _span_norms(plan, list(coeffs.items()), member, cfg.p_values)
         l2_f = math.sqrt(head_sq[-1])
         norms_f = dict(_estimates(cfg, l2_f, next(sums)[1], f, lambda _: (7, fi)))
         for n, cut, (rows, even, walsh_sq) in zip(grid, cuts, sums):
@@ -676,10 +665,10 @@ def almost_greedy_experiment(cfg: ExperimentConfig):
     label = plan.label()
     records: list[ResultRecord] = []
     for fi, _, coeffs, _ in _corpus_expansions(cfg):
-        entries = coeffs.entries
-        support = [j for j, _ in entries]  # analyze lists positions in order
-        squares = [c * c for _, c in entries]
-        order = greedy_order(coeffs).rho
+        entries = list(coeffs.items())
+        support = list(coeffs)  # analyze lists positions in order
+        squares = [c * c for c in coeffs.values()]
+        order = greedy_order(coeffs)
         if cfg.exhaustive and len(support) > 10:
             raise ConfigError(f"exhaustive search needs support <= 10, got {len(support)}")
         for m in range(1, len(order)):
@@ -734,21 +723,15 @@ def baseline_walsh_comparison(cfg: ExperimentConfig):
     if depth >= plan.horizon_size.bit_length():  # 2^depth > horizon
         raise ConfigError(f"depth {depth} corpus does not fit the plan horizon")
     records: list[ResultRecord] = []
-    for fi, (_, f) in enumerate(
-        corpus_with_coefficients(spec, derive_seed(cfg.seed, 12), plan)
-    ):
-        walsh_coeffs = CoefficientList.from_pairs(f.items())
-        walsh_by_index = walsh_coeffs.as_dict()
+    for fi, f in enumerate(corpus_generate(spec, derive_seed(cfg.seed, 12), plan)):
+        walsh = dict(f.items())
         # transport preserves natural order: t-th smallest Walsh
         # frequency becomes basis position t+1
-        psi_coeffs = CoefficientList.from_pairs(
-            (t + 1, walsh_by_index[n]) for t, n in enumerate(sorted(walsh_by_index))
-        )
-        psi_by_index = psi_coeffs.as_dict()
-        walsh_order = greedy_order(walsh_coeffs).rho
-        psi_order = greedy_order(psi_coeffs).rho
+        psi = {t + 1: walsh[n] for t, n in enumerate(sorted(walsh))}
+        walsh_order = greedy_order(walsh)
+        psi_order = greedy_order(psi)
         # row 0 is the whole expansion, row m the greedy prefix psi_order[:m]
-        entries = [(j, psi_by_index[j]) for j in psi_order]
+        entries = [(j, psi[j]) for j in psi_order]
         cuts = chain([len(entries)], range(1, len(walsh_order) + 1))
         member = (np.arange(len(entries)) < m for m in cuts)
         prefixes = _span_norms(plan, entries, member, cfg.p_values)
@@ -757,7 +740,7 @@ def baseline_walsh_comparison(cfg: ExperimentConfig):
         l2 = math.sqrt(walsh_sq)
         norms_psi = dict(_estimates(cfg, l2, even, rows, lambda _: (14, fi)))
         for m, (rows, even, walsh_sq) in enumerate(prefixes, start=1):
-            g_walsh = WalshSpectrum({n: walsh_by_index[n] for n in walsh_order[:m]})
+            g_walsh = WalshSpectrum({n: walsh[n] for n in walsh_order[:m]})
             for (p, est_w), (_, est_b) in zip(
                 _estimates(cfg, None, {}, g_walsh, lambda _: (15, fi, m)),
                 _estimates(cfg, math.sqrt(walsh_sq), even, rows, lambda _: (16, fi, m)),

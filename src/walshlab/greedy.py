@@ -1,58 +1,29 @@
 """Expansion coefficients, greedy orderings, approximants, partial sums.
 
-The greedy ordering lists the nonzero coefficients by decreasing
-magnitude, breaking ties by increasing basis index.  Coefficients of
-magnitude at most ``ZERO_TOL`` times the l2 norm of all coefficients
-are treated as zero, so that rounding noise from analysis cannot leak
-into the ordering and scaling the input does not change the support.
+Expansion coefficients are a dict from global basis position to value;
+``analyze`` lists the positions in increasing order.  The greedy
+ordering lists the nonzero coefficients by decreasing magnitude,
+breaking ties by increasing basis index.  Coefficients of magnitude at
+most ``ZERO_TOL`` times the l2 norm of all coefficients are treated as
+zero, so that rounding noise from analysis cannot leak into the
+ordering and scaling the input does not change the support.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import olevskii
 from .blocks import BlockPlan
-from .errors import ConfigError, HorizonError
+from .errors import ConfigError, HorizonError, read_json, read_number
 from .spectra import WalshSpectrum
 
 # zero threshold relative to the l2 norm of the coefficients
 ZERO_TOL = 1e-15
-
-
-@dataclass(frozen=True)
-class CoefficientList:
-    """Expansion coefficients keyed by global basis position."""
-
-    entries: tuple[tuple[int, float], ...]
-
-    def __post_init__(self):
-        seen = set()
-        for m, _ in self.entries:
-            if m in seen:
-                raise ValueError(f"duplicate basis index {m}")
-            seen.add(m)
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "CoefficientList":
-        return cls(tuple((int(m), float(c)) for m, c in pairs))
-
-    def as_dict(self) -> dict[int, float]:
-        return dict(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-@dataclass(frozen=True)
-class GreedyOrdering:
-    """rho as the tuple of basis indices in greedy order."""
-
-    rho: tuple[int, ...]
 
 
 @dataclass
@@ -63,13 +34,9 @@ class TraceStep:
     residual_l2: float
 
 
-@dataclass
-class ApproximantTrace:
-    steps: list[TraceStep] = field(default_factory=list)
-
-
-def analyze(f: WalshSpectrum, plan: BlockPlan) -> CoefficientList:
-    """Coefficients <f, psi_m> for every element sharing a frequency with f.
+def analyze(f: WalshSpectrum, plan: BlockPlan) -> dict[int, float]:
+    """Coefficients <f, psi_m> for every element sharing a frequency with f,
+    keyed by position in increasing order.
 
     Every frequency of f must belong to the plan's horizon (one of the
     phi indices or a Rademacher below F_K); otherwise the expansion
@@ -81,27 +48,25 @@ def analyze(f: WalshSpectrum, plan: BlockPlan) -> CoefficientList:
         for k, symbols in plan.scatter(f).items()
     ]
     tol = ZERO_TOL * math.hypot(*(c for _, v in rows for c in v.tolist()))
-    pairs: list[tuple[int, float]] = []
-    for base, row_values in rows:
-        for m, c in enumerate(row_values.tolist(), start=base + 1):
-            if abs(c) > tol:
-                pairs.append((m, c))
-    return CoefficientList(tuple(pairs))
+    return {
+        m: c
+        for base, row_values in rows
+        for m, c in enumerate(row_values.tolist(), start=base + 1)
+        if abs(c) > tol
+    }
 
 
-def synthesize_coefficients(
-    coeffs: CoefficientList, plan: BlockPlan
-) -> WalshSpectrum:
+def synthesize_coefficients(coeffs: dict[int, float], plan: BlockPlan) -> WalshSpectrum:
     """Spectrum of sum of c_m psi_m."""
-    return plan.weighted_spectrum(coeffs.entries)
+    return plan.weighted_spectrum(coeffs.items())
 
 
-def greedy_order(coeffs: CoefficientList) -> GreedyOrdering:
-    """Magnitude-decreasing order of the nonzero support, ties by index."""
-    tol = ZERO_TOL * math.hypot(*(c for _, c in coeffs.entries))
-    live = [(m, c) for m, c in coeffs.entries if abs(c) > tol]
+def greedy_order(coeffs: dict[int, float]) -> tuple[int, ...]:
+    """rho: the nonzero support in magnitude-decreasing order, ties by index."""
+    tol = ZERO_TOL * math.hypot(*coeffs.values())
+    live = [(m, c) for m, c in coeffs.items() if abs(c) > tol]
     live.sort(key=lambda mc: (-abs(mc[1]), mc[0]))
-    return GreedyOrdering(tuple(m for m, _ in live))
+    return tuple(m for m, _ in live)
 
 
 def parseval_tails(coefficients: list[float]) -> list[float]:
@@ -118,28 +83,24 @@ def parseval_tails(coefficients: list[float]) -> list[float]:
 
 def greedy_approximant(
     f: WalshSpectrum, plan: BlockPlan, m: int
-) -> tuple[WalshSpectrum, ApproximantTrace]:
-    """First m greedy terms of f's expansion, plus the selection trace.
+) -> tuple[WalshSpectrum, list[TraceStep]]:
+    """First m greedy terms of f's expansion, plus one trace step per term.
 
-    The trace carries the exact L2 residual at every step (a Parseval
-    tail, no synthesis involved).
+    Each step carries the exact L2 residual (a Parseval tail, no
+    synthesis involved).
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     coeffs = analyze(f, plan)
-    by_index = coeffs.as_dict()
-    order = greedy_order(coeffs).rho
-    chosen = order[: min(m, len(order))]
-    tail_sq = parseval_tails([by_index[sel] for sel in order])
-    trace = ApproximantTrace()
-    for step, sel in enumerate(chosen, start=1):
-        trace.steps.append(TraceStep(
-            m=step,
-            selected=sel,
-            coefficient=by_index[sel],
-            residual_l2=float(np.sqrt(tail_sq[step])),
-        ))
-    approx = plan.weighted_spectrum((s, by_index[s]) for s in chosen)
+    order = greedy_order(coeffs)
+    chosen = order[:m]
+    tail_sq = parseval_tails([coeffs[sel] for sel in order])
+    trace = [
+        TraceStep(m=step, selected=sel, coefficient=coeffs[sel],
+                  residual_l2=float(np.sqrt(tail_sq[step])))
+        for step, sel in enumerate(chosen, start=1)
+    ]
+    approx = plan.weighted_spectrum((s, coeffs[s]) for s in chosen)
     return approx, trace
 
 
@@ -191,13 +152,13 @@ class LambdaPartition:
     data_separated: bool
 
 
-def lambda_classify(coeffs: CoefficientList, plan: BlockPlan) -> LambdaPartition:
+def lambda_classify(coeffs: dict[int, float], plan: BlockPlan) -> LambdaPartition:
     """Classify each coefficient within its block's magnitude bands."""
     middle: dict[int, list[int]] = {}
     small: dict[int, list[int]] = {}
     large: dict[int, list[int]] = {}
     mid_bounds: dict[int, tuple[float, float]] = {}
-    for m, c in coeffs.entries:
+    for m, c in coeffs.items():
         k, _ = plan.to_block(m)
         # 1/N_k and N_k^(-1/10) from g(k): N_k itself may not fit a float
         g = plan.g[k - 1]
@@ -225,30 +186,31 @@ def lambda_classify(coeffs: CoefficientList, plan: BlockPlan) -> LambdaPartition
 
 # -- JSON coefficient files ---------------------------------------------------
 
-def coefficients_to_json(coeffs: CoefficientList) -> dict:
-    return {"coeffs": [{"m": m, "c": c} for m, c in coeffs.entries]}
+def coefficients_to_json(coeffs: dict[int, float]) -> dict:
+    return {"coeffs": [{"m": m, "c": c} for m, c in coeffs.items()]}
 
 
-def coefficients_from_json(doc: dict) -> CoefficientList:
-    """Coefficients from their JSON form; a malformed document is a ConfigError."""
+def coefficients_from_json(doc: dict) -> dict[int, float]:
+    """Coefficients from their JSON form, positions (at least 1) and values
+    read by ``read_number``; a malformed document or a position that
+    repeats is a ConfigError."""
+    coeffs: dict[int, float] = {}
     try:
-        coeffs = CoefficientList.from_pairs(
-            (item["m"], item["c"]) for item in doc["coeffs"]
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        for item in doc["coeffs"]:
+            m = read_number(item["m"], "coefficient position", least=1)
+            if m in coeffs:
+                raise ConfigError(f"duplicate basis index {m}")
+            coeffs[m] = read_number(item["c"], f"coefficient of element {m}", float)
+    except (KeyError, TypeError) as exc:
         raise ConfigError(f"bad coefficient entry: {exc!r}") from exc
-    for m, c in coeffs.entries:
-        if not math.isfinite(c):
-            raise ConfigError(f"coefficient of element {m} is {c}")
     return coeffs
 
 
-def save_coefficients(coeffs: CoefficientList, path) -> None:
+def save_coefficients(coeffs: dict[int, float], path) -> None:
     with open(path, "w") as fh:
         json.dump(coefficients_to_json(coeffs), fh, indent=1)
         fh.write("\n")
 
 
-def load_coefficients(path) -> CoefficientList:
-    with open(path) as fh:
-        return coefficients_from_json(json.load(fh))
+def load_coefficients(path) -> dict[int, float]:
+    return coefficients_from_json(read_json(path))

@@ -39,9 +39,12 @@ Routes, as ``lp_norm`` (shared by the experiments and the CLI) picks them:
   bits, tail mask, head cells) once; ``even_moments`` applies that one
   classification to every row on the list, and callers keep it (per
   plan and block tuple in the experiments, per call in khintchine).
-* ``lp_dense`` and ``lp_monte_carlo`` refuse a p-th power mean (or
-  its sampled spread) past the float range with ConfigError, as
-  ``even_moments`` refuses such an even moment.
+* ``lp_even_spectral`` is scale-free: it takes the moment of f / 2^e,
+  whose largest |coefficient| lies in [1/2, 1), and scales the norm
+  back by 2^e, so no moment under- or overflows.  ``lp_dense`` and
+  ``lp_monte_carlo`` refuse a p-th power mean (or its sampled spread)
+  past the float range with ConfigError, as ``even_moments`` refuses
+  such an even moment of its unscaled rows.
 * ``lp_monte_carlo`` samples uniform cells at the spectrum's own depth
   (the integrand is constant per cell, so sampling adds no
   discretization error) and reports a 95% CI propagated from the
@@ -138,7 +141,10 @@ def lp_dense(f: WalshSpectrum, p: float) -> NormEstimate:
 
 
 def lp_even_spectral(f: WalshSpectrum, p: int) -> NormEstimate:
-    """Exact ||f||_p for even integer p <= EVEN_SPLIT_MAX_P, at any depth.
+    """Exact ||f||_p for even integer p <= EVEN_SPLIT_MAX_P, at any depth
+    and scale: the moment is that of f / 2^e, whose largest |coefficient|
+    lies in [1/2, 1), and the norm is scaled back by 2^e, both exactly.
+    A norm past the float range is a ConfigError.
 
     The byte budget bounds each XOR product that the powers of a head
     wider than 12 bits need; narrower heads convolve nothing.
@@ -147,11 +153,18 @@ def lp_even_spectral(f: WalshSpectrum, p: int) -> NormEstimate:
         raise ValueError(f"p must be an even integer >= 2, got {p}")
     if p > EVEN_SPLIT_MAX_P:
         raise BudgetError(f"even p = {p} above the split's accuracy cap 10")
+    row = np.fromiter((c for _, c in f.items()), float, len(f))
+    e = int(np.frexp(np.max(np.abs(row), initial=0.0))[1])
+    row = np.ldexp(row, -e)  # 2.0 ** -e itself would overflow for e < -1023
     if p == 2:
-        moment = float(np.sum(np.fromiter((c * c for _, c in f.items()), float)))
-        return NormEstimate(p=2.0, value=moment ** 0.5, kind="exact")
-    moment = _head_tail_moment(f, p // 2)
-    return NormEstimate(p=float(p), value=moment ** (1.0 / p), kind="exact")
+        moment = float(np.sum(row * row))
+    else:
+        moment = float(even_moments(even_split(list(f)), row[None, :], [p // 2])[0, 0])
+    try:
+        value = math.ldexp(moment ** (1.0 / p), e)
+    except OverflowError:
+        raise ConfigError(f"the L{p} norm of f overflows") from None
+    return NormEstimate(p=float(p), value=value, kind="exact")
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -349,12 +362,6 @@ def even_moments(split: EvenSplit, coeffs: np.ndarray, ms):
     if not np.isfinite(out).all():
         raise ConfigError(f"an even moment of order {[2 * m for m in ms]} overflows")
     return out
-
-
-def _head_tail_moment(f: WalshSpectrum, m: int) -> float:
-    """integral f^(2m) by the independent-tail identity: one row."""
-    row = np.array([[c for _, c in f.items()]], dtype=float)
-    return float(even_moments(even_split(list(f)), row, [m])[0, 0])
 
 
 @functools.cache

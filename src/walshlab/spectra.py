@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import BudgetError, ConfigError, DepthError
+from .errors import BudgetError, ConfigError, DepthError, read_json, read_number
 
 # Dense vectors above this depth are refused (2**30 cells).
 MAX_SYNTH_DEPTH = 30
@@ -394,14 +394,14 @@ def spectrum_to_json(f: WalshSpectrum) -> dict:
 
 
 def spectrum_from_json(doc: dict) -> WalshSpectrum:
-    """Spectrum from its JSON form; a malformed document is a ConfigError."""
+    """Spectrum from its JSON form, each coefficient read by ``read_number``;
+    a malformed document is a ConfigError."""
     terms = {}
     try:
         for item in doc["terms"]:
-            n, c = int(item["n"], 16), float(item["c"])
-            if n < 0 or not math.isfinite(c):
-                raise ConfigError(f"coefficient of W_{item['n']} is {c}")
-            terms[n] = c
+            if (n := int(item["n"], 16)) < 0:
+                raise ConfigError(f"frequency {item['n']} is negative")
+            terms[n] = read_number(item["c"], f"coefficient of W_{item['n']}", float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad spectrum term: {exc!r}") from exc
     return WalshSpectrum(terms)
@@ -414,5 +414,4 @@ def save_spectrum(f: WalshSpectrum, path) -> None:
 
 
 def load_spectrum(path) -> WalshSpectrum:
-    with open(path) as fh:
-        return spectrum_from_json(json.load(fh))
+    return spectrum_from_json(read_json(path))

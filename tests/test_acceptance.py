@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from walshlab.blocks import validate_schedule
+from walshlab.blocks import BlockPlan
 from walshlab.experiments import (
     ExperimentConfig,
     democracy_experiment,
@@ -25,7 +25,6 @@ from walshlab.experiments import (
     write_records_csv,
 )
 from walshlab.greedy import (
-    CoefficientList,
     greedy_approximant,
     synthesize_coefficients,
 )
@@ -119,7 +118,7 @@ def test_criterion_02_row_sum_bound():
 
 
 def test_criterion_03_basis_orthonormality():
-    plan = validate_schedule([2, 4])
+    plan = BlockPlan([2, 4])
     elements = [plan.psi_spectrum(*plan.to_block(m)) for m in range(1, 21)]
     gram = np.array([[inner_product(a, b) for b in elements] for a in elements])
     dev = float(np.max(np.abs(gram - np.eye(20))))
@@ -127,7 +126,7 @@ def test_criterion_03_basis_orthonormality():
 
 
 def test_criterion_04_uniform_boundedness():
-    plan = validate_schedule([2, 4])
+    plan = BlockPlan([2, 4])
     ok = True
     sup_max = 0.0
     for m in range(1, 21):
@@ -254,22 +253,21 @@ def test_criterion_09_norm_engine_coherence():
 
 
 def test_criterion_10_greedy_l2_optimality():
-    plan = validate_schedule([2, 4])
+    plan = BlockPlan([2, 4])
     rng = np.random.default_rng(606)
     ok = True
     for _ in range(50):
         size = int(rng.integers(2, 11))
         support = sorted(int(x) + 1 for x in rng.choice(20, size=size, replace=False))
-        coeffs = CoefficientList.from_pairs(
+        coeffs = dict(
             (m, float(rng.normal())) for m in support
         )
-        by_index = coeffs.as_dict()
-        total = sum(c * c for c in by_index.values())
+        total = sum(c * c for c in coeffs.values())
         f = synthesize_coefficients(coeffs, plan)
         _, trace = greedy_approximant(f, plan, size)
-        for step in trace.steps:
+        for step in trace:
             best_sq = min(
-                total - sum(by_index[m] ** 2 for m in subset)
+                total - sum(coeffs[m] ** 2 for m in subset)
                 for subset in itertools.combinations(support, step.m)
             )
             if step.residual_l2 > math.sqrt(max(best_sq, 0.0)) + 1e-12:

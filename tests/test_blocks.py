@@ -6,9 +6,9 @@ import pytest
 
 from walshlab.blocks import (
     MAX_EXPONENT,
+    BlockPlan,
     load_plan,
     plan_from_json,
-    validate_schedule,
 )
 from walshlab.errors import BudgetError, HorizonError, ScheduleError
 from walshlab.olevskii import row_abs_sum
@@ -35,21 +35,21 @@ def test_presets():
 
 
 def test_validate_flags():
-    plan = validate_schedule([2, 4, 8])
+    plan = BlockPlan([2, 4, 8])
     assert plan.democracy_condition and not plan.lambda_separation
-    weak = validate_schedule([2, 3])
+    weak = BlockPlan([2, 3])
     assert not weak.democracy_condition
 
 
 def test_validate_rejects_non_increasing():
     with pytest.raises(ScheduleError):
-        validate_schedule([3, 2])
+        BlockPlan([3, 2])
     with pytest.raises(ScheduleError):
-        validate_schedule([2, 2])
+        BlockPlan([2, 2])
     with pytest.raises(ScheduleError):
-        validate_schedule([])
+        BlockPlan([])
     with pytest.raises(ScheduleError):
-        validate_schedule((0, 2))
+        BlockPlan((0, 2))
 
 
 @pytest.mark.parametrize("spec, message", [
@@ -74,11 +74,11 @@ def test_plan_spec_forms_agree():
     desk = load_plan("desk")
     for spec in ("desk", [2, 4, 8], (2.0, 4, "8"), {"preset": "desk"}, {"g": [2, 4, 8]}):
         assert plan_from_json(spec) == desk
-    assert validate_schedule([1, MAX_EXPONENT]).N[-1] == 1 << MAX_EXPONENT
+    assert BlockPlan([1, MAX_EXPONENT]).N[-1] == 1 << MAX_EXPONENT
 
 
 def test_offsets_consistent():
-    plan = validate_schedule([1, 2, 3, 4, 5])
+    plan = BlockPlan([1, 2, 3, 4, 5])
     prev = 0
     for size, f in zip(plan.N, plan.F):
         assert f - prev == size - 1
@@ -86,7 +86,7 @@ def test_offsets_consistent():
 
 
 def test_index_maps():
-    plan = validate_schedule([2, 4])
+    plan = BlockPlan([2, 4])
     assert plan.to_global(1, 4) == 4
     assert plan.to_global(2, 1) == 5
     assert plan.to_block(20) == (2, 16)
@@ -102,7 +102,7 @@ def test_index_maps():
 
 
 def test_psi_block1_rotation():
-    plan = validate_schedule([1])
+    plan = BlockPlan([1])
     psi1 = plan.psi_spectrum(1, 1)
     psi2 = plan.psi_spectrum(1, 2)
     s = 2.0 ** -0.5
@@ -113,7 +113,7 @@ def test_psi_block1_rotation():
 
 
 def test_psi_sparsity_and_frequencies():
-    plan = validate_schedule([2, 4])
+    plan = BlockPlan([2, 4])
     # block 2 elements each hold g(2)+1 = 5 nonzero terms, drawn from
     # phi_2 = W_3 and the Rademachers r_4..r_18
     allowed = {phi_index(2)} | {rademacher_index(j) for j in range(4, 19)}
@@ -128,7 +128,7 @@ def test_psi_sparsity_and_frequencies():
 
 
 def test_psi_unit_norm_every_block():
-    plan = validate_schedule([2, 4, 8])
+    plan = BlockPlan([2, 4, 8])
     for k in (1, 2, 3):
         for i in (1, plan.N[k - 1] // 2, plan.N[k - 1]):
             psi = plan.psi_spectrum(k, i)
@@ -136,14 +136,14 @@ def test_psi_unit_norm_every_block():
 
 
 def test_gram_identity_two_blocks():
-    plan = validate_schedule([2, 4])
+    plan = BlockPlan([2, 4])
     els = [plan.psi_spectrum(*plan.to_block(m)) for m in range(1, 21)]
     gram = np.array([[inner_product(a, b) for b in els] for a in els])
     assert np.max(np.abs(gram - np.eye(20))) < 1e-12
 
 
 def test_uniform_bound_by_row_sums():
-    plan = validate_schedule([1, 2, 3])  # F = (1, 4, 11)
+    plan = BlockPlan([1, 2, 3])  # F = (1, 4, 11)
     for k in (1, 2, 3):
         bound = row_abs_sum(plan.g[k - 1])
         for i in range(1, plan.N[k - 1] + 1):
@@ -152,7 +152,7 @@ def test_uniform_bound_by_row_sums():
 
 
 def test_completeness_partition_at_horizon():
-    plan = validate_schedule([2, 4])
+    plan = BlockPlan([2, 4])
     union: set[int] = set()
     count = 0
     for k in (1, 2):
@@ -167,13 +167,13 @@ def test_completeness_partition_at_horizon():
 
 
 def test_sum_spectrum():
-    plan = validate_schedule([1])
+    plan = BlockPlan([1])
     s = plan.sum_spectrum([1, 2])
     assert s.allclose(WalshSpectrum({0: 2.0 ** 0.5}))
     # singletons match psi_spectrum
     assert plan.sum_spectrum([(1, 1)]).allclose(plan.psi_spectrum(1, 1))
 
-    desk = validate_schedule([2, 4, 8])
+    desk = BlockPlan([2, 4, 8])
     rng = np.random.default_rng(0)
     for _ in range(5):
         size = int(rng.integers(1, 60))

@@ -11,7 +11,7 @@ import pytest
 import walshlab
 from walshlab.cli import main
 from walshlab.blocks import load_plan
-from walshlab.greedy import CoefficientList, save_coefficients
+from walshlab.greedy import save_coefficients
 from walshlab.norms import _mc_peak_bytes
 from walshlab.spectra import BYTE_BUDGET, load_spectrum, save_spectrum, WalshSpectrum
 
@@ -160,7 +160,7 @@ def test_partial_sum_on_paper_plan_block_ends(tmp_path, capsys):
 
 
 def test_greedy_run(tmp_path, capsys):
-    coeffs = CoefficientList.from_pairs([(1, 0.9), (2, 0.5), (7, -0.4)])
+    coeffs = dict([(1, 0.9), (2, 0.5), (7, -0.4)])
     cpath = tmp_path / "coeffs.json"
     save_coefficients(coeffs, cpath)
     out_path = tmp_path / "trace.csv"
@@ -178,7 +178,7 @@ def test_greedy_run(tmp_path, capsys):
 def test_greedy_run_p3_on_deep_elements_samples(tmp_path, capsys):
     # elements 100 and 250 lie in the desk plan's deep blocks, so the
     # p = 3 residual norms go to Monte Carlo with `norm`'s defaults
-    coeffs = CoefficientList.from_pairs(
+    coeffs = dict(
         [(1, 0.9), (7, -0.6), (30, 0.5), (100, 0.3), (250, -0.2)]
     )
     cpath = tmp_path / "coeffs.json"
@@ -359,7 +359,7 @@ def test_cli_argument_checks_exit2(tmp_path, capsys, argv, message):
     spec_path = tmp_path / "f.json"
     save_spectrum(WalshSpectrum({0: 1.0, 1: 1.0}), spec_path)
     cpath = tmp_path / "coeffs.json"
-    save_coefficients(CoefficientList.from_pairs([(1, 0.5)]), cpath)
+    save_coefficients(dict([(1, 0.5)]), cpath)
     infile = str(spec_path if argv[0] == "norm" else cpath)
     argv = [str(tmp_path / a) if a == "t.csv" else a for a in argv]
     code, out, err = run_cli(capsys, *argv, "--in", infile)
@@ -377,13 +377,73 @@ def test_cli_argument_checks_exit2(tmp_path, capsys, argv, message):
 def test_malformed_input_files_exit2(tmp_path, capsys, command, text):
     path = tmp_path / "in.json"
     path.write_text(text)
-    if command == "norm":
-        argv = ["norm", "--p", "4", "--engine", "even"]
-    else:
-        argv = ["greedy", "run", "--plan", "desk", "--m-max", "1",
-                "--out", str(tmp_path / "t.csv")]
-    code, out, _ = run_cli(capsys, *argv, "--in", str(path))
+    code, out, _ = run_cli(capsys, *_reading_argv(command, str(path), tmp_path))
     assert code == 2 and out == ""
+
+
+def _reading_argv(command, path, tmp_path):
+    """A command line that reads ``path`` as its input file."""
+    return {
+        "norm": ["norm", "--p", "4", "--engine", "even", "--in", path],
+        "greedy": ["greedy", "run", "--plan", "desk", "--m-max", "1",
+                   "--out", str(tmp_path / "t.csv"), "--in", path],
+        "experiment": ["experiment", "democracy", "--config", path,
+                       "--out", str(tmp_path / "r.csv")],
+        "plan": ["basis", "info", "--plan", path],
+    }[command]
+
+
+_DIGITS = "7" * 5000  # past Python's 4,300-digit limit on int conversion
+
+
+@pytest.mark.parametrize("command, content, named", [
+    # a file that cannot be read or decoded is named; None: a directory
+    pytest.param("norm", None, "in.json", id="norm-directory"),
+    pytest.param("greedy", None, "in.json", id="greedy-directory"),
+    pytest.param("experiment", None, "in.json", id="experiment-directory"),
+    pytest.param("plan", None, "in.json", id="plan-directory"),
+    pytest.param("norm", b'{"terms": [{"n": "1", "c": 0.5}]}\xff', "in.json",
+                 id="norm-not-utf8"),
+    pytest.param("experiment", b'{"plan": "desk", "p": [2, 4]}\xff', "in.json",
+                 id="experiment-not-utf8"),
+    pytest.param("norm", '{"terms": [{"n": "1", "c": %s}]}' % _DIGITS, "in.json",
+                 id="norm-5000-digits"),
+    pytest.param("greedy", '{"coeffs": [{"m": %s, "c": 0.5}]}' % _DIGITS, "in.json",
+                 id="greedy-5000-digits"),
+    pytest.param("experiment", '{"plan": "desk", "seed": %s}' % _DIGITS, "in.json",
+                 id="experiment-5000-digits"),
+    # a number that is no position or no coefficient names its field
+    pytest.param("greedy", '{"coeffs": [{"m": 2.7, "c": 0.5}]}', "coefficient position",
+                 id="greedy-fractional-position"),
+    pytest.param("greedy", '{"coeffs": [{"m": true, "c": 0.5}]}', "coefficient position",
+                 id="greedy-boolean-position"),
+    pytest.param("greedy", '{"coeffs": [{"m": 0, "c": 0.5}]}', "coefficient position",
+                 id="greedy-position-0"),
+    pytest.param("greedy", '{"coeffs": [{"m": 2, "c": false}]}', "coefficient of element 2",
+                 id="greedy-boolean-coefficient"),
+    pytest.param("norm", '{"terms": [{"n": "1", "c": true}]}', "coefficient of W_1",
+                 id="norm-boolean-coefficient"),
+])
+def test_unreadable_files_and_loose_numbers_exit2(tmp_path, capsys, command, content, named):
+    path = tmp_path / "in.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    code, out, err = run_cli(capsys, *_reading_argv(command, str(path), tmp_path))
+    assert code == 2 and out == ""
+    assert named in err and "Traceback" not in err
+
+
+def test_directory_as_out_exit2(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"plan": "desk", "p": [2], "sizes": [1], "trials": 1}))
+    (out_dir := tmp_path / "r.csv").mkdir()
+    code, out, err = run_cli(
+        capsys, "experiment", "democracy", "--config", str(cfg_path), "--out", str(out_dir),
+    )
+    assert code == 2 and out == ""
+    assert str(out_dir) in err and "Traceback" not in err
 
 
 def test_engine_value_error_is_not_a_config_error(tmp_path, capsys, monkeypatch):

@@ -15,14 +15,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import walshlab.spectra
 from walshlab.errors import BudgetError
 from walshlab.norms import (
-    _head_tail_moment,
     _split_table,
+    even_moments,
+    even_split,
     lp_dense,
     lp_even_spectral,
     lp_norm,
@@ -33,6 +34,12 @@ from walshlab.spectra import (
     _product_peak_bytes,
     rademacher_index,
 )
+
+
+def head_tail_moment(f, m):
+    """integral f^(2m) by the independent-tail identity, unscaled: one row."""
+    row = np.array([[c for _, c in f.items()]], dtype=float)
+    return float(even_moments(even_split(list(f)), row, [m])[0, 0])
 
 
 def reference_even_moment(f, half, max_pairs=1 << 24):
@@ -82,7 +89,7 @@ def head_tail_spectra(draw):
 @settings(max_examples=60, deadline=None)
 @given(head_tail_spectra(), st.sampled_from([4, 6, 8]))
 def test_split_equals_convolution_and_dense(f, p):
-    split = _head_tail_moment(f, p // 2)
+    split = head_tail_moment(f, p // 2)
     assert split is not None
     if len(f) == 0:
         assert split == 0.0
@@ -126,7 +133,7 @@ def wide_head_spectra(draw):
 @settings(max_examples=60, deadline=None)
 @given(wide_head_spectra(), st.sampled_from([4, 6, 8]))
 def test_wide_head_powers_equal_convolution_and_dense(f, p):
-    split = _head_tail_moment(f, p // 2)
+    split = head_tail_moment(f, p // 2)
     assert split == pytest.approx(reference_even_moment(f, p // 2), rel=1e-12)
     assert lp_even_spectral(f, p).value ** p == pytest.approx(split, rel=1e-12)
     if f.depth() <= 16:
@@ -152,13 +159,42 @@ def test_wide_head_fits_where_the_full_convolution_did_not(monkeypatch):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.floats(-10.0, 10.0, allow_nan=False), min_size=1, max_size=16))
+@given(st.lists(
+    st.builds(math.ldexp, st.floats(-10.0, 10.0, allow_nan=False), st.integers(-300, 300)),
+    min_size=1, max_size=16,
+))
+@example([3.79e-189])
+@example([5e-324, 5e-324])
 def test_sharp_even_khintchine_bounds(a):
     f = WalshSpectrum({rademacher_index(j + 1): x for j, x in enumerate(a)})
-    l2 = math.sqrt(sum(x * x for x in a))
+    l2 = math.hypot(*a)  # a sum of squares underflows: 0 for [3.79e-189]
+    # a subnormal holds too few digits for relative slack: for
+    # [5e-324, 5e-324] the correctly rounded L4 norm is 1e-323, l2 5e-324
+    tiny = math.ulp(0.0)
     for m in (2, 3, 4):
         bound = math.prod(range(1, 2 * m, 2)) ** (1.0 / (2 * m))
-        assert lp_even_spectral(f, 2 * m).value <= bound * l2 * (1 + 1e-12)
+        value = lp_even_spectral(f, 2 * m).value
+        assert l2 * (1 - 1e-12) - tiny <= value <= bound * l2 * (1 + 1e-12) + tiny
+
+
+def test_even_norms_of_tiny_and_huge_rademacher_sums():
+    # unscaled, these moments under- or overflow: the norms read 0.0,
+    # 4.59e-41, 1.773e-81 (above 3^(1/4) ||f||_2) or exit 2
+    for a, ps in [([1e-100], (4, 6, 8)), ([5.8e-41], (8,)),
+                  ([9.1e-82] * 2, (4, 6, 8)), ([1e100] * 2, (4, 6, 8))]:
+        f = WalshSpectrum({rademacher_index(j + 1): x for j, x in enumerate(a)})
+        for p in ps:
+            # E c^p r^p = c^p, and E c^p (r_1 + r_2)^p = c^p 2^(p-1)
+            want = a[0] * (2.0 ** ((p - 1) / p) if len(a) == 2 else 1.0)
+            assert lp_even_spectral(f, p).value == pytest.approx(want, rel=1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(head_tail_spectra(), wide_head_spectra()), st.sampled_from([2, 4, 6, 8]),
+       st.integers(-300, 300))
+def test_even_norms_scale_exactly_by_powers_of_two(f, p, k):
+    scaled = WalshSpectrum({n: math.ldexp(c, k) for n, c in f.items()})
+    assert lp_even_spectral(scaled, p).value == math.ldexp(lp_even_spectral(f, p).value, k)
 
 
 def test_rademacher_cumulants_and_binomials():
@@ -167,7 +203,7 @@ def test_rademacher_cumulants_and_binomials():
     assert outer == (1, 45, 210, 210, 45, 1)
     assert recursion[:3] == ((1,), (3, 1), (5, 10, 1))
     # the tail moments of one sign are all 1
-    assert _head_tail_moment(WalshSpectrum({1 << 200: 1.0}), 5) == 1.0
+    assert head_tail_moment(WalshSpectrum({1 << 200: 1.0}), 5) == 1.0
 
 
 def test_split_at_p10_and_p12_matches_dense():

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 import walshlab.experiments as experiments
-from walshlab.blocks import load_plan, validate_schedule
+from walshlab.blocks import BlockPlan, load_plan
 from walshlab.errors import BudgetError, ConfigError
 from walshlab.experiments import (
     CSV_COLUMNS,
@@ -176,7 +176,7 @@ def test_corpus_decay_definition(desk):
 
     spec = {"kind": "decay", "alpha": 1.0, "terms": 10, "count": 1}
     (f,) = corpus_generate(spec, 2, desk)
-    got = analyze(f, desk).as_dict()
+    got = analyze(f, desk)
     assert set(got) == set(range(1, 11))
     for m, c in got.items():
         assert abs(c) == pytest.approx(1.0 / m, abs=1e-12)
@@ -198,11 +198,11 @@ def test_corpus_indicator_default_depth_follows_the_plan_span(desk):
     assert corpus_generate(spec, 7, desk) == corpus_generate(
         {**spec, "depth": 2}, 7, desk
     )
-    five = validate_schedule([1, 2, 3, 4, 5])
+    five = BlockPlan([1, 2, 3, 4, 5])
     assert corpus_generate(spec, 7, five) == corpus_generate(
         {**spec, "depth": 3}, 7, five
     )
-    one = validate_schedule([1])  # spans 0 and 1 only
+    one = BlockPlan([1])  # spans 0 and 1 only
     assert {f.depth() for f in corpus_generate(spec, 7, one)} <= {0, 1}
 
 
@@ -328,7 +328,7 @@ def test_khintchine_rows_do_not_depend_on_p4(desk, tmp_path):
 
 
 def test_almostgreedy_p2_exact_one():
-    plan = validate_schedule([2, 4])
+    plan = BlockPlan([2, 4])
     cfg = ExperimentConfig(
         plan=plan,
         p_values=(2.0, 4.0),
@@ -345,7 +345,7 @@ def test_almostgreedy_p2_exact_one():
 
 
 def test_almostgreedy_exhaustive_consistency():
-    plan = validate_schedule([2, 4])
+    plan = BlockPlan([2, 4])
     base = dict(
         plan=plan,
         p_values=(4.0,),
@@ -399,7 +399,7 @@ def test_walsh_baseline_rejects_misfit(desk):
     with pytest.raises(ConfigError):
         baseline_walsh_comparison(
             ExperimentConfig(
-                plan=validate_schedule([1, 2]),
+                plan=BlockPlan([1, 2]),
                 corpus={"kind": "adversarial_walsh", "depth": 6, "count": 1},
                 seed=0,
             )

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -212,9 +214,12 @@ def test_non_even_power_means_past_the_float_range_are_refused():
     assert lp_dense(WalshSpectrum({0: 1e100}), 3.0).value == pytest.approx(1e100)
 
 
-def test_head_powers_past_the_float_range_are_refused():
+def test_head_powers_scale_exactly_by_powers_of_two():
     # a 14-bit head takes its moments from XOR powers, whose coefficients
-    # overflow here before any moment is formed
+    # would overflow at 1e100 unless the row is scaled by 2^-e first
     f = WalshSpectrum({n | (n << 7): 1e100 for n in range(1 << 7)})
-    with pytest.raises(ConfigError, match="overflows"):
-        lp_even_spectral(f, 8)
+    norm = lp_even_spectral(f, 8).value
+    unit = WalshSpectrum({n: 1.0 for n in f})
+    assert norm == pytest.approx(1e100 * lp_even_spectral(unit, 8).value, rel=1e-12)
+    for k in (-1000, -332, -1, 1, 300):
+        assert lp_even_spectral(f * 2.0 ** k, 8).value == math.ldexp(norm, k)

@@ -39,7 +39,7 @@ from hypothesis import strategies as st
 import walshlab.experiments as experiments
 import walshlab.norms
 import walshlab.spectra
-from walshlab.blocks import load_plan, validate_schedule
+from walshlab.blocks import BlockPlan, load_plan
 from walshlab.experiments import (
     ExperimentConfig,
     _draw_positions,
@@ -55,7 +55,6 @@ from walshlab.experiments import (
     quasi_greedy_experiment,
 )
 from walshlab.greedy import (
-    CoefficientList,
     analyze,
     greedy_order,
     partial_sum,
@@ -109,7 +108,7 @@ def plans_and_entries(draw):
     and distinct positions with coefficients; a third of the lists carry
     one dominant coefficient."""
     g = sorted(draw(st.sets(st.integers(1, 8), min_size=1, max_size=4)))
-    plan = validate_schedule(g)
+    plan = BlockPlan(g)
     positions = draw(st.lists(
         st.integers(1, plan.horizon_size), min_size=1, max_size=30, unique=True
     ))
@@ -128,10 +127,9 @@ def _relative_close(got, want, rel):
 @given(plans_and_entries(), st.sampled_from([4, 6, 8, 10]))
 def test_prefix_norms_equal_the_per_prefix_split(case, p):
     plan, entries = case
-    f = synthesize_coefficients(CoefficientList.from_pairs(entries), plan)
+    f = synthesize_coefficients(dict(entries), plan)
     coeffs = analyze(f, plan)
-    by_index = coeffs.as_dict()
-    ordered = [(m, by_index[m]) for m in greedy_order(coeffs).rho]
+    ordered = [(m, coeffs[m]) for m in greedy_order(coeffs)]
     batch = list(prefix_norms(plan, ordered, range(1, len(ordered) + 1), [float(p)]))
     assert len(batch) == len(ordered)
     got = [norms[float(p)] for _, norms in batch]
@@ -183,8 +181,7 @@ def test_quasigreedy_rows_equal_the_per_prefix_loop():
     )
     records, _ = quasi_greedy_experiment(cfg)
     for fi, f, coeffs, _ in experiments._corpus_expansions(cfg):
-        by_index = coeffs.as_dict()
-        ordered = [(m, by_index[m]) for m in greedy_order(coeffs).rho]
+        ordered = [(m, coeffs[m]) for m in greedy_order(coeffs)]
         for p in (4, 8):
             norm_f = lp_even_spectral(f, p).value
             want = [v / norm_f for v in reference_prefix_norms(plan, ordered, p)]
@@ -196,7 +193,7 @@ def test_quasigreedy_rows_equal_the_per_prefix_loop():
 
 
 def test_prefix_batches_peak_near_six_batches(monkeypatch):
-    plan = validate_schedule([2, 12])
+    plan = BlockPlan([2, 12])
     rng = np.random.default_rng(8)
     positions = rng.choice(plan.horizon_size, size=120, replace=False) + 1
     entries = [(int(m), float(rng.normal())) for m in positions]
@@ -248,8 +245,8 @@ def plans_entries_and_grids(draw):
 )
 def test_partial_sum_rows_equal_the_per_grid_point_split(case, p, scale):
     plan, entries, grid = case
-    f = synthesize_coefficients(CoefficientList.from_pairs(entries), plan)
-    coeffs = list(analyze(f, plan).entries)  # basis order
+    f = synthesize_coefficients(dict(entries), plan)
+    coeffs = list(analyze(f, plan).items())  # basis order
     cuts = [bisect_right([m for m, _ in coeffs], n) for n in grid]
     got = [norms[p] for _, norms in prefix_norms(plan, coeffs, cuts, [p])]
     want = reference_partial_sum_norms(plan, f, grid, p)
@@ -325,7 +322,7 @@ def democracy_configs(draw):
     a few set sizes and trials, and a list of p from 2, 3, 4, 6, 8, 10
     in any order, repeats allowed."""
     g = sorted(draw(st.sets(st.integers(1, 8), min_size=1, max_size=3)))
-    plan = validate_schedule(g)
+    plan = BlockPlan(g)
     sizes = draw(st.lists(
         st.integers(1, min(plan.horizon_size, 40)), min_size=1, max_size=3
     ))
@@ -508,9 +505,8 @@ def reference_almost_greedy(cfg):
     p = 2 from the squares of the coefficients outside c."""
     plan, records = cfg.plan, []
     for fi, f, coeffs, _ in experiments._corpus_expansions(cfg):
-        by_index = coeffs.as_dict()
-        order = greedy_order(coeffs).rho
-        support = sorted(by_index)
+        order = greedy_order(coeffs)
+        support = sorted(coeffs)
         for m in range(1, len(order)):
             greedy_set = frozenset(order[:m])
             candidates = {greedy_set, frozenset(support[:m])}
@@ -520,9 +516,9 @@ def reference_almost_greedy(cfg):
                 candidates.add(frozenset(support[int(x)] for x in pick))
             residuals = {}
             for cand in candidates:
-                rest = f - plan.weighted_spectrum((j, by_index[j]) for j in sorted(cand))
+                rest = f - plan.weighted_spectrum((j, coeffs[j]) for j in sorted(cand))
                 l2 = math.sqrt(math.fsum(
-                    by_index[j] * by_index[j] for j in support if j not in cand
+                    coeffs[j] * coeffs[j] for j in support if j not in cand
                 ))
                 residuals[cand] = [
                     NormEstimate(2.0, l2, "exact") if p == 2.0 else _norm(rest, p, cfg, 11)
@@ -551,7 +547,7 @@ def assert_rows_close(records, want, exact_p=(2.0,)):
 def test_almostgreedy_builds_each_candidate_spectrum_once():
     # on g = (2, 4) every residual has depth <= 24, so p = 3 is dense on
     # both routes
-    plan = validate_schedule([2, 4])
+    plan = BlockPlan([2, 4])
     weighted_spectrum, gather, span_norms = (
         type(plan).weighted_spectrum, type(plan).gather, experiments._span_norms
     )
@@ -607,15 +603,13 @@ def reference_walsh_baseline(cfg):
     plan, label, records = cfg.plan, cfg.plan.label(), []
     corpus = experiments.corpus_generate(cfg.corpus, derive_seed(cfg.seed, 12), plan)
     for fi, f in enumerate(corpus):
-        walsh_coeffs = CoefficientList.from_pairs(f.items())
-        walsh = walsh_coeffs.as_dict()
-        psi_coeffs = CoefficientList.from_pairs(
+        walsh = dict(f.items())
+        psi = dict(
             (t + 1, walsh[n]) for t, n in enumerate(sorted(walsh))
         )
-        psi = psi_coeffs.as_dict()
-        walsh_order = greedy_order(walsh_coeffs).rho
-        psi_order = greedy_order(psi_coeffs).rho
-        f_psi = synthesize_coefficients(psi_coeffs, plan)
+        walsh_order = greedy_order(walsh)
+        psi_order = greedy_order(psi)
+        f_psi = synthesize_coefficients(psi, plan)
         norms_walsh = {p: _norm(f, p, cfg, 13, fi) for p in cfg.p_values}
         norms_psi = {p: _norm(f_psi, p, cfg, 14, fi) for p in cfg.p_values}
         for m in range(1, len(walsh_order) + 1):
@@ -638,7 +632,7 @@ def walsh_baseline_configs(draw):
     adversarial_walsh corpus of depth at most 5 that fits it, and p from
     2, 2.5, 4 and 6."""
     g = sorted(draw(st.sets(st.integers(1, 4), min_size=1, max_size=4)))
-    plan = validate_schedule(g)
+    plan = BlockPlan(g)
     depth = draw(st.integers(0, min(5, plan.horizon_size.bit_length() - 1)))
     ps = draw(st.lists(st.sampled_from([2.0, 2.5, 4.0, 6.0]), min_size=1, max_size=4))
     corpus = {"kind": "adversarial_walsh", "depth": depth, "count": draw(st.integers(1, 3)),
@@ -652,7 +646,7 @@ def walsh_baseline_configs(draw):
 @settings(max_examples=40, deadline=None)
 @given(walsh_baseline_configs())
 @example(ExperimentConfig(  # late elements of block 4 reach r_42: p = 2.5 is sampled
-    plan=validate_schedule([1, 2, 3, 5]), p_values=(2.5, 2.0), seed=3, mc_samples=200,
+    plan=BlockPlan([1, 2, 3, 5]), p_values=(2.5, 2.0), seed=3, mc_samples=200,
     corpus={"kind": "adversarial_walsh", "depth": 5, "count": 2},
 ))
 def test_walsh_baseline_rows_equal_the_per_prefix_loop(cfg):
@@ -677,7 +671,7 @@ def plans_and_corpus_functions(draw):
     """A strictly increasing plan with blocks of at most 2^8 elements
     and one function of a mixed-corpus kind in its span."""
     g = sorted(draw(st.sets(st.integers(1, 8), min_size=1, max_size=4)))
-    plan = validate_schedule(g)
+    plan = BlockPlan(g)
     kind = draw(st.sampled_from(experiments._MIXED_ROTATION))
     spec = {**kind, "count": 1, "terms": draw(st.integers(1, 40))}
     return plan, experiments.corpus_generate(spec, draw(st.integers(0, 2 ** 32)), plan)[0]
@@ -689,8 +683,7 @@ def test_symbol_residuals_equal_the_per_prefix_spectra(case, scale):
     plan, f = case
     f = spectrum_scale(f, scale)
     coeffs = analyze(f, plan)
-    by_index = coeffs.as_dict()
-    ordered = [(m, by_index[m]) for m in greedy_order(coeffs).rho]
+    ordered = [(m, coeffs[m]) for m in greedy_order(coeffs)]
     cuts = range(1, len(ordered) + 1)
     prefix_rows = [rows for rows, _ in prefix_norms(plan, ordered, cuts, [])]
     symbols_f = plan.scatter(f)
