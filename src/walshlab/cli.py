@@ -12,6 +12,7 @@ import functools
 import json
 import math
 import sys
+from pathlib import Path
 
 from .blocks import load_plan
 from .errors import (
@@ -54,11 +55,13 @@ def build_parser() -> argparse.ArgumentParser:
     basis_sub = basis.add_subparsers(dest="basis_command", required=True)
     info = basis_sub.add_parser("info", help="print N_k, F_k and validity flags")
     info.add_argument("--plan", required=True, help="preset name or plan JSON path")
+    info.set_defaults(handler=_cmd_basis_info)
     elem = basis_sub.add_parser("element", help="write one element's spectrum")
     elem.add_argument("--plan", required=True)
     elem.add_argument("-k", type=int, required=True, help="block number (1-based)")
     elem.add_argument("-i", type=int, required=True, help="row within the block")
     elem.add_argument("--out", required=True, help="output spectrum JSON path")
+    elem.set_defaults(handler=_cmd_basis_element)
 
     norm = sub.add_parser("norm", help="L_p norm of a spectrum file")
     norm.add_argument("--p", type=float, required=True)
@@ -68,6 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     norm.add_argument("--samples", type=int, default=_MC_SAMPLES)
     norm.add_argument("--seed", type=int, default=_MC_SEED)
     norm.add_argument("--in", dest="infile", required=True)
+    norm.set_defaults(handler=_cmd_norm)
 
     greedy = sub.add_parser("greedy", help="greedy approximation traces")
     greedy_sub = greedy.add_subparsers(dest="greedy_command", required=True)
@@ -77,11 +81,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--m-max", type=int, required=True)
     run.add_argument("--p", type=float, default=4.0)
     run.add_argument("--out", required=True, help="trace CSV path")
+    run.set_defaults(handler=_cmd_greedy_run)
 
     exp = sub.add_parser("experiment", help="run a verification experiment")
     exp.add_argument("kind", choices=tuple(EXPERIMENTS))
     exp.add_argument("--config", required=True, help="experiment config JSON")
     exp.add_argument("--out", required=True, help="results CSV path")
+    exp.set_defaults(handler=_cmd_experiment)
     return parser
 
 
@@ -165,6 +171,9 @@ def _cmd_greedy_run(args) -> int:
 
 def _cmd_experiment(args) -> int:
     cfg = ExperimentConfig.from_dict(read_json(args.config))
+    out = Path(args.out)  # refused before the run, and neither created nor truncated
+    _require(not out.is_dir(), f"--out {args.out} is a directory")
+    _require(out.absolute().parent.is_dir(), f"--out {args.out}: no such directory")
     records, summary = run_experiment(args.kind, cfg)
     write_records_csv(records, args.out)
     summary["rows"] = len(records)
@@ -180,17 +189,7 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.command == "basis":
-            if args.basis_command == "info":
-                return _cmd_basis_info(args)
-            return _cmd_basis_element(args)
-        if args.command == "norm":
-            return _cmd_norm(args)
-        if args.command == "greedy":
-            return _cmd_greedy_run(args)
-        if args.command == "experiment":
-            return _cmd_experiment(args)
-        raise AssertionError("unreachable")
+        return args.handler(args)
     except _RESOURCE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

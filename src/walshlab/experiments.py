@@ -36,7 +36,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain, combinations, compress, islice, tee
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -55,22 +55,10 @@ from .norms import (
 )
 from .spectra import WalshSpectrum, analyze_dense, phi_index, rademacher_index, synthesize
 
-CSV_COLUMNS = (
-    "experiment",
-    "plan",
-    "p",
-    "size_or_m",
-    "trial",
-    "value",
-    "ci_low",
-    "ci_high",
-    "exact",
-    "seed",
-)
 
+class ResultRecord(NamedTuple):
+    """One CSV row; the fields, in order, are the CSV columns."""
 
-@dataclass(frozen=True)
-class ResultRecord:
     experiment: str
     plan: str
     p: float
@@ -97,12 +85,14 @@ class ResultRecord:
         ]
 
 
+CSV_COLUMNS = ResultRecord._fields
+
+
 def write_records_csv(records: list[ResultRecord], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for rec in records:
-            writer.writerow(rec.row())
+        writer.writerows(rec.row() for rec in records)
 
 
 @dataclass

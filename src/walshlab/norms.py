@@ -70,8 +70,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -99,8 +98,7 @@ EVEN_SPLIT_MAX_P = 10
 _Z95 = 1.959963984540054
 
 
-@dataclass(frozen=True)
-class NormEstimate:
+class NormEstimate(NamedTuple):
     """One norm value with provenance; CI fields only when sampled."""
 
     p: float

@@ -395,12 +395,16 @@ def spectrum_to_json(f: WalshSpectrum) -> dict:
 
 def spectrum_from_json(doc: dict) -> WalshSpectrum:
     """Spectrum from its JSON form, each coefficient read by ``read_number``;
-    a malformed document is a ConfigError."""
-    terms = {}
+    a malformed document or a frequency that repeats (in any spelling) is
+    a ConfigError."""
+    terms, spelled = {}, {}
     try:
         for item in doc["terms"]:
             if (n := int(item["n"], 16)) < 0:
                 raise ConfigError(f"frequency {item['n']} is negative")
+            if n in spelled:
+                raise ConfigError(f"duplicate frequency {spelled[n]!r} and {item['n']!r}")
+            spelled[n] = item["n"]
             terms[n] = read_number(item["c"], f"coefficient of W_{item['n']}", float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad spectrum term: {exc!r}") from exc

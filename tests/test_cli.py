@@ -423,6 +423,11 @@ _DIGITS = "7" * 5000  # past Python's 4,300-digit limit on int conversion
                  id="greedy-boolean-coefficient"),
     pytest.param("norm", '{"terms": [{"n": "1", "c": true}]}', "coefficient of W_1",
                  id="norm-boolean-coefficient"),
+    # one frequency spelled twice names both spellings
+    pytest.param("norm", '{"terms": [{"n": "1", "c": 1.0}, {"n": "01", "c": 2.0}]}',
+                 "duplicate frequency '1' and '01'", id="norm-duplicate-frequency"),
+    pytest.param("norm", '{"terms": [{"n": "1", "c": 1.0}, {"n": "0x1", "c": 2.0}]}',
+                 "duplicate frequency '1' and '0x1'", id="norm-duplicate-frequency-0x"),
 ])
 def test_unreadable_files_and_loose_numbers_exit2(tmp_path, capsys, command, content, named):
     path = tmp_path / "in.json"
@@ -435,15 +440,25 @@ def test_unreadable_files_and_loose_numbers_exit2(tmp_path, capsys, command, con
     assert named in err and "Traceback" not in err
 
 
-def test_directory_as_out_exit2(tmp_path, capsys):
+def test_directory_as_out_exit2(tmp_path, capsys, monkeypatch):
+    # a directory, or a path in a missing directory, is refused before
+    # the experiment runs, and nothing is created
+    import walshlab.cli as cli
+
+    def never(*args):
+        raise AssertionError("run_experiment called with an unwritable --out")
+
+    monkeypatch.setattr(cli, "run_experiment", never)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"plan": "desk", "p": [2], "sizes": [1], "trials": 1}))
     (out_dir := tmp_path / "r.csv").mkdir()
-    code, out, err = run_cli(
-        capsys, "experiment", "democracy", "--config", str(cfg_path), "--out", str(out_dir),
-    )
-    assert code == 2 and out == ""
-    assert str(out_dir) in err and "Traceback" not in err
+    for out_path in (out_dir, tmp_path / "missing" / "r.csv"):
+        code, out, err = run_cli(
+            capsys, "experiment", "democracy", "--config", str(cfg_path), "--out", str(out_path),
+        )
+        assert code == 2 and out == ""
+        assert str(out_path) in err and "Traceback" not in err
+    assert out_dir.is_dir() and not (tmp_path / "missing").exists()
 
 
 def test_engine_value_error_is_not_a_config_error(tmp_path, capsys, monkeypatch):

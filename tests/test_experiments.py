@@ -9,6 +9,7 @@ from walshlab.errors import BudgetError, ConfigError
 from walshlab.experiments import (
     CSV_COLUMNS,
     ExperimentConfig,
+    ResultRecord,
     almost_greedy_experiment,
     baseline_walsh_comparison,
     corpus_generate,
@@ -426,6 +427,27 @@ def test_csv_format(tmp_path, desk):
     assert first[6] == "" and first[7] == ""
     assert first[8] == "true"
     assert float(first[5]) == 1.0
+
+
+def test_csv_header_is_the_readme_column_list(tmp_path):
+    # CSV_COLUMNS is derived from ResultRecord's fields, so a renamed or
+    # reordered field must show up here, not silently in the CSV
+    path = tmp_path / "out.csv"
+    write_records_csv([], path)
+    assert path.read_text() == (
+        "experiment,plan,p,size_or_m,trial,value,ci_low,ci_high,exact,seed\n"
+    )
+
+
+def test_rows_and_estimates_are_immutable():
+    fields = ("democracy", "g=1,2", 2.0, 1, 0, 1.0, None, None, True, 0)
+    rec = ResultRecord(*fields)
+    est = NormEstimate(2.0, 1.0, "exact")
+    for obj, name in ((rec, "value"), (est, "value"), (est, "ci_low")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 0.0)
+    assert rec.value == 1.0 and est.ci_low is None
+    assert rec == ResultRecord(*fields) and hash(rec) == hash(ResultRecord(*fields))
 
 
 def test_rerun_bit_identical(tmp_path, desk):

@@ -343,7 +343,7 @@ def test_democracy_rows_equal_the_per_set_loop(cfg, rows_per_batch):
     for got, ref in zip(records, want):
         if got.p in (4.0, 6.0, 8.0, 10.0):
             assert abs(got.value - ref.value) <= 1e-12 * ref.value
-            assert got == dataclasses.replace(ref, value=got.value)
+            assert got == ref._replace(value=got.value)
         else:  # Parseval and the dense or sampled route read the same spectrum
             assert got == ref
     assert summary["spectrum_route_dev_max"] <= 1e-12
@@ -467,7 +467,7 @@ def test_khintchine_batches_equal_the_per_trial_loop(
     for got, ref in zip(records, want):
         if got.p in EVEN_DRIFT:
             assert abs(got.value - ref.value) <= EVEN_DRIFT[got.p] * ref.value
-            assert got == dataclasses.replace(ref, value=got.value)
+            assert got == ref._replace(value=got.value)
         else:
             assert got == ref
     assert summary["fourth_moment_dev_max"] == identity_dev
@@ -541,7 +541,7 @@ def assert_rows_close(records, want, exact_p=(2.0,)):
             assert got == ref
         else:
             assert abs(got.value - ref.value) <= 1e-12 * ref.value
-            assert got == dataclasses.replace(ref, value=got.value)
+            assert got == ref._replace(value=got.value)
 
 
 def test_almostgreedy_builds_each_candidate_spectrum_once():
