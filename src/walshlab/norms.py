@@ -21,7 +21,11 @@ Routes, as ``lp_norm`` (shared by the experiments and the CLI) picks them:
 
       integral f^(2m) = sum over j of C(2m, 2j) E q^(2m-2j) E T^(2j).
 
-  E q^(2j) comes from the 2^v cell values of q when v <= 12.  E T^(2j)
+  E q^(2j) comes from the head's cell values: the head frequencies span
+  an r-dimensional space over GF(2), and in a reduced echelon basis of
+  it each frequency's bits at the basis pivots are its coordinates, so
+  q takes its values on 2^r equally likely cells (2^v when the head
+  spans all its v bits, the plain remap of those bits).  E T^(2j)
   comes from the power sums S_2i = sum b^(2i): T's cumulants are
   kappa_2i = c_i S_2i, where c_i = 1, -2, 16, -272, ... are the even
   cumulants of one Rademacher sign (those of log cosh), and the
@@ -32,13 +36,13 @@ Routes, as ``lp_norm`` (shared by the experiments and the CLI) picks them:
   turns them into moments.  At m = 2 this is
   integral f^4 = E q^4 + 6 E q^2 S_2 + 3 S_2^2 - 2 S_4.  The recursion
   cancels more as m grows (most when one tail term dominates), so p
-  above 10 is refused.  Heads wider than 12 bits take E q^(2j) =
-  ||q^j||_2^2 from the XOR powers of the head alone
-  (``spectrum_product``, under its byte budget); tail terms never enter
-  a convolution.  ``even_split`` classifies a frequency list (head
-  bits, tail mask, head cells) once; ``even_moments`` applies that one
-  classification to every row on the list, and callers keep it (per
-  plan and block tuple in the experiments, per call in khintchine).
+  above 10 is refused.  Nothing enters a convolution; the 2^r cells,
+  their squares and one power (24 bytes a cell and row) are refused
+  before they are allocated when they would pass ``spectra.BYTE_BUDGET``.
+  ``even_split`` classifies a frequency list (tail mask, head cells)
+  once; ``even_moments`` applies that one classification to every row
+  on the list, and callers keep it (per plan and block tuple in the
+  experiments, per call in khintchine).
 * ``lp_even_spectral`` is scale-free: it takes the moment of f / 2^e,
   whose largest |coefficient| lies in [1/2, 1), and scales the norm
   back by 2^e, so no moment under- or overflows.  ``lp_dense`` and
@@ -76,19 +80,9 @@ import numpy as np
 
 from . import spectra
 from .errors import BudgetError, ConfigError, DepthError
-from .spectra import (
-    WalshSpectrum,
-    _freq_arrays,
-    _fwht_inplace,
-    inner_product,
-    spectrum_product,
-    synthesize,
-)
+from .spectra import WalshSpectrum, _freq_arrays, _fwht_inplace, synthesize
 
 MAX_DENSE_DEPTH = 24
-
-# 2^v head cells above which the split takes head moments from head powers
-_SPLIT_CELL_CAP = 1 << 12
 
 # Largest even p whose split norms stay within 1e-12 of lp_dense: worst
 # relative errors on random 1-9-term tails, some led by one term, are
@@ -144,8 +138,8 @@ def lp_even_spectral(f: WalshSpectrum, p: int) -> NormEstimate:
     lies in [1/2, 1), and the norm is scaled back by 2^e, both exactly.
     A norm past the float range is a ConfigError.
 
-    The byte budget bounds each XOR product that the powers of a head
-    wider than 12 bits need; narrower heads convolve nothing.
+    The byte budget bounds the head's 2^r cells, r the GF(2) rank of
+    its frequencies, at 24 bytes a cell.
     """
     if p < 2 or p % 2:
         raise ValueError(f"p must be an even integer >= 2, got {p}")
@@ -246,6 +240,16 @@ def _check_power_mean(x: float, p: float) -> None:
         raise ConfigError(f"the mean of |f|^{p} overflows")
 
 
+def _check_head_cells(rows: int, r: int) -> None:
+    """Refuse ``rows`` x 2^r head cells, their squares and one power."""
+    need = 24 * rows << r
+    if need > spectra.BYTE_BUDGET:
+        raise BudgetError(
+            f"{rows} rows of 2^{r} head cells need about {need} bytes, "
+            f"budget {spectra.BYTE_BUDGET}"
+        )
+
+
 def _mc_peak_bytes(samples: int, limbs: int) -> int:
     """Upper bound on what one ``lp_monte_carlo`` draw allocates: the
     uint64 masks, the byte columns copied out of them, and at most six
@@ -286,13 +290,14 @@ def _eval_masks(f: WalshSpectrum, masks: np.ndarray) -> np.ndarray:
     return values
 
 
-# one frequency list classified: which are tail terms, the head's in list
-# order, and their cells among the head's 2^v when 2^v <= the cap, else None
-EvenSplit = namedtuple("EvenSplit", "in_tail head slots v")
+# one frequency list classified: which are tail terms, and the cells of
+# the others, in list order, among the head's 2^r, r its rank over GF(2)
+EvenSplit = namedtuple("EvenSplit", "in_tail slots r")
 
 
 def even_split(freqs) -> EvenSplit:
-    """Classify ``freqs`` for ``even_moments``, once per frequency list."""
+    """Classify ``freqs`` for ``even_moments``, once per frequency list;
+    a head whose 2^r cells pass the byte budget is a BudgetError."""
     head_bits = 0
     for n in freqs:
         if n.bit_count() != 1:
@@ -301,17 +306,31 @@ def even_split(freqs) -> EvenSplit:
     outside = ~head_bits
     in_tail = np.array([n & outside != 0 for n in freqs], dtype=bool)
     head = tuple(n for n in freqs if not n & outside)
-    v = head_bits.bit_count()
-    slots = None
-    if (1 << v) <= _SPLIT_CELL_CAP:
-        shifts = [s for s in range(head_bits.bit_length()) if head_bits >> s & 1]
-        # the head remapped onto bits 0..v-1, its 2^v cells in
-        # bit-reversed order; moments ignore order
-        slots = [sum((n >> s & 1) << i for i, s in enumerate(shifts)) for n in head]
-        slots = np.array(slots, dtype=np.intp)
-        slots.flags.writeable = False
+    # reduced echelon basis of the head, keyed by pivot: no vector holds
+    # another's pivot bit, so a frequency's bits at the pivots are its
+    # coordinates; full once it spans every head bit
+    basis, v = {}, head_bits.bit_count()
+    for n in head:
+        if len(basis) == v:
+            break
+        for pivot, b in basis.items():
+            if n >> pivot & 1:
+                n ^= b
+        if n:
+            pivot = n.bit_length() - 1
+            for k, b in basis.items():
+                if b >> pivot & 1:
+                    basis[k] = b ^ n
+            basis[pivot] = n
+            _check_head_cells(1, len(basis))
+    # coordinates as cell indices (moments ignore cell order); ascending
+    # pivots make them the plain remap of the head bits when r = v
+    pivots = sorted(basis)
+    slots = [sum((n >> s & 1) << i for i, s in enumerate(pivots)) for n in head]
+    slots = np.array(slots, dtype=np.intp)
+    slots.flags.writeable = False
     in_tail.flags.writeable = False  # callers may cache and share the split
-    return EvenSplit(in_tail, head, slots, v)
+    return EvenSplit(in_tail, slots, len(pivots))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -319,30 +338,20 @@ def even_moments(split: EvenSplit, coeffs: np.ndarray, ms):
     """(R, len(ms)) array of integral f_r^(2m) for m in ``ms``, where row
     r of ``coeffs`` holds f_r's coefficients at the frequencies that
     ``split = even_split(freqs)`` classified.  Every row shares that
-    one head/tail split; overflow is a ConfigError."""
-    in_tail, head, slots, v = split
+    one head/tail split; overflow is a ConfigError, and head cells past
+    the byte budget a BudgetError."""
+    in_tail, slots, r = split
+    _check_head_cells(len(coeffs), r)
     m_max = max(ms, default=0)
     eq = np.ones((len(coeffs), m_max + 1))  # eq[:, j] = E q^(2j)
-    if slots is None:
-        # E q^(2j) = ||q^j||_2^2 from the XOR powers of the head
-        for r, row in enumerate(coeffs[:, ~in_tail].tolist()):
-            q = power = WalshSpectrum({n: c for n, c in zip(head, row) if c})
-            for j in range(1, m_max + 1):
-                if j > 1:
-                    try:
-                        power = spectrum_product(power, q)
-                    except ValueError as exc:  # a coefficient of q^j overflowed
-                        raise ConfigError(f"the head's power {j} overflows") from exc
-                eq[r, j] = inner_product(power, power)
-    else:
-        cells = np.zeros((len(coeffs), 1 << v))
-        cells[:, slots] = coeffs[:, ~in_tail]
-        _fwht_inplace(cells)
-        q2 = cells * cells
-        power = np.ones_like(q2)
-        for j in range(1, m_max + 1):
-            power *= q2
-            eq[:, j] = power.mean(axis=1)
+    cells = np.zeros((len(coeffs), 1 << r))
+    cells[:, slots] = coeffs[:, ~in_tail]
+    _fwht_inplace(cells)
+    q2 = cells * cells
+    power = np.ones_like(q2)
+    for j in range(1, m_max + 1):
+        power *= q2
+        eq[:, j] = power.mean(axis=1)
     b2 = np.square(coeffs[:, in_tail], order="C")  # rows summed as on their own
     power = np.ones_like(b2)
     _, recursion, cumulants = _split_table(m_max)

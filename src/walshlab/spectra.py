@@ -36,10 +36,6 @@ MAX_SYNTH_DEPTH = 30
 # exceed this many bytes are refused.
 BYTE_BUDGET = 1 << 30
 
-# Above this many pair products the dict convolution switches to the
-# packed numpy path.
-_DICT_PRODUCT_CUTOFF = 1 << 14
-
 Frequency = int
 
 
@@ -255,33 +251,24 @@ def spectrum_product(f: WalshSpectrum, g: WalshSpectrum) -> WalshSpectrum:
         raise BudgetError(
             f"product needs about {need} bytes for {pairs} pairs, budget {BYTE_BUDGET}"
         )
-    if pairs <= _DICT_PRODUCT_CUTOFF:
-        out: dict[int, float] = {}
-        for a, ca in f.items():
-            for b, cb in g.items():
-                n = a ^ b
-                v = out.get(n, 0.0) + ca * cb
-                if v == 0.0:
-                    out.pop(n, None)
-                else:
-                    out[n] = v
-    else:
-        # sum over equal pair keys; rebinding ``keys`` frees the unsorted ones
-        fa, ca = _freq_arrays(f, limbs)
-        ga, cb = _freq_arrays(g, limbs)
-        keys = (fa[:, None, :] ^ ga[None, :, :]).reshape(-1, limbs)
-        order = np.lexsort(keys.T[::-1])
-        keys = keys[order]
-        starts = np.flatnonzero(
-            np.concatenate(([True], np.any(keys[1:] != keys[:-1], axis=1)))
-        )
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
-            sums = np.add.reduceat(np.multiply.outer(ca, cb).ravel()[order], starts)
-        kept = sums != 0.0
-        buf, width = keys[starts[kept]].tobytes(), 8 * limbs
-        freqs = (int.from_bytes(buf[i:i + width], "little")
-                 for i in range(0, len(buf), width))
-        out = dict(zip(freqs, sums[kept].tolist()))
+    if not pairs:
+        return WalshSpectrum()
+    # sum over equal pair keys; rebinding ``keys`` frees the unsorted ones
+    fa, ca = _freq_arrays(f, limbs)
+    ga, cb = _freq_arrays(g, limbs)
+    keys = (fa[:, None, :] ^ ga[None, :, :]).reshape(-1, limbs)
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    starts = np.flatnonzero(
+        np.concatenate(([True], np.any(keys[1:] != keys[:-1], axis=1)))
+    )
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        sums = np.add.reduceat(np.multiply.outer(ca, cb).ravel()[order], starts)
+    kept = sums != 0.0
+    buf, width = keys[starts[kept]].tobytes(), 8 * limbs
+    freqs = (int.from_bytes(buf[i:i + width], "little")
+             for i in range(0, len(buf), width))
+    out = dict(zip(freqs, sums[kept].tolist()))
     # an overflowed pair sum stays inf or NaN whatever is added to it
     if not all(map(math.isfinite, out.values())):
         raise ValueError("the product overflows a coefficient")

@@ -1,8 +1,10 @@
 """The head/tail moment split against the routes it replaced.
 
 For p = 2m >= 4, ``lp_even_spectral`` splits f into a head and an
-independent Rademacher tail.  Heads on at most 12 bits give their
-moments from their cells, wider heads from their XOR powers.
+independent Rademacher tail.  The head takes its moments from its 2^r
+cells, r the rank of its frequencies over GF(2): a frequency's cell is
+its bits at the pivots of a reduced echelon basis, which is the plain
+remap of the head bits when the head spans all of them.
 ``reference_even_moment`` is the route that wide heads took before the
 split covered them: the powers f^m of the whole spectrum, formed by XOR
 convolution of packed keys under a pair budget.  The properties compare
@@ -11,6 +13,7 @@ the split with it at any depth, with ``lp_dense`` where the depth is
 B_2m = ((2m - 1)!!)^(1/2m).
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -19,7 +22,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import walshlab.spectra
+from walshlab.blocks import load_plan
 from walshlab.errors import BudgetError
+from walshlab.experiments import _block_split
 from walshlab.norms import (
     _split_table,
     even_moments,
@@ -156,6 +161,96 @@ def test_wide_head_fits_where_the_full_convolution_did_not(monkeypatch):
     monkeypatch.setattr(walshlab.spectra, "BYTE_BUDGET", _product_peak_bytes(budget, 1))
     est = lp_even_spectral(f, 8)
     assert est.value == pytest.approx(lp_dense(f, 8).value, rel=1e-12)
+
+
+@st.composite
+def low_rank_heads(draw):
+    """A head of rank <= 9 on up to 300 bits plus a Rademacher tail.
+
+    Head frequencies are XORs of at most six random vectors of 16 or
+    300 bits, joined by up to three single bits inside the head bits;
+    the tail sits on other bits, and a third of the tails carry one
+    dominant term.
+    """
+    width = draw(st.sampled_from([16, 300]))
+    gens = draw(st.lists(st.integers(1, (1 << width) - 1), min_size=1, max_size=6))
+    masks = draw(st.sets(st.integers(1, (1 << len(gens)) - 1), min_size=1, max_size=8))
+    terms = {}
+    for mask in masks:
+        n = 0
+        for i, g in enumerate(gens):
+            if mask >> i & 1:
+                n ^= g
+        terms[n] = draw(coefficient)
+    head_bits = 0
+    for n in terms:
+        if n.bit_count() != 1:
+            head_bits |= n
+    inside = [b for b in range(width) if head_bits >> b & 1]
+    if inside:
+        for b in draw(st.lists(st.sampled_from(inside), max_size=3, unique=True)):
+            terms[1 << b] = draw(coefficient)
+    free = [b for b in range(width) if not head_bits >> b & 1]
+    tail_bits = []
+    if free:
+        tail_bits = draw(st.lists(st.sampled_from(free), max_size=6, unique=True))
+    for b in tail_bits:
+        terms[1 << b] = draw(coefficient)
+    if tail_bits and draw(st.integers(0, 2)) == 0:
+        terms[1 << tail_bits[0]] = draw(st.sampled_from([1e3, -1e3]))
+    return WalshSpectrum(terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(low_rank_heads(), st.sampled_from([4, 6, 8, 10]))
+def test_low_rank_wide_heads_equal_convolution_and_dense(f, p):
+    # at p = 10 a dominant tail term costs the cumulant recursion about
+    # 1e-12 of the moment (1000 r_1 + r_2 + r_3: 1.2e-12), so there the
+    # norms are compared, at the 1e-12 that EVEN_SPLIT_MAX_P stands for
+    root = 1 / p if p == 10 else 1
+    split = head_tail_moment(f, p // 2) ** root
+    assert split == pytest.approx(reference_even_moment(f, p // 2) ** root, rel=1e-12)
+    if f.depth() <= 16:
+        assert split == pytest.approx(lp_dense(f, p).value ** (p * root), rel=1e-12)
+
+
+def bit_remap(freqs):
+    """The head's cells as the split took them when 2^v <= 4096: each head
+    frequency's bits at the v head bits, and v."""
+    head_bits = 0
+    for n in freqs:
+        if n.bit_count() != 1:
+            head_bits |= n
+    shifts = [s for s in range(head_bits.bit_length()) if head_bits >> s & 1]
+    head = [n for n in freqs if not n & ~head_bits]
+    return [sum((n >> s & 1) << i for i, s in enumerate(shifts)) for n in head], len(shifts)
+
+
+def test_heads_that_span_their_bits_keep_the_bit_remap():
+    # plan-span rows keep their bytes: the same cells in the same order
+    plan = load_plan("desk")
+    spanning = 0
+    for size in range(1, 4):
+        for blocks in itertools.combinations(range(1, 4), size):
+            freqs = [n for k in blocks for n in plan.symbol_frequencies(k)]
+            split = _block_split(plan, blocks)
+            remap, v = bit_remap(freqs)
+            if split.r == v:
+                spanning += 1
+                assert split.slots.tolist() == remap
+    assert spanning >= 4
+    for freqs in ([], [0], [rademacher_index(j) for j in (1, 5, 300)],
+                  [0] + [rademacher_index(j + 1) for j in range(16)]):
+        split = even_split(freqs)
+        assert (split.slots.tolist(), split.r) == bit_remap(freqs)
+
+
+def test_dense_13_bit_head_takes_its_cells():
+    # 8,192 head cells (196 KB) under the default budget; the head's
+    # powers would need 2^26 pairs
+    rng = np.random.default_rng(13)
+    f = WalshSpectrum(dict(enumerate(rng.normal(size=1 << 13).tolist())))
+    assert lp_even_spectral(f, 4).value == pytest.approx(lp_dense(f, 4).value, rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,12 +93,21 @@ def test_spectral_p8_small():
 
 
 def test_spectral_budget(monkeypatch):
-    # non-Rademacher frequencies spanning 14 bits: too wide for the
-    # head cells, so p=8 takes the budgeted powers of the head
-    f = WalshSpectrum({n | (n << 7): 1.0 for n in range(1 << 7)})
+    # a head of rank 20 (on 21 bits) needs 24 * 2^20 bytes of cells, past
+    # this budget: refused before they are allocated
     monkeypatch.setattr(walshlab.spectra, "BYTE_BUDGET", _product_peak_bytes(10_000, 1))
-    with pytest.raises(BudgetError):
-        lp_even_spectral(f, 8)
+    f = WalshSpectrum({3 << j: 1.0 for j in range(20)})
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError):
+            lp_even_spectral(f, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # 128 frequencies on 14 bits span only 7 dimensions: 128 cells
+    f = WalshSpectrum({n | (n << 7): 1.0 for n in range(1 << 7)})
+    assert lp_even_spectral(f, 8).value == pytest.approx(lp_dense(f, 8).value, rel=1e-12)
 
 
 def test_seven_bit_head_takes_the_split_at_p8(monkeypatch):

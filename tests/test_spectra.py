@@ -141,7 +141,7 @@ def test_product_packed_path_matches_dict_path():
         lo = int(rng.integers(0, 2**35))
         return (hi << 35) | lo
 
-    # two spectra big enough to cross the packed cutoff, spanning >64 bits
+    # two spectra of 160 x 130 pairs spanning >64 bits, against a dict loop
     fa = WalshSpectrum({wide_freq(): float(rng.normal()) for _ in range(160)})
     fb = WalshSpectrum({wide_freq(): float(rng.normal()) for _ in range(130)})
     packed = spectrum_product(fa, fb)
@@ -156,7 +156,7 @@ def test_product_packed_path_matches_dict_path():
 @pytest.mark.parametrize("size", [100, 150, 300])
 def test_product_peak_stays_within_its_budget_estimate(limbs, size):
     # every pair gives its own result term, the worst case for the
-    # result dict; 100 x 100 pairs take the dict path
+    # result dict
     rng = np.random.default_rng(size + limbs)
     half = 32 * limbs
     low = rng.choice(1 << min(half, 62), size, replace=False)
@@ -292,7 +292,7 @@ def test_sums_past_the_float_range_are_refused():
     assert dict((big + WalshSpectrum({3: 1e308})).items()) == {1: 1e308, 2: 1.0, 3: 1e308}
 
 
-@pytest.mark.parametrize("pairs", [1, 300])  # the dict and the packed path
+@pytest.mark.parametrize("pairs", [1, 300])  # one pair and many
 def test_products_past_the_float_range_are_refused(pairs):
     f = WalshSpectrum({1: 1e200, **{4 * j: 1.0 for j in range(1, pairs)}})
     g = WalshSpectrum({2: 1e200, **{8 * j: 1.0 for j in range(1, pairs)}})
