@@ -3,16 +3,20 @@
 dense: exact for any p but needs the full dyadic grid (depth <= 24).
 even spectral: exact for even p at any depth, via a head/tail moment
 split: an independent Rademacher tail, whose moments come from its
-cumulants, plus a head whose moments come from its cells when it spans
-at most 12 bits, or from XOR powers of the head, not of the whole
-spectrum, when it is wider.
-monte carlo: any p, any depth, seeded, with an honest 95% interval.
+cumulants, plus a head whose moments come from its 2^r cells, r the
+rank of its frequencies over GF(2), however wide its bits.
+monte carlo: any p, any depth, seeded, with an honest 95% interval;
+it draws only the bits the spectrum's frequencies use.
 """
+
+import functools
+import operator
 
 import numpy as np
 
 from walshlab import (
     WalshSpectrum,
+    load_plan,
     lp_dense,
     lp_even_spectral,
     lp_monte_carlo,
@@ -52,6 +56,11 @@ print(f"p=3 estimate {est.value:.5f}, CI [{est.ci_low:.5f}, {est.ci_high:.5f}]")
 print("exact value:", 4 ** (1 / 3))
 again = lp_monte_carlo(f, 3.0, 50_000, seed=42)
 print("same seed, same bits:", est.value == again.value)
+desk_sum = load_plan("desk").sum_spectrum([2, 7, 40, 150, 276])
+used = functools.reduce(operator.or_, desk_sum, 0)
+est = lp_monte_carlo(desk_sum, 3.0, 20_000, seed=42)
+print(f"desk sum: depth {desk_sum.depth()}, packed width {used.bit_count()},",
+      f"p=3 estimate {est.value:.4f}, CI [{est.ci_low:.4f}, {est.ci_high:.4f}]")
 
 print("\n== norms grow with p on a probability space ==")
 h = WalshSpectrum({int(n): float(rng.normal()) for n in rng.choice(256, 8, replace=False)})

@@ -49,14 +49,21 @@ Routes, as ``lp_norm`` (shared by the experiments and the CLI) picks them:
   ``lp_monte_carlo`` refuse a p-th power mean (or its sampled spread)
   past the float range with ConfigError, as ``even_moments`` refuses
   such an even moment of its unscaled rows.
-* ``lp_monte_carlo`` samples uniform cells at the spectrum's own depth
-  (the integrand is constant per cell, so sampling adds no
-  discretization error) and reports a 95% CI propagated from the
-  normal-approximation CI of the p-th power mean.  The digit masks are
-  the raw uint64 stream of Philox keyed by the seed, so sample i depends
-  only on (seed, i) and not on any execution schedule.
+* ``lp_monte_carlo`` samples uniform cells of the packed spectrum and
+  reports a 95% CI propagated from the normal-approximation CI of the
+  p-th power mean.  f depends on a point only through its digits at
+  the w positions of U, the OR of f's frequencies, and those digits
+  are i.i.d. fair bits; so ``_packed`` rewrites each frequency as its
+  bits at U's positions in ascending order, and the draw samples the
+  2^w cells of that depth-w spectrum (the integrand is constant per
+  cell, so sampling adds no discretization error).  A desk democracy
+  set of 4-6 elements reads 15-37 of its 171-273 bits: one limb.  When
+  U fills bits 0..w-1 the spectrum is f itself.  The digit masks are
+  the raw uint64 stream of Philox keyed by the seed, ceil(w / 64)
+  words a sample, so sample i depends only on (seed, i) and U, not on
+  any execution schedule.
   Samples are evaluated with byte tables: every term whose frequency
-  has its nonzero bits inside one byte of the packed little-endian
+  has its nonzero bits inside one byte of the little-endian
   limbs (every Rademacher term, and any other frequency inside one
   aligned byte) joins that byte's 256-entry coefficient row, one
   8-bit Walsh-Hadamard butterfly turns the rows into value tables,
@@ -164,11 +171,16 @@ def lp_monte_carlo(
     f: WalshSpectrum, p: float, samples: int, seed: int
 ) -> NormEstimate:
     """Seeded estimate of ||f||_p with a 95% CI; p > 1, samples >= 2.
-    A p-th power mean or its spread past the float range is a ConfigError."""
+    A p-th power mean or its spread past the float range is a ConfigError.
+
+    Sample i is the cell of f's packed bits (see ``_packed``) whose
+    digits are the i-th word(s) of the Philox stream keyed by ``seed``.
+    """
     if p <= 1:
         raise ValueError(f"p must be > 1, got {p}")
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
+    f = _packed(f)
     depth = f.depth()
     limbs = max(1, (depth + 63) // 64)
     need = _mc_peak_bytes(samples, limbs)
@@ -255,6 +267,32 @@ def _mc_peak_bytes(samples: int, limbs: int) -> int:
     uint64 masks, the byte columns copied out of them, and at most six
     float64 or intp arrays of one entry per sample alive at once."""
     return samples * (16 * limbs + 6 * 8)
+
+
+def _packed(f: WalshSpectrum) -> WalshSpectrum:
+    """f with each frequency rewritten as its bits at the positions of U,
+    the OR of f's frequencies, in ascending order: a spectrum of depth
+    popcount(U) whose values at i.i.d. fair digits are distributed as
+    f's.  f itself when U fills bits 0..depth-1."""
+    used = 0
+    for n in f:
+        used |= n
+    if not used & (used + 1):
+        return f
+    slot = {}  # each bit of U -> its packed bit
+    while used:
+        low = used & -used
+        slot[low] = 1 << len(slot)
+        used ^= low
+    terms = {}  # distinct frequencies stay distinct: their bits lie in U
+    for n, c in f.items():
+        m = 0
+        while n:
+            low = n & -n
+            m |= slot[low]
+            n ^= low
+        terms[m] = c
+    return WalshSpectrum._from_clean_dict(terms)
 
 
 def _eval_masks(f: WalshSpectrum, masks: np.ndarray) -> np.ndarray:

@@ -225,8 +225,8 @@ def test_non_even_power_means_past_the_float_range_are_refused():
 
 
 def test_head_powers_scale_exactly_by_powers_of_two():
-    # a 14-bit head takes its moments from XOR powers, whose coefficients
-    # would overflow at 1e100 unless the row is scaled by 2^-e first
+    # a 14-bit head of rank 7 takes its moments from 128 cells, whose
+    # powers would overflow at 1e100 unless the row is scaled by 2^-e first
     f = WalshSpectrum({n | (n << 7): 1e100 for n in range(1 << 7)})
     norm = lp_even_spectral(f, 8).value
     unit = WalshSpectrum({n: 1.0 for n in f})

@@ -210,8 +210,8 @@ def test_prefix_batches_peak_near_six_batches(monkeypatch):
 
 
 def test_even_moments_rows_equal_dense_with_a_wide_head():
-    # bits 0..13 are head (16384 cells, left to the XOR powers), 1 << 3
-    # lies inside them, 1 << 16 and 1 << 20 are the tail
+    # bits 0..13 are head, of rank 3 (8 cells), 1 << 3 lies inside
+    # them, 1 << 16 and 1 << 20 are the tail
     freqs = [0b11 << 12, 0b111111111111, 1 << 3, 1 << 16, 1 << 20]
     coeffs = np.random.default_rng(12).normal(size=(3, len(freqs)))
     coeffs[1, :2] = 0.0  # a row whose own head would be narrow
