@@ -13,19 +13,21 @@ The corpus drivers (quasigreedy, partialsum, almostgreedy) read their
 functions and expansion coefficients from one iterator, and greedy
 approximants are built from prefixes ``order[:m]`` of the greedy order.
 
-Every value inside the plan's span is a symbol row of a byte-bounded
-batch (``_span_norms``, the even split cached per plan and block tuple):
-democracy's sets, quasigreedy's and walsh-baseline's greedy prefixes,
-partialsum's S_n f and almostgreedy's candidate residuals f - P_c f.
+Every swept value is a row of a byte-bounded batch (``_span_norms``),
+over the plan's positions or over Walsh frequencies taken as they are:
+democracy's sets, quasigreedy's greedy prefixes, partialsum's S_n f,
+almostgreedy's candidate residuals f - P_c f, khintchine's zero-padded
+trials and both sides of walsh-baseline, whose row 0 is the whole
+function and row m its greedy prefix.  Each call takes one even split
+(cached per plan and block tuple on the plan's positions).
 ``_estimates`` picks the norm route of every value: p = 2 from a known
 l2 norm (Parseval in coefficient space, which partialsum and
-quasigreedy check against their rows' Walsh side, or the Walsh side
-itself in walsh-baseline), even p up to 10 from the rows' exact
-head/tail split, anything else ``lp_norm`` of the spectrum, a row
-gathered at most once.  Other spectra are the corpus, what lies
-outside the plan (khintchine's trials, walsh-baseline's Walsh side)
-and the cross-checks: democracy's first set, partialsum's block ends
-and quasigreedy's full prefix.
+quasigreedy check against their rows' Walsh side, or the rows' own
+squared sum in walsh-baseline), even p up to 10 from the rows' exact
+head/tail split, anything else ``lp_norm`` of the spectrum, built from
+a row at most once.  Other spectra are the corpus and the
+cross-checks: democracy's first set, partialsum's block ends and
+quasigreedy's full prefix.
 """
 
 from __future__ import annotations
@@ -289,8 +291,8 @@ def _norm(f: WalshSpectrum, p: float, cfg: ExperimentConfig, *seed_parts) -> Nor
 def _estimates(cfg: ExperimentConfig, l2, even: dict, spectrum, parts: Callable):
     """(p, ||f||_p) for every p of ``cfg.p_values``, in order: ``l2`` at
     p = 2 when given, ``even[p]`` where the split took p, else ``lp_norm``
-    of ``spectrum``, f's spectrum or its symbol vectors on ``cfg.plan``
-    (gathered once); a sampled value alone derives a seed, ``parts(p_idx)``."""
+    of ``spectrum``: f's spectrum, its symbol vectors or a function making
+    it, read once; a sampled value alone derives a seed, ``parts(p_idx)``."""
     out = []
     for p_idx, p in enumerate(cfg.p_values):
         if p == 2.0 and l2 is not None:
@@ -299,7 +301,7 @@ def _estimates(cfg: ExperimentConfig, l2, even: dict, spectrum, parts: Callable)
             est = NormEstimate(p, even[p], "exact")
         else:
             if not isinstance(spectrum, WalshSpectrum):
-                spectrum = cfg.plan.gather(spectrum)
+                spectrum = spectrum() if callable(spectrum) else cfg.plan.gather(spectrum)
             est = _norm(spectrum, p, cfg, *parts(p_idx))
         out.append((p, est))
     return out
@@ -367,32 +369,42 @@ def _block_split(plan: BlockPlan, blocks: tuple[int, ...]):
     return even_split([n for k in blocks for n in plan.symbol_frequencies(k)])
 
 
-def _split_ps(ps) -> list:
-    """The p of ``ps`` that rows take from the even split; 2 stays Parseval."""
-    return [p for p in ps if takes_split(p) and p != 2.0]
-
-
-def _span_norms(plan: BlockPlan, entries, member, ps):
-    """(symbol vectors, {p: norm} at the ``_split_ps`` of ``ps``, squared
-    l2) of one span function per boolean row of ``member`` (an array, or
-    any iterable of rows): row r sums the (position, weight) ``entries``
-    it selects.  Rows are read and built ``_BATCH_BYTES`` at a time; a
-    batch shares one ``rmatvec`` per block and one ``even_moments``
-    pass, and every batch on the same blocks one cached split."""
-    ps = _split_ps(ps)
-    index = np.searchsorted(plan.offsets, [m for m, _ in entries])
-    blocks = tuple(sorted(set(index.tolist())))
-    split = _block_split(plan, blocks)
+def _span_norms(plan: BlockPlan | None, entries, member, ps):
+    """(row, {p: norm} at the p of ``ps`` that the even split takes, 2
+    staying Parseval, squared l2) of one function per row of ``member``
+    (an array, or any iterable of rows), which weighs the (key, weight)
+    ``entries``: a boolean row selects them.  Keys are plan positions
+    and a row the function's symbol vectors or, with ``plan`` None,
+    Walsh frequencies and a row a function that builds its spectrum.
+    Rows are read and built ``_BATCH_BYTES`` at a time; a batch shares
+    one ``rmatvec`` per block and one ``even_moments`` pass, a call one
+    split (on a plan, cached per blocks)."""
+    ps = [p for p in ps if takes_split(p) and p != 2.0]
+    if plan is None:
+        freqs, weights = [n for n, _ in entries], np.array([w for _, w in entries])
+        split = even_split(freqs)
+    else:
+        index = np.searchsorted(plan.offsets, [m for m, _ in entries])
+        blocks = tuple(sorted(set(index.tolist())))
+        split = _block_split(plan, blocks)
     step = max(1, _BATCH_BYTES // (8 * max(len(split.in_tail), 1)))
     member = iter(member)
     while batch := list(islice(member, step)):
-        rows = plan.symbol_rows(entries, np.array(batch))
-        coeffs = np.concatenate([rows[k] for k in blocks], axis=1)
+        batch = np.array(batch)
+        if plan is None:
+            rows = (lambda b=b: WalshSpectrum(zip(freqs, (b * weights).tolist()))
+                    for b in batch)
+            coeffs = batch * weights
+        else:
+            vectors = plan.symbol_rows(entries, batch)
+            rows = ({k: w[r] for k, w in vectors.items()} for r in range(len(batch)))
+            coeffs = np.concatenate([vectors[k] for k in blocks], axis=1)
         moments = even_moments(split, coeffs, [int(p) // 2 for p in ps])
         l2_sq = (coeffs * coeffs).sum(axis=1).tolist()
-        for r, row in enumerate(moments.tolist()):
-            norms = {p: x ** (1.0 / p) for p, x in zip(ps, row)}
-            yield {k: w[r] for k, w in rows.items()}, norms, l2_sq[r]
+        coeffs = None  # the rows keep what they read
+        for row, x, sq in zip(rows, moments.tolist(), l2_sq):
+            yield row, {p: m ** (1.0 / p) for p, m in zip(ps, x)}, sq
+        batch = vectors = rows = row = None  # gone before the next batch is built
 
 
 def _residual_sq(vectors: dict, rows: dict) -> float:
@@ -594,41 +606,34 @@ def khintchine_experiment(cfg: ExperimentConfig):
 
     Lengths stay <= 16 so that dense synthesis enumerates all sign
     patterns exactly; the p = 4 runs are cross-checked against the
-    closed fourth-moment value 3 (sum a^2)^2 - 2 sum a^4.  Even p in 4..10
-    come from one ``even_moments`` pass per batch of zero-padded rows.
+    closed fourth-moment value 3 (sum a^2)^2 - 2 sum a^4.  Each trial is
+    a zero-padded row over r_1..r_max_terms in ``_span_norms``, which
+    takes even p in 4..10 from one ``even_moments`` pass per batch.
     """
     if cfg.max_terms > 16:
         raise ConfigError(f"max_terms {cfg.max_terms} above enumeration cap 16")
     label = cfg.plan.label()
     records: list[ResultRecord] = []
     identity_dev = 0.0
-    even_ps = _split_ps(cfg.p_values)
+    seeds = [derive_seed(cfg.seed, 9, trial) for trial in range(cfg.trials)]
+    rngs = map(np.random.default_rng, seeds)
+    drawn = (rng.normal(size=int(rng.integers(1, cfg.max_terms + 1))) for rng in rngs)
+    # unit vectors keep the moment magnitudes O(1), so the absolute
+    # tolerance on the fourth-moment identity is meaningful
+    vectors, units = tee(a / np.sqrt(np.sum(a * a)) for a in drawn)
+    padded = (np.concatenate((a, np.zeros(cfg.max_terms - len(a)))) for a in units)
     freqs = [rademacher_index(j + 1) for j in range(cfg.max_terms)]
-    split = even_split(freqs)
-    trials = iter(range(cfg.trials))
-    while batch := list(islice(trials, max(1, _BATCH_BYTES // (8 * cfg.max_terms)))):
-        seeds = [derive_seed(cfg.seed, 9, trial) for trial in batch]
-        vectors = []
-        for rng in map(np.random.default_rng, seeds):
-            a = rng.normal(size=int(rng.integers(1, cfg.max_terms + 1)))
-            # unit vectors keep the moment magnitudes O(1), so the absolute
-            # tolerance on the fourth-moment identity is meaningful
-            vectors.append(a / np.sqrt(np.sum(a * a)))
-        table = np.array([np.pad(a, (0, cfg.max_terms - len(a))) for a in vectors])
-        moments = even_moments(split, table, [int(p) // 2 for p in even_ps]).tolist()
-        for trial, trial_seed, a, row in zip(batch, seeds, vectors, moments):
-            f = WalshSpectrum(zip(freqs, a.tolist()))
-            l2 = float(np.sqrt(np.sum(a * a)))
-            even = {p: x ** (1.0 / p) for p, x in zip(even_ps, row)}
-            for p, est in _estimates(cfg, None, even, f, lambda _: (9, trial)):
-                records.append(
-                    _record("khintchine", label, p, len(a), trial, est, l2, trial_seed)
-                )
-            if 4.0 in cfg.p_values:
-                moment_dense = float(np.mean(synthesize(f, len(a)) ** 4))
-                identity_dev = np.maximum(
-                    identity_dev, abs(moment_dense - rademacher_fourth_moment(a))
-                )
+    rows = _span_norms(None, [(n, 1.0) for n in freqs], padded, cfg.p_values)
+    for trial, (trial_seed, a, (_, even, _)) in enumerate(zip(seeds, vectors, rows)):
+        f = WalshSpectrum(zip(freqs, a.tolist()))
+        l2 = float(np.sqrt(np.sum(a * a)))
+        for p, est in _estimates(cfg, None, even, f, lambda _: (9, trial)):
+            records.append(_record("khintchine", label, p, len(a), trial, est, l2, trial_seed))
+        if 4.0 in cfg.p_values:
+            moment_dense = float(np.mean(synthesize(f, len(a)) ** 4))
+            identity_dev = np.maximum(
+                identity_dev, abs(moment_dense - rademacher_fourth_moment(a))
+            )
     summary = {
         "experiment": "khintchine",
         "trials": cfg.trials,
@@ -700,9 +705,10 @@ def baseline_walsh_comparison(cfg: ExperimentConfig):
     Walsh coefficients (natural order, identity transform) and once as
     expansion coefficients of the mixed system at matching positions.
     Rows are distinguished by the plan column ("walsh" vs the plan
-    label).  The Walsh side lies outside the plan and stays spectra;
-    each mixed-basis greedy prefix is a symbol row of ``_span_norms``,
-    after the full expansion's row, whose norms are the denominators.
+    label).  Each side is one ``_span_norms`` call over its greedy
+    order, Walsh frequencies taken as they are on the Walsh side and
+    the plan's positions on the other: row 0 is the whole function,
+    whose norms are the denominators, and row m its greedy prefix.
     """
     plan = cfg.plan
     label = plan.label()
@@ -718,36 +724,31 @@ def baseline_walsh_comparison(cfg: ExperimentConfig):
         # transport preserves natural order: t-th smallest Walsh
         # frequency becomes basis position t+1
         psi = {t + 1: walsh[n] for t, n in enumerate(sorted(walsh))}
-        walsh_order = greedy_order(walsh)
-        psi_order = greedy_order(psi)
-        # row 0 is the whole expansion, row m the greedy prefix psi_order[:m]
-        entries = [(j, psi[j]) for j in psi_order]
-        cuts = chain([len(entries)], range(1, len(walsh_order) + 1))
-        member = (np.arange(len(entries)) < m for m in cuts)
-        prefixes = _span_norms(plan, entries, member, cfg.p_values)
-        norms_walsh = dict(_estimates(cfg, None, {}, f, lambda _: (13, fi)))
-        rows, even, walsh_sq = next(prefixes)
-        l2 = math.sqrt(walsh_sq)
-        norms_psi = dict(_estimates(cfg, l2, even, rows, lambda _: (14, fi)))
-        for m, (rows, even, walsh_sq) in enumerate(prefixes, start=1):
-            g_walsh = WalshSpectrum({n: walsh[n] for n in walsh_order[:m]})
-            for (p, est_w), (_, est_b) in zip(
-                _estimates(cfg, None, {}, g_walsh, lambda _: (15, fi, m)),
-                _estimates(cfg, math.sqrt(walsh_sq), even, rows, lambda _: (16, fi, m)),
-            ):
+        norms, prefixes = [], []  # per side, Walsh first
+        for span, coeffs, part in [(None, walsh, 13), (plan, psi, 14)]:
+            entries = [(j, coeffs[j]) for j in greedy_order(coeffs)]
+            cuts = chain([len(entries)], range(1, len(entries) + 1))
+            member = (np.arange(len(entries)) < m for m in cuts)
+            prefixes.append(rows := _span_norms(span, entries, member, cfg.p_values))
+            whole, even, l2_sq = next(rows)
+            norms.append(dict(_estimates(
+                cfg, math.sqrt(l2_sq), even, whole, lambda _: (part, fi))))
+        del whole  # row 0 would keep its batch alive
+        for m, pair in enumerate(zip(*prefixes), start=1):
+            ests = [
+                _estimates(cfg, math.sqrt(l2_sq), even, row, lambda _: (part, fi, m))
+                for part, (row, even, l2_sq) in zip((15, 16), pair)
+            ]
+            for p_idx, p in enumerate(cfg.p_values):
                 records += [
-                    _record("walsh-baseline", "walsh", p, m, fi, est_w, norms_walsh[p],
-                            cfg.seed),
-                    _record("walsh-baseline", label, p, m, fi, est_b, norms_psi[p],
-                            cfg.seed),
+                    _record("walsh-baseline", side, p, m, fi, est[p_idx][1], den[p], cfg.seed)
+                    for side, est, den in zip(("walsh", label), ests, norms)
                 ]
     summary = {
         "experiment": "walsh-baseline",
         "plan": label,
         "walsh_constant": _extremes(records, cfg.p_values, np.max, 0.0, plan="walsh"),
-        "mixed_basis_constant": _extremes(
-            records, cfg.p_values, np.max, 0.0, plan=label
-        ),
+        "mixed_basis_constant": _extremes(records, cfg.p_values, np.max, 0.0, plan=label),
     }
     return records, summary
 

@@ -40,9 +40,8 @@ Routes, as ``lp_norm`` (shared by the experiments and the CLI) picks them:
   their squares and one power (24 bytes a cell and row) are refused
   before they are allocated when they would pass ``spectra.BYTE_BUDGET``.
   ``even_split`` classifies a frequency list (tail mask, head cells)
-  once; ``even_moments`` applies that one classification to every row
-  on the list, and callers keep it (per plan and block tuple in the
-  experiments, per call in khintchine).
+  once; ``even_moments`` applies it to every row on the list, and the
+  experiments keep it per call, and per plan and block tuple across calls.
 * ``lp_even_spectral`` is scale-free: it takes the moment of f / 2^e,
   whose largest |coefficient| lies in [1/2, 1), and scales the norm
   back by 2^e, so no moment under- or overflows.  ``lp_dense`` and
@@ -170,14 +169,14 @@ def lp_even_spectral(f: WalshSpectrum, p: int) -> NormEstimate:
 def lp_monte_carlo(
     f: WalshSpectrum, p: float, samples: int, seed: int
 ) -> NormEstimate:
-    """Seeded estimate of ||f||_p with a 95% CI; p > 1, samples >= 2.
+    """Seeded estimate of ||f||_p with a 95% CI; p >= 1, samples >= 2.
     A p-th power mean or its spread past the float range is a ConfigError.
 
     Sample i is the cell of f's packed bits (see ``_packed``) whose
     digits are the i-th word(s) of the Philox stream keyed by ``seed``.
     """
-    if p <= 1:
-        raise ValueError(f"p must be > 1, got {p}")
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
     f = _packed(f)
@@ -385,7 +384,7 @@ def even_moments(split: EvenSplit, coeffs: np.ndarray, ms):
     cells = np.zeros((len(coeffs), 1 << r))
     cells[:, slots] = coeffs[:, ~in_tail]
     _fwht_inplace(cells)
-    q2 = cells * cells
+    q2 = np.square(cells, out=cells)
     power = np.ones_like(q2)
     for j in range(1, m_max + 1):
         power *= q2

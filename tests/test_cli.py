@@ -502,6 +502,22 @@ def test_uniform_draw_over_the_paper_horizon_exit3(tmp_path, capsys, kind, doc):
     assert "uniform draws over a block above" in err and "Traceback" not in err
 
 
+def test_p1_on_deep_sets_samples_exit0(tmp_path, capsys):
+    # five desk elements reach past depth 24, so p = 1 is sampled there
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"plan": "desk", "p": [1], "sizes": [5], "trials": 2, "seed": 1}
+    ))
+    out_path = tmp_path / "r.csv"
+    code, out, err = run_cli(
+        capsys, "experiment", "democracy", "--config", str(cfg_path),
+        "--out", str(out_path),
+    )
+    assert code == 0 and err == "" and json.loads(out)["rows"] == 2
+    rows = list(csv.DictReader(out_path.read_text().splitlines()))
+    assert len(rows) == 2 and all(r["exact"] == "false" and r["ci_low"] for r in rows)
+
+
 def test_consecutive_main_calls_share_one_parser(tmp_path, capsys):
     import walshlab.cli as cli
 

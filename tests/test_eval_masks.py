@@ -265,14 +265,16 @@ def test_packing_keeps_the_norm_on_the_used_bits(case, p):
 
 def test_monte_carlo_covers_a_deep_closed_form_sum():
     # r_70 + r_130 + r_260 is +-3 with probability 1/4 and +-1 otherwise,
-    # so E|f|^3 = 27/4 + 3/4 = 7.5; it packs to three bits
+    # so E|f| = 3/4 + 3/4 = 1.5 and E|f|^3 = 27/4 + 3/4 = 7.5; it packs
+    # to three bits
     f = WalshSpectrum({rademacher_index(j): 1.0 for j in (70, 130, 260)})
-    truth = 7.5 ** (1.0 / 3.0)
-    hits = 0
-    for seed in range(100):
-        est = lp_monte_carlo(f, 3.0, 4000, seed)
-        hits += est.ci_low <= truth <= est.ci_high
-    assert hits >= 90
+    for p, moment in [(1.0, 1.5), (3.0, 7.5)]:
+        truth = moment ** (1.0 / p)
+        hits = 0
+        for seed in range(100):
+            est = lp_monte_carlo(f, p, 4000, seed)
+            hits += est.ci_low <= truth <= est.ci_high
+        assert hits >= 90, p
 
 
 @settings(max_examples=30, deadline=None)

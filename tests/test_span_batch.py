@@ -1,11 +1,14 @@
-"""Symbol-row batches of span functions against the per-function routes.
+"""Row batches of the experiment sweeps against the per-function routes.
 
-quasigreedy and walsh-baseline build every greedy prefix, partialsum
-every S_n f, democracy every index set and almostgreedy every
-candidate's residual f - P_c f as a row of one batch (``_span_norms``):
-coefficient rows selected by a boolean membership matrix, one batched
-``rmatvec`` per block, then one head/tail split of
-``norms.even_moments`` over the touched blocks' symbols.
+quasigreedy and both sides of walsh-baseline build every greedy
+prefix, partialsum every S_n f, democracy every index set,
+almostgreedy every candidate's residual f - P_c f and khintchine every
+trial as a row of one batch (``_span_norms``): coefficient rows weighed
+by a membership matrix, then one head/tail split of
+``norms.even_moments`` over the call's frequencies.  On the plan's
+positions one batched ``rmatvec`` per block makes the rows symbol
+vectors; on Walsh frequencies (khintchine's r_1..r_max_terms,
+walsh-baseline's Walsh side) the rows are taken as they are.
 ``reference_prefix_norms`` is the loop it replaces in quasigreedy, one
 ``weighted_spectrum`` and one ``lp_even_spectral`` per prefix, and
 ``reference_residuals`` the residual check quasigreedy now takes from
@@ -14,15 +17,14 @@ the rows' symbol vectors below the full prefix;
 ``partial_sum`` and one ``lp_even_spectral`` per grid point;
 ``reference_democracy`` the one in democracy, one ``sum_spectrum`` and
 one ``lp_norm`` per set; ``reference_gather`` is the per-symbol loop
-``gather`` replaced.  Khintchine's even p share one ``even_moments``
-pass per batch of zero-padded trial rows; ``reference_khintchine`` is
-its per-trial loop, one ``lp_norm`` per trial and p;
+``gather`` replaced.  ``reference_khintchine`` is khintchine's
+per-trial loop, one ``lp_norm`` per trial and p;
 ``reference_almost_greedy`` almostgreedy's per-candidate loop, one
 residual spectrum ``f - weighted_spectrum(c)`` per candidate;
 ``reference_walsh_baseline`` walsh-baseline's per-prefix loop, one
-``weighted_spectrum`` per mixed-basis prefix.  Every batch on the same
-plan and blocks shares one cached head/tail classification
-(``_block_split``); khintchine classifies once per call.
+spectrum and one ``lp_norm`` per prefix on each side.  Every batch of
+a call shares one head/tail classification, and on the plan's
+positions every call on the same plan and blocks (``_block_split``).
 """
 
 import dataclasses
@@ -67,6 +69,7 @@ from walshlab.norms import (
     lp_dense,
     lp_even_spectral,
     rademacher_fourth_moment,
+    takes_split,
 )
 from walshlab.spectra import WalshSpectrum, rademacher_index, spectrum_scale, synthesize
 
@@ -400,6 +403,19 @@ def test_democracy_batches_peak_near_six_batches(monkeypatch):
         tracemalloc.stop()
     # 4,000 sets make about nine batches of 1,899 rows of desk's 276 symbols
     assert len(records) == 8000 and peak - kept <= 7 * budget
+    # rows over Walsh frequencies: walsh-baseline's two sides, each nine
+    # batches of 1,025 rows of 2^10 frequencies or 1,044 symbols
+    cfg = ExperimentConfig(
+        plan=BlockPlan([2, 4, 10]), p_values=(2.0, 4.0), seed=3,
+        corpus={"kind": "adversarial_walsh", "depth": 10, "count": 1},
+    )
+    tracemalloc.start()
+    try:
+        records, _ = baseline_walsh_comparison(cfg)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 2 * 2 * 1024 and peak - kept <= 7 * budget
 
 
 def test_partialsum_p2_ratios_agree_from_both_sides():
@@ -597,9 +613,10 @@ def test_almostgreedy_builds_each_candidate_spectrum_once():
 
 
 def reference_walsh_baseline(cfg):
-    """The per-prefix loop walsh-baseline replaced: on the mixed-basis
-    side one ``weighted_spectrum`` per greedy prefix and one for the
-    whole expansion, every norm ``lp_norm`` of that spectrum."""
+    """The per-prefix loop walsh-baseline replaced: one spectrum per
+    greedy prefix on the Walsh side, one ``weighted_spectrum`` per
+    prefix and one for the whole expansion on the mixed-basis side,
+    every norm ``lp_norm`` of that spectrum."""
     plan, label, records = cfg.plan, cfg.plan.label(), []
     corpus = experiments.corpus_generate(cfg.corpus, derive_seed(cfg.seed, 12), plan)
     for fi, f in enumerate(corpus):
@@ -652,11 +669,48 @@ def walsh_baseline_configs(draw):
 def test_walsh_baseline_rows_equal_the_per_prefix_loop(cfg):
     records, _ = baseline_walsh_comparison(cfg)
     want = reference_walsh_baseline(cfg)
-    # the Walsh side takes the same route; the mixed side's p = 2 norm
-    # is the rows' squared sum, not the spectrum's
-    walsh_rows = [r for r in want if r.plan == "walsh"]
-    assert [r for r in records if r.plan == "walsh"] == walsh_rows
+    # both sides take p = 2 from their rows' squared sums and the split p
+    # from one split of their greedy order; at any other p a Walsh row
+    # reads the loop's spectrum, term for term
     assert_rows_close(records, want, exact_p=())
+
+    def walsh_off_split(rows):
+        return [r for r in rows if r.plan == "walsh" and not takes_split(r.p)]
+
+    assert walsh_off_split(records) == walsh_off_split(want)
+
+
+def test_walsh_baseline_splits_each_walsh_side_once(monkeypatch):
+    plan = BlockPlan([2, 4, 6])
+    split_sizes, built = [], []
+    init = WalshSpectrum.__init__
+
+    def counting_split(freqs):
+        split_sizes.append(len(freqs))
+        return even_split(freqs)
+
+    def counting_init(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(experiments, "even_split", counting_split)
+    monkeypatch.setattr(WalshSpectrum, "__init__", counting_init)
+    corpus = {"kind": "adversarial_walsh", "depth": 6, "count": 3}
+    # p = 3 needs a spectrum for the whole function and each of its 64
+    # prefixes; the mixed side gathers its spectra without __init__
+    for ps, per_function in [((2.0, 4.0, 6.0), 0), ((4.0, 3.0, 2.0), 1 + 64)]:
+        cfg = ExperimentConfig(plan=plan, p_values=ps, seed=7, corpus=corpus)
+        experiments._block_split.cache_clear()
+        split_sizes.clear()
+        built.clear()
+        records, _ = baseline_walsh_comparison(cfg)
+        # one split of the 64 frequencies per Walsh side; the mixed side's
+        # one of the 84 symbols of blocks 1-3 is cached
+        assert split_sizes == [64, 84, 64, 64]
+        # the corpus's three spectra, then the Walsh side's
+        assert len(built) == 3 + 3 * per_function
+        assert len(records) == 2 * len(ps) * 64 * 3
+        assert all(r.exact for r in records if r.plan == "walsh")
 
 
 def reference_residuals(plan, f, prefix_rows):
