@@ -21,11 +21,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from . import olevskii
+from . import olevskii, spectra
 from .errors import BudgetError, HorizonError, ScheduleError, read_json, read_number
 from .spectra import WalshSpectrum, phi_index, rademacher_index
 
@@ -33,7 +33,7 @@ from .spectra import WalshSpectrum, phi_index, rademacher_index
 # N_k-sized vector or block-wide frequencies.
 MATERIALIZATION_CAP = 1 << 20
 
-# Largest g(k): 2**4096 prints in 1,234 digits, and 4,096 blocks build in a second
+# Largest g(k): 2**4096 prints in 1,234 digits, and 4,096 blocks build in milliseconds
 MAX_EXPONENT = 4096
 
 PRESETS: dict[str, tuple[int, ...]] = {
@@ -54,16 +54,16 @@ class BlockPlan:
     without satisfying either.
 
     The plan is the one place that maps frequencies to symbols: symbol
-    1 of block k is phi_k, symbols 2..N_k its Rademachers.  ``scatter``
-    and ``gather`` convert between spectra and per-block symbol
-    vectors; block symbol lists are built once per plan, on first use.
+    1 of block k is phi_k (k = n + 1 - bit_length(n)), symbols 2..N_k its
+    Rademachers.  ``scatter`` and ``gather`` convert between spectra and
+    per-block symbol vectors; block symbol lists are built once per plan,
+    on first use, and refused when their big ints would pass BYTE_BUDGET.
     """
 
     g: tuple[int, ...]
     N: tuple[int, ...] = field(init=False)
     F: tuple[int, ...] = field(init=False)
     offsets: tuple[int, ...] = field(init=False, repr=False)
-    _phi_block: dict[int, int] = field(init=False, repr=False, compare=False)
     _symbols: dict[int, tuple[int, ...]] = field(
         init=False, repr=False, compare=False
     )
@@ -85,12 +85,10 @@ class BlockPlan:
             offsets.append(offsets[-1] + size)
         # block k spends N_k - 1 Rademachers, so F_k = offsets[k] - k
         f = tuple(m - k for k, m in enumerate(offsets) if k)
-        phis = {phi_index(k): k for k in range(1, len(n) + 1)}
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "N", n)
         object.__setattr__(self, "F", f)
         object.__setattr__(self, "offsets", tuple(offsets))
-        object.__setattr__(self, "_phi_block", phis)
         object.__setattr__(self, "_symbols", {})
 
     @property
@@ -141,8 +139,8 @@ class BlockPlan:
                 raise HorizonError(f"r_{j} outside horizon (F_K={self.F[-1]})")
             k = bisect_left(self.F, j) + 1
             return k, j - self.F[k - 1] + self.N[k - 1]
-        k = self._phi_block.get(n)
-        if k is None:
+        k = n + 1 - n.bit_length()  # phi_k is the k-th index of popcount != 1
+        if k > self.horizon_blocks:
             raise HorizonError(
                 f"frequency {n:#x} is not spanned by the first "
                 f"{self.horizon_blocks} blocks"
@@ -174,6 +172,11 @@ class BlockPlan:
             self._check_block(k)
             self._check_cap(k)
             first = self.F[k - 1] - self.N[k - 1] + 1  # F_(k-1)
+            # r_j takes sys.getsizeof(1 << (j - 1)) = 28 + 4 ((j - 1) // 30) bytes, its slot 8
+            need = (self.N[k - 1] - 1) * (36 + (first + self.F[k - 1]) // 15)
+            if need > spectra.BYTE_BUDGET:
+                raise BudgetError(f"block {k}'s symbol table needs about {need} "
+                                  f"bytes, budget {spectra.BYTE_BUDGET}")
             freqs = (phi_index(k),) + tuple(
                 rademacher_index(j) for j in range(first + 1, self.F[k - 1] + 1)
             )
@@ -213,25 +216,23 @@ class BlockPlan:
             terms.update(zip([freqs[i] for i in nz], vectors[k][nz].tolist()))
         return WalshSpectrum._from_clean_dict(terms)
 
-    def symbol_rows(self, entries: Sequence, member: np.ndarray) -> dict:
+    def symbol_rows(self, index: np.ndarray, weights: np.ndarray, member: np.ndarray) -> dict:
         """Per touched block, the (R, N_k) symbol rows of R span functions:
-        function r sums w psi_m over the (index, weight) ``entries`` that
-        row r of the boolean ``member`` selects.  One batched ``rmatvec``
-        per block; each row equals its own single-row transform."""
-        index = np.array([
-            self.to_global(*m) if isinstance(m, tuple) else int(m) for m, _ in entries
-        ])
+        function r sums weights[j] psi_index[j] over the distinct positions
+        ``index`` that row r of the boolean ``member`` selects.  One
+        ``searchsorted`` and one batched ``rmatvec`` per block; each row
+        equals its own single-row transform."""
+        index = np.asarray(index)
         for m in index[(index < 1) | (index > self.horizon_size)][:1]:
             self.to_block(m)  # raises HorizonError
         block = np.searchsorted(self.offsets, index)
-        picks = np.where(member, np.array([w for _, w in entries], dtype=float), 0.0)
+        picks = np.where(member, np.asarray(weights, dtype=float), 0.0)
         rows = {}
         for k in sorted(set(block.tolist())):
             self._check_cap(k)
             mine = block == k
-            cols = (index[mine] - self.offsets[k - 1] - 1).astype(np.intp)
             coeffs = np.zeros((len(member), self.N[k - 1]))
-            np.add.at(coeffs, (slice(None), cols), picks[:, mine])
+            coeffs[:, (index[mine] - self.offsets[k - 1] - 1).astype(np.intp)] = picks[:, mine]
             rows[k] = olevskii.rmatvec(self.g[k - 1], coeffs)
         return rows
 
@@ -242,20 +243,19 @@ class BlockPlan:
         return self.weighted_spectrum([((int(k), int(i)), 1.0)])
 
     def sum_spectrum(self, indices: Iterable) -> WalshSpectrum:
-        """Spectrum of the plain sum of the selected elements.
-
-        Accepts global positions or (k, i) pairs.  Goes block by block
-        through weighted column sums, so the cost is bounded by the
-        touched block sizes, not by the number of selected elements.
-        """
+        """Spectrum of the plain sum of the selected elements, global
+        positions or (k, i) pairs; an element selected twice counts twice."""
         return self.weighted_spectrum((m, 1.0) for m in indices)
 
-    def weighted_spectrum(
-        self, entries: Iterable[tuple[object, float]]
-    ) -> WalshSpectrum:
-        """Spectrum of sum of w_m * psi_m over (index, weight) pairs."""
-        entries = list(entries)
-        rows = self.symbol_rows(entries, np.ones((1, len(entries)), dtype=bool))
+    def weighted_spectrum(self, entries: Iterable[tuple[object, float]]) -> WalshSpectrum:
+        """Spectrum of sum of w_m * psi_m over (index, weight) pairs, an index
+        a global position or a (k, i) pair; repeated indices add, in order."""
+        weights: dict[int, float] = {}
+        for m, w in entries:
+            m = self.to_global(*m) if isinstance(m, tuple) else int(m)
+            weights[m] = weights.get(m, 0.0) + w
+        rows = self.symbol_rows(np.array(list(weights)), list(weights.values()),
+                                np.ones((1, len(weights)), dtype=bool))
         return self.gather({k: w[0] for k, w in rows.items()})
 
 

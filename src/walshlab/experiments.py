@@ -55,7 +55,7 @@ from .norms import (
     rademacher_fourth_moment,
     takes_split,
 )
-from .spectra import WalshSpectrum, analyze_dense, phi_index, rademacher_index, synthesize
+from .spectra import WalshSpectrum, analyze_dense, rademacher_index, synthesize
 
 
 class ResultRecord(NamedTuple):
@@ -230,10 +230,9 @@ def _generate_one(spec: dict, rng, plan: BlockPlan) -> WalshSpectrum:
         positions = [1 << j for j in range(horizon.bit_length())]
         pairs = zip(positions, rng.choice([-1.0, 1.0], size=len(positions)))
     elif kind == "indicator":
-        # by default the deepest d <= 3 with every frequency below 2^d a
-        # symbol; r_1..r_3 are symbols of every plan that has phi_2 = 3
-        phis = {phi_index(k) for k in range(1, min(plan.horizon_blocks, 5) + 1)}
-        spanned = max(d for d in (1, 2, 3) if phis | {1, 2, 4} >= set(range(1 << d)))
+        # by default the deepest d <= 3 with every frequency below 2^d a symbol:
+        # 2^d - 1 is phi_(2^d - d), and r_1..r_3 are symbols of any two blocks
+        spanned = max(d for d in (1, 2, 3) if (1 << d) - d <= plan.horizon_blocks)
         depth = read_number(spec.get("depth", spanned), "corpus depth", least=1)
         cells = _cells(kind, depth)
         lo = int(rng.integers(0, cells - 1))
@@ -369,34 +368,33 @@ def _block_split(plan: BlockPlan, blocks: tuple[int, ...]):
     return even_split([n for k in blocks for n in plan.symbol_frequencies(k)])
 
 
-def _span_norms(plan: BlockPlan | None, entries, member, ps):
+def _span_norms(plan: BlockPlan | None, keys, weights, member, ps):
     """(row, {p: norm} at the p of ``ps`` that the even split takes, 2
     staying Parseval, squared l2) of one function per row of ``member``
-    (an array, or any iterable of rows), which weighs the (key, weight)
-    ``entries``: a boolean row selects them.  Keys are plan positions
-    and a row the function's symbol vectors or, with ``plan`` None,
-    Walsh frequencies and a row a function that builds its spectrum.
-    Rows are read and built ``_BATCH_BYTES`` at a time; a batch shares
-    one ``rmatvec`` per block and one ``even_moments`` pass, a call one
-    split (on a plan, cached per blocks)."""
+    (an array, or any iterable of rows), which weighs the distinct
+    ``keys`` by the array ``weights``: a boolean row selects them.  Keys
+    are plan positions and a row the function's symbol vectors or, with
+    ``plan`` None, Walsh frequencies and a row a function that builds
+    its spectrum.  Rows are read and built ``_BATCH_BYTES`` at a time; a
+    batch shares one ``rmatvec`` per block and one ``even_moments``
+    pass, a call one split (on a plan, cached per blocks)."""
     ps = [p for p in ps if takes_split(p) and p != 2.0]
+    weights = np.asarray(weights, dtype=float)
     if plan is None:
-        freqs, weights = [n for n, _ in entries], np.array([w for _, w in entries])
-        split = even_split(freqs)
+        split = even_split(keys)
     else:
-        index = np.searchsorted(plan.offsets, [m for m, _ in entries])
-        blocks = tuple(sorted(set(index.tolist())))
+        blocks = tuple(sorted(set(np.searchsorted(plan.offsets, keys).tolist())))
         split = _block_split(plan, blocks)
     step = max(1, _BATCH_BYTES // (8 * max(len(split.in_tail), 1)))
     member = iter(member)
     while batch := list(islice(member, step)):
         batch = np.array(batch)
         if plan is None:
-            rows = (lambda b=b: WalshSpectrum(zip(freqs, (b * weights).tolist()))
+            rows = (lambda b=b: WalshSpectrum(zip(keys, (b * weights).tolist()))
                     for b in batch)
             coeffs = batch * weights
         else:
-            vectors = plan.symbol_rows(entries, batch)
+            vectors = plan.symbol_rows(keys, weights, batch)
             rows = ({k: w[r] for k, w in vectors.items()} for r in range(len(batch)))
             coeffs = np.concatenate([vectors[k] for k in blocks], axis=1)
         moments = even_moments(split, coeffs, [int(p) // 2 for p in ps])
@@ -442,10 +440,9 @@ def democracy_experiment(cfg: ExperimentConfig):
     first = members(next(drawn))
     drawn_sets = chain([first], map(members, drawn))
     member = (np.bincount(x - 1, minlength=horizon) > 0 for x in drawn_sets)
-    entries = [(m, 1.0) for m in range(1, horizon + 1)]
     records: list[ResultRecord] = []
     route_dev = 0.0
-    sets = _span_norms(plan, entries, member, cfg.p_values)
+    sets = _span_norms(plan, np.arange(1, horizon + 1), np.ones(horizon), member, cfg.p_values)
     for (size, trial, set_seed), (rows, even, _) in zip(keys, sets):
         if even and not records:
             f = plan.sum_spectrum(int(m) for m in first)
@@ -486,17 +483,18 @@ def quasi_greedy_experiment(cfg: ExperimentConfig):
     terminal_residual_max = 0.0
     for fi, f, coeffs, total_sq in _corpus_expansions(cfg):
         order = greedy_order(coeffs)
-        tail_sq = parseval_tails([coeffs[sel] for sel in order])
+        weights = [coeffs[sel] for sel in order]
+        tail_sq = parseval_tails(weights)
         norms_f = dict(_estimates(cfg, math.sqrt(total_sq), {}, f, lambda _: (5, fi)))
         symbols_f = plan.scatter(f)
         head_sq = 0.0
         # an empty order means f = 0, whose residual is 0 as well
         spectral_tail = 0.0
         # row m - 1 of the lower triangle selects the greedy prefix order[:m]
-        entries = [(s, coeffs[s]) for s in order]
-        prefixes = _span_norms(plan, entries, np.tri(len(order), dtype=bool), cfg.p_values)
-        for m, (sel, (rows, even, _)) in enumerate(zip(order, prefixes), start=1):
-            head_sq += coeffs[sel] * coeffs[sel]
+        prefixes = _span_norms(plan, order, weights, np.tri(len(order), dtype=bool),
+                               cfg.p_values)
+        for m, (w, (rows, even, _)) in enumerate(zip(weights, prefixes), start=1):
+            head_sq += w * w
             last = m == len(order)
             approx = plan.gather(rows) if last else rows  # the last is checked below
             ests = _estimates(cfg, math.sqrt(head_sq), even, approx, lambda _: (6, fi, m))
@@ -562,7 +560,7 @@ def partial_sum_experiment(cfg: ExperimentConfig):
         # row 0 is f, equal to the horizon's row: its norms are the
         # denominators, so the ratio at the horizon is exactly 1
         member = np.arange(len(support)) < np.array([len(support), *cuts])[:, None]
-        sums = _span_norms(plan, list(coeffs.items()), member, cfg.p_values)
+        sums = _span_norms(plan, support, list(coeffs.values()), member, cfg.p_values)
         l2_f = math.sqrt(head_sq[-1])
         norms_f = dict(_estimates(cfg, l2_f, next(sums)[1], f, lambda _: (7, fi)))
         for n, cut, (rows, even, walsh_sq) in zip(grid, cuts, sums):
@@ -608,7 +606,8 @@ def khintchine_experiment(cfg: ExperimentConfig):
     patterns exactly; the p = 4 runs are cross-checked against the
     closed fourth-moment value 3 (sum a^2)^2 - 2 sum a^4.  Each trial is
     a zero-padded row over r_1..r_max_terms in ``_span_norms``, which
-    takes even p in 4..10 from one ``even_moments`` pass per batch.
+    takes even p in 4..10 from one ``even_moments`` pass per batch and
+    yields the builder of the trial's spectrum.
     """
     if cfg.max_terms > 16:
         raise ConfigError(f"max_terms {cfg.max_terms} above enumeration cap 16")
@@ -623,9 +622,9 @@ def khintchine_experiment(cfg: ExperimentConfig):
     vectors, units = tee(a / np.sqrt(np.sum(a * a)) for a in drawn)
     padded = (np.concatenate((a, np.zeros(cfg.max_terms - len(a)))) for a in units)
     freqs = [rademacher_index(j + 1) for j in range(cfg.max_terms)]
-    rows = _span_norms(None, [(n, 1.0) for n in freqs], padded, cfg.p_values)
-    for trial, (trial_seed, a, (_, even, _)) in enumerate(zip(seeds, vectors, rows)):
-        f = WalshSpectrum(zip(freqs, a.tolist()))
+    rows = _span_norms(None, freqs, np.ones(cfg.max_terms), padded, cfg.p_values)
+    for trial, (trial_seed, a, (row, even, _)) in enumerate(zip(seeds, vectors, rows)):
+        f = row()
         l2 = float(np.sqrt(np.sum(a * a)))
         for p, est in _estimates(cfg, None, even, f, lambda _: (9, trial)):
             records.append(_record("khintchine", label, p, len(a), trial, est, l2, trial_seed))
@@ -660,9 +659,8 @@ def almost_greedy_experiment(cfg: ExperimentConfig):
     label = plan.label()
     records: list[ResultRecord] = []
     for fi, _, coeffs, _ in _corpus_expansions(cfg):
-        entries = list(coeffs.items())
-        support = list(coeffs)  # analyze lists positions in order
-        squares = [c * c for c in coeffs.values()]
+        support, weights = list(coeffs), list(coeffs.values())  # analyze lists in order
+        squares = [c * c for c in weights]
         order = greedy_order(coeffs)
         if cfg.exhaustive and len(support) > 10:
             raise ConfigError(f"exhaustive search needs support <= 10, got {len(support)}")
@@ -677,7 +675,7 @@ def almost_greedy_experiment(cfg: ExperimentConfig):
                 candidates.update(frozenset(c) for c in combinations(support, m))
             candidates = list(candidates)
             outside = np.array([[j not in cand for j in support] for cand in candidates])
-            rests = _span_norms(plan, entries, outside, cfg.p_values)
+            rests = _span_norms(plan, support, weights, outside, cfg.p_values)
             residuals = {}  # per candidate, ||f - P_cand f||_p at every p
             for cand, out, (rows, even, _) in zip(candidates, outside, rests):
                 l2 = math.sqrt(math.fsum(compress(squares, out)))
@@ -726,10 +724,11 @@ def baseline_walsh_comparison(cfg: ExperimentConfig):
         psi = {t + 1: walsh[n] for t, n in enumerate(sorted(walsh))}
         norms, prefixes = [], []  # per side, Walsh first
         for span, coeffs, part in [(None, walsh, 13), (plan, psi, 14)]:
-            entries = [(j, coeffs[j]) for j in greedy_order(coeffs)]
-            cuts = chain([len(entries)], range(1, len(entries) + 1))
-            member = (np.arange(len(entries)) < m for m in cuts)
-            prefixes.append(rows := _span_norms(span, entries, member, cfg.p_values))
+            order = greedy_order(coeffs)
+            cuts = chain([len(order)], range(1, len(order) + 1))
+            member = (np.arange(len(order)) < m for m in cuts)
+            weights = [coeffs[j] for j in order]
+            prefixes.append(rows := _span_norms(span, order, weights, member, cfg.p_values))
             whole, even, l2_sq = next(rows)
             norms.append(dict(_estimates(
                 cfg, math.sqrt(l2_sq), even, whole, lambda _: (part, fi))))

@@ -81,19 +81,15 @@ def phi_index(k: int) -> Frequency:
 
     These are the Walsh indices left over once the Rademacher subsystem
     (popcount exactly 1) is removed; 0 is included, so the first few
-    values are 0, 3, 5, 6, 7, 9, ...
+    values are 0, 3, 5, 6, 7, 9, ...  As 0..n holds n + 1 - bit_length(n)
+    of them, phi_k is k - 1 plus the b = bit_length(k - 1) powers of two up
+    to k - 1, plus one if k - 1 + b reaches the next power.
     """
     k = int(k)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    seen = 0
-    n = 0
-    while True:
-        if n.bit_count() != 1:
-            seen += 1
-            if seen == k:
-                return n
-        n += 1
+    n = k - 1 + (k - 1).bit_length()
+    return n + (n.bit_length() > (k - 1).bit_length())
 
 
 def walsh_eval(n: Frequency, t: DyadicPoint) -> int:

@@ -182,6 +182,17 @@ def test_sum_spectrum():
         assert inner_product(total, total) == pytest.approx(size, abs=1e-10)
 
 
+def test_repeated_indices_add():
+    desk = BlockPlan([2, 4, 8])
+    psi = desk.psi_spectrum(1, 3)
+    assert desk.sum_spectrum([3, 3]) == 2 * psi
+    # a position and its (k, i) spelling are the same element
+    assert desk.sum_spectrum([(1, 3), 3]) == 2 * psi
+    # weights add in order, so these sums are exact
+    twice = desk.weighted_spectrum([(30, 0.5), (3, 1.0), ((3, 10), 0.25), (3, -0.5)])
+    assert twice == desk.weighted_spectrum([(30, 0.75), (3, 0.5)])
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_gather_refuses_non_finite_coefficients(bad):
     desk = load_plan("desk")

@@ -660,3 +660,30 @@ def test_huge_inputs_refused_before_allocating(tmp_path, argv, doc, code, text):
     )
     assert proc.returncode == code, proc.stderr
     assert text in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs Linux /proc")
+@pytest.mark.parametrize("argv, doc, code", [
+    (["basis", "element", "-k", "1", "-i", "1"], {"g": [18]}, 3),
+    (["experiment", "democracy"],
+     {"plan": {"g": [2, 4, 18]}, "p": [2, 4], "sizes": [5], "trials": 1, "seed": 1}, 3),
+    # a 2^14 block's symbol table, about 18 MB, still fits under the same cap
+    (["basis", "element", "-k", "3", "-i", "7"], {"g": [2, 4, 14]}, 0),
+    (["experiment", "democracy"],
+     {"plan": {"g": [2, 4, 14]}, "p": [2, 4], "sizes": [5], "trials": 1, "seed": 1}, 0),
+])
+def test_symbol_table_budget_exit_codes(tmp_path, argv, doc, code):
+    # the 2^18 tables would hold about 4.6 GB of big-int frequencies
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    where = "--plan" if argv[0] == "basis" else "--config"
+    argv = argv + [where, str(path), "--out", str(tmp_path / "out")]
+    src = os.path.dirname(os.path.dirname(walshlab.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert ("symbol table needs about" in proc.stderr) == (code == 3)
+    assert "Traceback" not in proc.stderr

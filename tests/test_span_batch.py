@@ -78,7 +78,8 @@ def prefix_norms(plan, entries, cuts, ps):
     """(symbol vectors, norms) of the sum of the first ``cuts[r]``
     entries, row r at a time, through ``_span_norms``."""
     member = np.arange(len(entries)) < np.array(cuts, dtype=int)[:, None]
-    for rows, norms, _ in _span_norms(plan, entries, member, ps):
+    keys, weights = [m for m, _ in entries], [w for _, w in entries]
+    for rows, norms, _ in _span_norms(plan, keys, weights, member, ps):
         yield rows, norms
 
 

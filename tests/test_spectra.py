@@ -68,6 +68,26 @@ def test_phi_index_enumeration():
         assert phi_index(k).bit_count() != 1
 
 
+def counted_phi_indices():
+    """Every integer of popcount != 1 in increasing order: the counting
+    loop that ``phi_index`` replaced."""
+    n = 0
+    while True:
+        if n.bit_count() != 1:
+            yield n
+        n += 1
+
+
+def test_phi_index_closed_form_equals_counting():
+    for k, n in zip(range(1, 10_001), counted_phi_indices()):
+        assert phi_index(k) == n
+    # past what counting reaches: n qualifies, and 0..n holds k qualifying
+    # integers (all but its bit_length powers of two), so n is the k-th
+    for k in (2**40 + 41, 2**100 + 7, 2**4096 - 1):
+        n = phi_index(k)
+        assert n.bit_count() != 1 and n + 1 - n.bit_length() == k
+
+
 def test_index_images_partition_frequencies():
     phis = {phi_index(k) for k in range(1, 60)}
     rads = {rademacher_index(j) for j in range(1, 10)}

@@ -8,6 +8,8 @@ elements.
 """
 
 import math
+import re
+import tracemalloc
 from bisect import bisect_left
 
 import numpy as np
@@ -15,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walshlab import olevskii
+import walshlab.spectra
+from walshlab import blocks, olevskii
 from walshlab.blocks import MATERIALIZATION_CAP, BlockPlan, load_plan
 from walshlab.errors import BudgetError, HorizonError
 from walshlab.greedy import (
@@ -197,6 +200,47 @@ def test_symbol_map_round_trips_on_desk():
         plan.locate(1 << plan.F[-1])
     with pytest.raises(HorizonError):
         plan.locate(phi_index(4))
+
+
+def test_phi_blocks_located_by_arithmetic():
+    plan = BlockPlan(list(range(1, 4097)))
+    for k in range(1, plan.horizon_blocks + 1):
+        assert plan.locate(phi_index(k)) == (k, 1)
+    beyond = phi_index(4097)
+    message = f"frequency {beyond:#x} is not spanned by the first 4096 blocks"
+    with pytest.raises(HorizonError, match=re.escape(message)):
+        plan.locate(beyond)
+
+
+@pytest.fixture
+def no_symbol_table(monkeypatch):
+    """Fail at once, instead of allocating, if a symbol table gets built."""
+    monkeypatch.setattr(blocks, "rademacher_index", lambda j: pytest.fail("table built"))
+
+
+def test_wide_symbol_tables_are_refused_before_allocation(no_symbol_table):
+    # 2^18 Rademachers up to 2^18 bits wide: about 4.6 GB of big ints
+    plan = BlockPlan([18])
+    with pytest.raises(BudgetError, match="symbol table needs about"):
+        plan.symbol_frequencies(1)
+    with pytest.raises(BudgetError, match="symbol table needs about"):
+        plan.psi_spectrum(1, 1)
+    with pytest.raises(BudgetError, match="block 3's symbol table"):
+        BlockPlan([2, 4, 20]).sum_spectrum([30, 300])
+
+
+def test_symbol_table_estimate_is_the_table(monkeypatch):
+    # the estimate is within 5% of what the table holds, and read at call time
+    plan = BlockPlan([2, 12])
+    tracemalloc.start()
+    plan.symbol_frequencies(2)
+    held = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    monkeypatch.setattr(walshlab.spectra, "BYTE_BUDGET", int(held * 0.95))
+    with pytest.raises(BudgetError):
+        BlockPlan([2, 12]).symbol_frequencies(2)
+    monkeypatch.setattr(walshlab.spectra, "BYTE_BUDGET", int(held * 1.05))
+    assert len(BlockPlan([2, 12]).symbol_frequencies(2)) == 4096
 
 
 def test_symbol_cache_stays_out_of_equality_and_repr():
