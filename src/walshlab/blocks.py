@@ -57,7 +57,7 @@ class BlockPlan:
     1 of block k is phi_k (k = n + 1 - bit_length(n)), symbols 2..N_k its
     Rademachers.  ``scatter`` and ``gather`` convert between spectra and
     per-block symbol vectors; block symbol lists are built once per plan,
-    on first use, and refused when their big ints would pass BYTE_BUDGET.
+    on first use, after ``spectra.check_bytes`` has passed their big ints.
     """
 
     g: tuple[int, ...]
@@ -174,9 +174,7 @@ class BlockPlan:
             first = self.F[k - 1] - self.N[k - 1] + 1  # F_(k-1)
             # r_j takes sys.getsizeof(1 << (j - 1)) = 28 + 4 ((j - 1) // 30) bytes, its slot 8
             need = (self.N[k - 1] - 1) * (36 + (first + self.F[k - 1]) // 15)
-            if need > spectra.BYTE_BUDGET:
-                raise BudgetError(f"block {k}'s symbol table needs about {need} "
-                                  f"bytes, budget {spectra.BYTE_BUDGET}")
+            spectra.check_bytes(need, f"block {k}'s symbol table")
             freqs = (phi_index(k),) + tuple(
                 rademacher_index(j) for j in range(first + 1, self.F[k - 1] + 1)
             )

@@ -1,8 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 configuration problems (bad arguments, files,
-schedules, horizons), 3 cap or resource refusals (term budgets, depth
-limits).
+schedules, horizons), 3 cap or resource refusals (the byte budget, size
+caps, depths out of range).
 """
 
 from __future__ import annotations

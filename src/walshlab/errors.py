@@ -10,11 +10,11 @@ class WalshLabError(Exception):
 
 
 class DepthError(WalshLabError):
-    """A dyadic depth is too small to evaluate, or too large to materialize."""
+    """A dyadic depth is too small to evaluate, or past the dense norm's cap."""
 
 
 class BudgetError(WalshLabError):
-    """A term/pair/materialization budget was exceeded."""
+    """An allocation would pass the byte budget, or a size its cap."""
 
 
 class HorizonError(WalshLabError):

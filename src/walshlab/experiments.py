@@ -72,29 +72,16 @@ class ResultRecord(NamedTuple):
     exact: bool
     seed: int
 
-    def row(self) -> list[str]:
-        return [
-            self.experiment,
-            self.plan,
-            repr(float(self.p)),
-            str(self.size_or_m),
-            str(self.trial),
-            repr(float(self.value)),
-            "" if self.ci_low is None else repr(float(self.ci_low)),
-            "" if self.ci_high is None else repr(float(self.ci_high)),
-            "true" if self.exact else "false",
-            str(self.seed),
-        ]
-
 
 CSV_COLUMNS = ResultRecord._fields
 
 
 def write_records_csv(records: list[ResultRecord], path) -> None:
+    # csv writes a float (np.float64 too) by its repr and None as an empty cell
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        writer.writerows(rec.row() for rec in records)
+        writer.writerows((*r[:-2], "true" if r.exact else "false", r.seed) for r in records)
 
 
 @dataclass
@@ -266,9 +253,9 @@ _CELL_BYTES = {"indicator": 150, "adversarial_walsh": 340}
 
 
 def _cells(kind: str, depth: int) -> int:
-    """2**depth, refused before any allocation when its peak passes BYTE_BUDGET."""
-    if _CELL_BYTES[kind] << min(depth, 64) > spectra.BYTE_BUDGET:
-        raise BudgetError(f"{kind} corpus of depth {depth} needs more than BYTE_BUDGET")
+    """2**depth, once ``spectra.check_bytes`` has passed their clamped peak."""
+    need = _CELL_BYTES[kind] << min(depth, 64)
+    spectra.check_bytes(need, f"{kind} corpus of depth {depth}")
     return 1 << depth
 
 
@@ -320,7 +307,7 @@ def _record(
     else:
         den = den_lo = den_hi = getattr(den, "value", den)
     return ResultRecord(
-        experiment, plan_label, p, size_or_m, trial, est.value / den,
+        experiment, plan_label, float(p), size_or_m, trial, est.value / den,
         None if exact else num_lo / den_hi,
         None if exact else (num_hi / den_lo if den_lo else math.inf),
         exact, seed,

@@ -37,8 +37,8 @@ Routes, as ``lp_norm`` (shared by the experiments and the CLI) picks them:
   integral f^4 = E q^4 + 6 E q^2 S_2 + 3 S_2^2 - 2 S_4.  The recursion
   cancels more as m grows (most when one tail term dominates), so p
   above 10 is refused.  Nothing enters a convolution; the 2^r cells,
-  their squares and one power (24 bytes a cell and row) are refused
-  before they are allocated when they would pass ``spectra.BYTE_BUDGET``.
+  their squares and one power (24 bytes a cell and row) go through
+  ``spectra.check_bytes`` before they are allocated.
   ``even_split`` classifies a frequency list (tail mask, head cells)
   once; ``even_moments`` applies it to every row on the list, and the
   experiments keep it per call, and per plan and block tuple across calls.
@@ -69,10 +69,9 @@ Routes, as ``lp_norm`` (shared by the experiments and the CLI) picks them:
   and a sample's value is one lookup per used byte of its digit mask.
   Terms spanning several bytes are added one at a time from the parity
   of mask & frequency.
-  The draw is refused before anything is allocated when its peak
-  (``_mc_peak_bytes``: the masks, their byte columns and a few float
-  arrays per sample) exceeds ``spectra.BYTE_BUDGET``, which products
-  read at call time too.
+  The draw's peak (``_mc_peak_bytes``: the masks, their byte columns
+  and a few float arrays per sample) goes through ``spectra.check_bytes``
+  before anything is allocated.
 """
 
 from __future__ import annotations
@@ -84,9 +83,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import spectra
 from .errors import BudgetError, ConfigError, DepthError
-from .spectra import WalshSpectrum, _freq_arrays, _fwht_inplace, synthesize
+from .spectra import WalshSpectrum, _freq_arrays, _fwht_inplace, check_bytes, synthesize
 
 MAX_DENSE_DEPTH = 24
 
@@ -110,15 +108,7 @@ class NormEstimate(NamedTuple):
     seed: int | None = None
 
     def as_dict(self) -> dict:
-        out = {"p": self.p, "value": self.value, "kind": self.kind}
-        if self.kind == "sampled":
-            out.update(
-                ci_low=self.ci_low,
-                ci_high=self.ci_high,
-                samples=self.samples,
-                seed=self.seed,
-            )
-        return out
+        return {k: v for k, v in self._asdict().items() if v is not None}
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -182,12 +172,7 @@ def lp_monte_carlo(
     f = _packed(f)
     depth = f.depth()
     limbs = max(1, (depth + 63) // 64)
-    need = _mc_peak_bytes(samples, limbs)
-    if need > spectra.BYTE_BUDGET:
-        raise BudgetError(
-            f"{samples} samples x {limbs} limbs need about {need} bytes, "
-            f"budget {spectra.BYTE_BUDGET}"
-        )
+    check_bytes(_mc_peak_bytes(samples, limbs), f"{samples} samples x {limbs} limbs")
     masks = np.random.Philox(key=seed).random_raw(samples * limbs).reshape(samples, limbs)
     # the top limb's spare high bits shift out (all 64 at depth 0: t = 0)
     masks[:, -1] >>= np.uint64(limbs * 64 - depth)
@@ -249,16 +234,6 @@ def rademacher_fourth_moment(a: np.ndarray) -> float:
 def _check_power_mean(x: float, p: float) -> None:
     if not math.isfinite(x):
         raise ConfigError(f"the mean of |f|^{p} overflows")
-
-
-def _check_head_cells(rows: int, r: int) -> None:
-    """Refuse ``rows`` x 2^r head cells, their squares and one power."""
-    need = 24 * rows << r
-    if need > spectra.BYTE_BUDGET:
-        raise BudgetError(
-            f"{rows} rows of 2^{r} head cells need about {need} bytes, "
-            f"budget {spectra.BYTE_BUDGET}"
-        )
 
 
 def _mc_peak_bytes(samples: int, limbs: int) -> int:
@@ -359,7 +334,7 @@ def even_split(freqs) -> EvenSplit:
                 if b >> pivot & 1:
                     basis[k] = b ^ n
             basis[pivot] = n
-            _check_head_cells(1, len(basis))
+            check_bytes(24 << len(basis), f"2^{len(basis)} head cells")
     # coordinates as cell indices (moments ignore cell order); ascending
     # pivots make them the plain remap of the head bits when r = v
     pivots = sorted(basis)
@@ -378,7 +353,7 @@ def even_moments(split: EvenSplit, coeffs: np.ndarray, ms):
     one head/tail split; overflow is a ConfigError, and head cells past
     the byte budget a BudgetError."""
     in_tail, slots, r = split
-    _check_head_cells(len(coeffs), r)
+    check_bytes(24 * len(coeffs) << r, f"{len(coeffs)} rows of 2^{r} head cells")
     m_max = max(ms, default=0)
     eq = np.ones((len(coeffs), m_max + 1))  # eq[:, j] = E q^(2j)
     cells = np.zeros((len(coeffs), 1 << r))

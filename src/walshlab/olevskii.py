@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError
+from .spectra import check_bytes
 
 ROW_ABS_SUM_LIMIT = 1.0 + math.sqrt(2.0)
 
@@ -104,7 +105,8 @@ def row_abs_sum(k: int, i: int = 1) -> float:
 
 
 def dense_matrix(k: int) -> np.ndarray:
-    """Materialized float matrix; only sensible for small k."""
+    """Materialized float matrix, after ``check_bytes`` at 8 bytes an entry."""
+    check_bytes(8 << min(2 * k, 64), f"the 2^{k} x 2^{k} Olevskii matrix")
     size = 1 << k
     out = np.zeros((size, size))
     out[:, 0] = 2.0 ** (-k / 2.0)

@@ -29,11 +29,9 @@ import numpy as np
 
 from .errors import BudgetError, ConfigError, DepthError, read_json, read_number
 
-# Dense vectors above this depth are refused (2**30 cells).
-MAX_SYNTH_DEPTH = 30
-
-# Products and Monte Carlo draws whose estimated peak allocation would
-# exceed this many bytes are refused.
+# The one byte budget: ``check_bytes`` refuses every allocation that grows
+# with its inputs (products, draws, head cells, symbol tables, corpus cells,
+# dense transforms and matrices) whose estimated peak would pass it.
 BYTE_BUDGET = 1 << 30
 
 Frequency = int
@@ -90,6 +88,13 @@ def phi_index(k: int) -> Frequency:
         raise ValueError(f"k must be >= 1, got {k}")
     n = k - 1 + (k - 1).bit_length()
     return n + (n.bit_length() > (k - 1).bit_length())
+
+
+def check_bytes(need: int, what: str) -> None:
+    """Refuse ``what`` with BudgetError, before it is allocated, when its
+    estimated peak of ``need`` bytes passes ``BYTE_BUDGET``, read at call time."""
+    if need > BYTE_BUDGET:
+        raise BudgetError(f"{what} needs about {need} bytes, budget {BYTE_BUDGET}")
 
 
 def walsh_eval(n: Frequency, t: DyadicPoint) -> int:
@@ -236,17 +241,13 @@ def spectrum_product(f: WalshSpectrum, g: WalshSpectrum) -> WalshSpectrum:
     """Pointwise product of the represented functions (XOR convolution).
 
     result[n] = sum over a ^ b = n of f[a] * g[b].  The len(f)*len(g)
-    pair products are refused as intractable when their estimated peak
-    (``_product_peak_bytes``) exceeds ``BYTE_BUDGET``, read at call time;
-    a coefficient past the float range is refused with ValueError.
+    pair products go through ``check_bytes`` at their estimated peak
+    (``_product_peak_bytes``) first; a coefficient past the float range
+    is refused with ValueError.
     """
     pairs = len(f) * len(g)
     limbs = max(1, (max(f.depth(), g.depth()) + 63) // 64)
-    need = _product_peak_bytes(pairs, limbs)
-    if need > BYTE_BUDGET:
-        raise BudgetError(
-            f"product needs about {need} bytes for {pairs} pairs, budget {BYTE_BUDGET}"
-        )
+    check_bytes(_product_peak_bytes(pairs, limbs), f"a product of {pairs} pairs")
     if not pairs:
         return WalshSpectrum()
     # sum over equal pair keys; rebinding ``keys`` frees the unsorted ones
@@ -280,13 +281,12 @@ def synthesize(f: WalshSpectrum, depth: int) -> np.ndarray:
     plus Rademacher terms skips it: level h adds to and subtracts from
     cells 0..h-1 the one value f[2^(depth-1)/h] that cells h..2h-1 hold,
     so doubling does the same floating operations in O(2**depth).
+    A depth below f's width is a DepthError; ``check_bytes`` passes 16
+    bytes a cell (values, butterfly temps) and 48 a term first.
     """
-    if depth > MAX_SYNTH_DEPTH:
-        raise DepthError(f"depth {depth} exceeds cap {MAX_SYNTH_DEPTH}")
     if depth < f.depth():
-        raise DepthError(
-            f"depth {depth} below spectrum depth {f.depth()}"
-        )
+        raise DepthError(f"depth {depth} below spectrum depth {f.depth()}")
+    check_bytes((16 << min(depth, 64)) + 48 * len(f), f"synthesis at depth {depth}")
     values = np.zeros(1 << depth)
     if all(n & (n - 1) == 0 for n in f):
         values[0] = f[0]
@@ -307,18 +307,19 @@ def analyze_dense(values: np.ndarray) -> WalshSpectrum:
     """Exact Walsh coefficients of a dyadic step function.
 
     ``values`` must have length 2**D; analysis is the inverse of
-    ``synthesize`` at the same depth.
+    ``synthesize`` at the same depth.  ``check_bytes`` passes its arrays
+    (40 bytes a cell), then its spectrum (192 bytes a term), before each.
     """
     values = np.asarray(values, dtype=float)
     size = len(values)
     if size == 0 or size & (size - 1):
         raise ValueError(f"length {size} is not a power of two")
     depth = size.bit_length() - 1
-    if depth > MAX_SYNTH_DEPTH:
-        raise DepthError(f"depth {depth} exceeds cap {MAX_SYNTH_DEPTH}")
+    check_bytes(40 * size, f"analysis of {size} cells")
     work = values[_bit_reverse(np.arange(size, dtype=np.int64), depth)]
     _fwht_inplace(work)
     work /= size
+    check_bytes(192 * np.count_nonzero(work), "the spectrum of the cells")
     return WalshSpectrum(
         {int(n): float(c) for n, c in enumerate(work) if c != 0.0}
     )

@@ -1,6 +1,7 @@
 import math
 import sys
 
+import numpy as np
 import pytest
 
 import walshlab.experiments as experiments
@@ -436,6 +437,21 @@ def test_csv_header_is_the_readme_column_list(tmp_path):
     write_records_csv([], path)
     assert path.read_text() == (
         "experiment,plan,p,size_or_m,trial,value,ci_low,ci_high,exact,seed\n"
+    )
+
+
+def test_csv_rows_spell_numpy_floats_by_repr(tmp_path):
+    # the csv module writes a float, np.float64 too, by its repr and None
+    # as an empty cell; only ``exact`` is spelled out, as true or false
+    exact = ResultRecord("democracy", "g=2,4,8", np.float64(4.0), 3, 0,
+                         np.float64(0.1) + np.float64(0.2), None, None, True, 7)
+    sampled = exact._replace(p=np.float64(2.5), ci_low=0.25, ci_high=math.inf, exact=False)
+    path = tmp_path / "out.csv"
+    write_records_csv([exact, sampled], path)
+    assert path.read_text() == (
+        "experiment,plan,p,size_or_m,trial,value,ci_low,ci_high,exact,seed\n"
+        'democracy,"g=2,4,8",4.0,3,0,0.30000000000000004,,,true,7\n'
+        'democracy,"g=2,4,8",2.5,3,0,0.30000000000000004,0.25,inf,false,7\n'
     )
 
 

@@ -249,7 +249,7 @@ def test_synthesize_depth_checks():
     f = WalshSpectrum({9: 1.0})  # needs depth >= 4
     with pytest.raises(DepthError):
         synthesize(f, 3)
-    with pytest.raises(DepthError):
+    with pytest.raises(BudgetError):
         synthesize(f, 31)
     with pytest.raises(ValueError):
         analyze_dense(np.ones(3))
