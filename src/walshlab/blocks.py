@@ -26,11 +26,11 @@ from typing import Iterable
 import numpy as np
 
 from . import olevskii, spectra
-from .errors import BudgetError, HorizonError, ScheduleError, read_json, read_number
-from .spectra import WalshSpectrum, phi_index, rademacher_index
+from .errors import BudgetError, ConfigError, HorizonError, ScheduleError, read_json, read_number
+from .spectra import WalshSpectrum, phi_index
 
 # Blocks larger than this are refused by any operation that needs an
-# N_k-sized vector or block-wide frequencies.
+# N_k-sized vector.
 MATERIALIZATION_CAP = 1 << 20
 
 # Largest g(k): 2**4096 prints in 1,234 digits, and 4,096 blocks build in milliseconds
@@ -53,20 +53,16 @@ class BlockPlan:
     democracy and greedy-rearrangement arguments; a plan may be valid
     without satisfying either.
 
-    The plan is the one place that maps frequencies to symbols: symbol
+    The plan maps frequencies to symbols, both ways by arithmetic: symbol
     1 of block k is phi_k (k = n + 1 - bit_length(n)), symbols 2..N_k its
     Rademachers.  ``scatter`` and ``gather`` convert between spectra and
-    per-block symbol vectors; block symbol lists are built once per plan,
-    on first use, after ``spectra.check_bytes`` has passed their big ints.
+    per-block symbol vectors, ``gather`` building nonzero columns only.
     """
 
     g: tuple[int, ...]
     N: tuple[int, ...] = field(init=False)
     F: tuple[int, ...] = field(init=False)
     offsets: tuple[int, ...] = field(init=False, repr=False)
-    _symbols: dict[int, tuple[int, ...]] = field(
-        init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         if not isinstance(self.g, (list, tuple)) or not self.g:
@@ -89,7 +85,6 @@ class BlockPlan:
         object.__setattr__(self, "N", n)
         object.__setattr__(self, "F", f)
         object.__setattr__(self, "offsets", tuple(offsets))
-        object.__setattr__(self, "_symbols", {})
 
     @property
     def horizon_blocks(self) -> int:
@@ -165,21 +160,16 @@ class BlockPlan:
 
     # -- symbol space -------------------------------------------------------
 
-    def symbol_frequencies(self, k: int) -> tuple[int, ...]:
-        """Frequencies of block k's symbols: phi_k then its Rademachers."""
-        freqs = self._symbols.get(k)
-        if freqs is None:
-            self._check_block(k)
-            self._check_cap(k)
-            first = self.F[k - 1] - self.N[k - 1] + 1  # F_(k-1)
-            # r_j takes sys.getsizeof(1 << (j - 1)) = 28 + 4 ((j - 1) // 30) bytes, its slot 8
-            need = (self.N[k - 1] - 1) * (36 + (first + self.F[k - 1]) // 15)
-            spectra.check_bytes(need, f"block {k}'s symbol table")
-            freqs = (phi_index(k),) + tuple(
-                rademacher_index(j) for j in range(first + 1, self.F[k - 1] + 1)
-            )
-            self._symbols[k] = freqs
-        return freqs
+    def symbol_frequencies(self, k: int, cols) -> list[int]:
+        """Frequencies of block k's 0-based symbol columns ``cols``: phi_k at
+        column 0, r_(F_(k-1)+c) = 1 << (F_(k-1) + c - 1) at column c."""
+        cols = np.asarray(cols, dtype=np.int64).tolist()
+        self._check_element(k, 1 + max(cols, default=0))
+        shift = self.F[k - 1] - self.N[k - 1]  # F_(k-1) - 1
+        # 1 << b takes sys.getsizeof = 28 + 4 (b // 30) bytes, its slot 8
+        need = sum(36 + 4 * ((shift + c) // 30) for c in cols)
+        spectra.check_bytes(need, f"{len(cols)} symbol frequencies of block {k}")
+        return [1 << (shift + c) if c else phi_index(k) for c in cols]
 
     def scatter(
         self, f: WalshSpectrum, through: int | None = None
@@ -204,14 +194,14 @@ class BlockPlan:
         return out
 
     def gather(self, vectors: dict[int, np.ndarray]) -> WalshSpectrum:
-        """Spectrum whose block-k symbol coefficients are vectors[k]; a
-        NaN or infinite coefficient is refused with ValueError."""
+        """Spectrum whose block-k symbol coefficients are vectors[k], built
+        from the nonzero columns alone; a NaN or infinite one is a ValueError."""
         terms: dict[int, float] = {}
         for k in sorted(vectors):
             if not np.isfinite(vectors[k]).all():
                 raise ValueError(f"block {k} has a coefficient that is not finite")
-            freqs, nz = self.symbol_frequencies(k), np.flatnonzero(vectors[k]).tolist()
-            terms.update(zip([freqs[i] for i in nz], vectors[k][nz].tolist()))
+            nz = np.flatnonzero(vectors[k])
+            terms.update(zip(self.symbol_frequencies(k, nz), vectors[k][nz].tolist()))
         return WalshSpectrum._from_clean_dict(terms)
 
     def symbol_rows(self, index: np.ndarray, weights: np.ndarray, member: np.ndarray) -> dict:
@@ -247,13 +237,17 @@ class BlockPlan:
 
     def weighted_spectrum(self, entries: Iterable[tuple[object, float]]) -> WalshSpectrum:
         """Spectrum of sum of w_m * psi_m over (index, weight) pairs, an index
-        a global position or a (k, i) pair; repeated indices add, in order."""
+        a global position or a (k, i) pair; repeated indices add, in order.
+        A symbol coefficient past the float range is a ConfigError."""
         weights: dict[int, float] = {}
         for m, w in entries:
             m = self.to_global(*m) if isinstance(m, tuple) else int(m)
             weights[m] = weights.get(m, 0.0) + w
-        rows = self.symbol_rows(np.array(list(weights)), list(weights.values()),
-                                np.ones((1, len(weights)), dtype=bool))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = self.symbol_rows(np.array(list(weights)), list(weights.values()),
+                                    np.ones((1, len(weights)), dtype=bool))
+        if not all(np.isfinite(w).all() for w in rows.values()):
+            raise ConfigError("the weighted sum of basis elements overflows a coefficient")
         return self.gather({k: w[0] for k, w in rows.items()})
 
 

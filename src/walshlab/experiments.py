@@ -55,7 +55,7 @@ from .norms import (
     rademacher_fourth_moment,
     takes_split,
 )
-from .spectra import WalshSpectrum, analyze_dense, rademacher_index, synthesize
+from .spectra import WalshSpectrum, analyze_dense, phi_index, rademacher_index, synthesize
 
 
 class ResultRecord(NamedTuple):
@@ -351,8 +351,16 @@ _BATCH_BYTES = 1 << 22
 
 @functools.lru_cache(maxsize=32)
 def _block_split(plan: BlockPlan, blocks: tuple[int, ...]):
-    """``even_split`` of the symbols of ``blocks``, once per plan and blocks."""
-    return even_split([n for k in blocks for n in plan.symbol_frequencies(k)])
+    """``even_split`` of the symbols of ``blocks``, once per plan and blocks.
+    Rademachers at or above bit ``top``, the widest phi's bit length, are
+    tail terms however wide, so each is classified as 1 << top instead."""
+    top = phi_index(max(blocks)).bit_length()
+    freqs = []
+    for k in blocks:
+        # block k's Rademachers sit at bits F_(k-1) .. F_k - 1
+        wide = min(plan.N[k - 1] - 1, max(0, plan.F[k - 1] - top))
+        freqs += plan.symbol_frequencies(k, range(plan.N[k - 1] - wide)) + [1 << top] * wide
+    return even_split(freqs)
 
 
 def _span_norms(plan: BlockPlan | None, keys, weights, member, ps):

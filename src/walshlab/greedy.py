@@ -47,7 +47,7 @@ def analyze(f: WalshSpectrum, plan: BlockPlan) -> dict[int, float]:
         (plan.offsets[k - 1], olevskii.matvec(plan.g[k - 1], symbols))
         for k, symbols in plan.scatter(f).items()
     ]
-    tol = ZERO_TOL * math.hypot(*(c for _, v in rows for c in v.tolist()))
+    tol = _zero_tol(c for _, v in rows for c in v.tolist())
     return {
         m: c
         for base, row_values in rows
@@ -61,9 +61,18 @@ def synthesize_coefficients(coeffs: dict[int, float], plan: BlockPlan) -> WalshS
     return plan.weighted_spectrum(coeffs.items())
 
 
+def _zero_tol(values) -> float:
+    """ZERO_TOL times the l2 norm of ``values``; a norm past the float
+    range would zero every coefficient, so it is a ConfigError."""
+    norm = math.hypot(*values)
+    if not math.isfinite(norm):
+        raise ConfigError("the l2 norm of the coefficients overflows")
+    return ZERO_TOL * norm
+
+
 def greedy_order(coeffs: dict[int, float]) -> tuple[int, ...]:
     """rho: the nonzero support in magnitude-decreasing order, ties by index."""
-    tol = ZERO_TOL * math.hypot(*coeffs.values())
+    tol = _zero_tol(coeffs.values())
     live = [(m, c) for m, c in coeffs.items() if abs(c) > tol]
     live.sort(key=lambda mc: (-abs(mc[1]), mc[0]))
     return tuple(m for m, _ in live)

@@ -30,8 +30,8 @@ import numpy as np
 from .errors import BudgetError, ConfigError, DepthError, read_json, read_number
 
 # The one byte budget: ``check_bytes`` refuses every allocation that grows
-# with its inputs (products, draws, head cells, symbol tables, corpus cells,
-# dense transforms and matrices) whose estimated peak would pass it.
+# with its inputs (products, draws, head cells, symbol frequencies, corpus
+# cells, dense transforms and matrices) whose estimated peak would pass it.
 BYTE_BUDGET = 1 << 30
 
 Frequency = int

@@ -606,6 +606,26 @@ def test_corpus_function_whose_powers_overflow_exit2(tmp_path, capsys, kind, alp
     assert code == 2 and "overflows" in err
 
 
+def test_walsh_baseline_whose_l2_norm_overflows_exit2(tmp_path, capsys):
+    # the tilted coefficients are finite, their l2 norm is not
+    corpus = {"kind": "adversarial_walsh", "depth": 6, "count": 1, "tilt": 2e307}
+    code, err = _experiment_exit(tmp_path, capsys, "walsh-baseline",
+                                 {"plan": "desk", "p": [2, 4], "corpus": corpus})
+    assert code == 2 and "overflows" in err
+
+
+def test_greedy_run_whose_synthesis_overflows_exit2(tmp_path, capsys):
+    # rmatvec sums a column before scaling it: 1e308 + 1e308 overflows
+    cpath = tmp_path / "coeffs.json"
+    cpath.write_text('{"coeffs": [{"m": 1, "c": 1e308}, {"m": 3, "c": 1e308}]}')
+    code, out, err = run_cli(
+        capsys, "greedy", "run", "--plan", "desk", "--in", str(cpath),
+        "--m-max", "5", "--p", "3", "--out", str(tmp_path / "trace.csv"),
+    )
+    assert code == 2 and out == ""
+    assert "overflows" in err and "Traceback" not in err
+
+
 def test_partialsum_zero_corpus_function_exit2(tmp_path, capsys, monkeypatch):
     import walshlab.experiments as experiments
 
@@ -664,16 +684,18 @@ def test_huge_inputs_refused_before_allocating(tmp_path, argv, doc, code, text):
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs Linux /proc")
 @pytest.mark.parametrize("argv, doc, code", [
-    (["basis", "element", "-k", "1", "-i", "1"], {"g": [18]}, 3),
+    (["basis", "element", "-k", "1", "-i", "1"], {"g": [21]}, 3),
+    # p = 3 gathers a 20,000-element set's 109,040 columns: about 3.9 GB of big ints
     (["experiment", "democracy"],
-     {"plan": {"g": [2, 4, 18]}, "p": [2, 4], "sizes": [5], "trials": 1, "seed": 1}, 3),
-    # a 2^14 block's symbol table, about 18 MB, still fits under the same cap
-    (["basis", "element", "-k", "3", "-i", "7"], {"g": [2, 4, 14]}, 0),
+     {"plan": {"g": [2, 4, 20]}, "p": [3], "sizes": [20000], "trials": 1, "seed": 1}, 3),
+    # 2^18 blocks build only the frequencies a spectrum reads
+    (["basis", "element", "-k", "1", "-i", "1"], {"g": [18]}, 0),
     (["experiment", "democracy"],
-     {"plan": {"g": [2, 4, 14]}, "p": [2, 4], "sizes": [5], "trials": 1, "seed": 1}, 0),
+     {"plan": {"g": [2, 4, 18]}, "p": [2, 4], "sizes": [5], "trials": 1, "seed": 1}, 0),
 ])
 def test_symbol_table_budget_exit_codes(tmp_path, argv, doc, code):
-    # the 2^18 tables would hold about 4.6 GB of big-int frequencies
+    # a block past MATERIALIZATION_CAP, and a gather past the byte budget, are refused
+    refusal = "cap is" if argv[0] == "basis" else "symbol frequencies of block"
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     where = "--plan" if argv[0] == "basis" else "--config"
@@ -685,5 +707,5 @@ def test_symbol_table_budget_exit_codes(tmp_path, argv, doc, code):
         env={**os.environ, "PYTHONPATH": path}, timeout=60,
     )
     assert proc.returncode == code, proc.stderr
-    assert ("symbol table needs about" in proc.stderr) == (code == 3)
+    assert (refusal in proc.stderr) == (code == 3)
     assert "Traceback" not in proc.stderr

@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import walshlab.spectra
-from walshlab.blocks import load_plan
+from walshlab.blocks import BlockPlan, load_plan
 from walshlab.errors import BudgetError
 from walshlab.experiments import _block_split
 from walshlab.norms import (
@@ -37,6 +37,7 @@ from walshlab.spectra import (
     WalshSpectrum,
     _freq_arrays,
     _product_peak_bytes,
+    phi_index,
     rademacher_index,
 )
 
@@ -232,7 +233,7 @@ def test_heads_that_span_their_bits_keep_the_bit_remap():
     spanning = 0
     for size in range(1, 4):
         for blocks in itertools.combinations(range(1, 4), size):
-            freqs = [n for k in blocks for n in plan.symbol_frequencies(k)]
+            freqs = [n for k in blocks for n in plan.symbol_frequencies(k, range(plan.N[k - 1]))]
             split = _block_split(plan, blocks)
             remap, v = bit_remap(freqs)
             if split.r == v:
@@ -243,6 +244,32 @@ def test_heads_that_span_their_bits_keep_the_bit_remap():
                   [0] + [rademacher_index(j + 1) for j in range(16)]):
         split = even_split(freqs)
         assert (split.slots.tolist(), split.r) == bit_remap(freqs)
+
+
+@pytest.mark.parametrize("g", [(2, 4, 14), (1, 3, 6, 9), tuple(range(1, 8))])
+def test_block_split_equals_the_split_of_every_column(monkeypatch, g):
+    # Rademachers at or above the widest phi's bits stand in as one tail
+    # frequency, and none of them is built; in (1, ..., 7), blocks after
+    # the first hold head Rademachers too
+    plan = BlockPlan(g)
+    built, symbol_frequencies = [], BlockPlan.symbol_frequencies
+
+    def recording(self, k, cols):
+        freqs = symbol_frequencies(self, k, cols)
+        built.extend(freqs)
+        return freqs
+
+    for size in range(1, len(g) + 1):
+        for blocks in itertools.combinations(range(1, len(g) + 1), size):
+            full = even_split([n for k in blocks
+                               for n in plan.symbol_frequencies(k, range(plan.N[k - 1]))])
+            with monkeypatch.context() as mp:
+                mp.setattr(BlockPlan, "symbol_frequencies", recording)
+                split = _block_split.__wrapped__(plan, blocks)
+            assert np.array_equal(split.in_tail, full.in_tail)
+            assert np.array_equal(split.slots, full.slots) and split.r == full.r
+            assert max(built) < 1 << phi_index(max(blocks)).bit_length()
+            built.clear()
 
 
 def test_dense_13_bit_head_takes_its_cells():

@@ -106,6 +106,13 @@ def test_analyze_keeps_a_tiny_function():
         assert got[plan.to_global(k, i)] == pytest.approx(1e-16, rel=1e-12)
 
 
+def test_an_l2_norm_past_the_float_range_is_refused():
+    # ZERO_TOL times an infinite norm would zero every finite coefficient
+    with pytest.raises(ConfigError, match="overflows"):
+        greedy_order({m: 1e308 for m in range(1, 41)})
+    assert len(greedy_order({m: 1e306 for m in range(1, 41)})) == 40
+
+
 def test_greedy_order_is_scale_invariant():
     plan = BlockPlan([2, 4, 8])
     rng = np.random.default_rng(5)

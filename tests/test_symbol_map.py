@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import walshlab.spectra
-from walshlab import blocks, olevskii
+from walshlab import olevskii
 from walshlab.blocks import MATERIALIZATION_CAP, BlockPlan, load_plan
 from walshlab.errors import BudgetError, HorizonError
 from walshlab.greedy import (
@@ -135,7 +135,7 @@ def plans_and_symbol_spectra(draw):
     plan = BlockPlan(g)
     symbols = [
         n for k in range(1, plan.horizon_blocks + 1)
-        for n in plan.symbol_frequencies(k)
+        for n in plan.symbol_frequencies(k, range(plan.N[k - 1]))
     ]
     chosen = draw(st.lists(st.sampled_from(symbols), min_size=1, max_size=24,
                            unique=True))
@@ -188,13 +188,11 @@ def test_partial_sums_compose_to_the_smaller(case, data):
 def test_symbol_map_round_trips_on_desk():
     plan = load_plan("desk")
     for k in range(1, plan.horizon_blocks + 1):
-        freqs = plan.symbol_frequencies(k)
+        freqs = plan.symbol_frequencies(k, range(plan.N[k - 1]))
         assert len(freqs) == plan.N[k - 1]
         assert [plan.locate(n) for n in freqs] == [
             (k, col) for col in range(1, plan.N[k - 1] + 1)
         ]
-    # built once per plan
-    assert plan.symbol_frequencies(3) is plan.symbol_frequencies(3)
     assert plan.offsets == (0, 4, 20, 276)
     with pytest.raises(HorizonError):
         plan.locate(1 << plan.F[-1])
@@ -212,42 +210,59 @@ def test_phi_blocks_located_by_arithmetic():
         plan.locate(beyond)
 
 
-@pytest.fixture
-def no_symbol_table(monkeypatch):
-    """Fail at once, instead of allocating, if a symbol table gets built."""
-    monkeypatch.setattr(blocks, "rademacher_index", lambda j: pytest.fail("table built"))
-
-
-def test_wide_symbol_tables_are_refused_before_allocation(no_symbol_table):
-    # 2^18 Rademachers up to 2^18 bits wide: about 4.6 GB of big ints
+def test_wide_symbol_tables_are_refused_before_allocation():
+    # a 2^18 block builds the 19 frequencies an element reads, not the
+    # 2^18 Rademachers up to 2^18 bits wide (about 4.6 GB of big ints)
     plan = BlockPlan([18])
-    with pytest.raises(BudgetError, match="symbol table needs about"):
-        plan.symbol_frequencies(1)
-    with pytest.raises(BudgetError, match="symbol table needs about"):
-        plan.psi_spectrum(1, 1)
-    with pytest.raises(BudgetError, match="block 3's symbol table"):
-        BlockPlan([2, 4, 20]).sum_spectrum([30, 300])
+    for i in (1, 2, 1 << 17, 1 << 18):
+        want = {(1 << (j - 2) if j > 1 else 0): e.value(18)
+                for j, e in olevskii.row_entries(18, i)}
+        psi = plan.psi_spectrum(1, i)
+        assert len(psi) == 19 and psi == WalshSpectrum(want)
+    wide = BlockPlan([2, 4, 20])
+    assert wide.sum_spectrum([30, 300]) == wide.psi_spectrum(3, 10) + wide.psi_spectrum(3, 280)
+    # a dense gather of that block is refused before its frequencies are built
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="262144 symbol frequencies of block 1 needs"):
+            plan.gather({1: np.ones(1 << 18)})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 24
 
 
 def test_symbol_table_estimate_is_the_table(monkeypatch):
-    # the estimate is within 5% of what the table holds, and read at call time
+    # the estimate is within 5% of what the frequencies hold, read at call time
     plan = BlockPlan([2, 12])
     tracemalloc.start()
-    plan.symbol_frequencies(2)
+    freqs = plan.symbol_frequencies(2, range(4096))
     held = tracemalloc.get_traced_memory()[0]
     tracemalloc.stop()
+    del freqs
     monkeypatch.setattr(walshlab.spectra, "BYTE_BUDGET", int(held * 0.95))
     with pytest.raises(BudgetError):
-        BlockPlan([2, 12]).symbol_frequencies(2)
+        plan.symbol_frequencies(2, range(4096))
     monkeypatch.setattr(walshlab.spectra, "BYTE_BUDGET", int(held * 1.05))
-    assert len(BlockPlan([2, 12]).symbol_frequencies(2)) == 4096
+    assert len(plan.symbol_frequencies(2, range(4096))) == 4096
 
 
 def test_symbol_cache_stays_out_of_equality_and_repr():
+    # a plan that has gathered still equals, hashes and prints like a fresh one
     a, b = BlockPlan([2, 4]), BlockPlan([2, 4])
-    a.symbol_frequencies(2)
+    a.psi_spectrum(2, 3)
     assert a == b and hash(a) == hash(b)
     assert repr(a) == repr(b)
+
+
+def test_columns_past_their_block_are_refused():
+    # column 4 of desk's block 1 would be r_4, block 2's first Rademacher
+    desk = load_plan("desk")
+    with pytest.raises(HorizonError, match="block 1"):
+        desk.symbol_frequencies(1, [0, 4])
+    with pytest.raises(HorizonError, match="block 1"):
+        desk.gather({1: np.ones(5)})
+    assert desk.symbol_frequencies(1, []) == []
 
 
 def test_gather_inverts_scatter():
