@@ -537,10 +537,6 @@ def partial_sum_experiment(cfg: ExperimentConfig):
     )
     if grid[-1] > horizon:
         raise ConfigError(f"n={grid[-1]} beyond horizon {horizon}")
-    # S_n inside a block transforms all of it, so refuse one above the cap
-    for k, i in (plan.to_block(n) for n in grid if n):
-        if i < plan.N[k - 1]:
-            plan._check_cap(k)
     records: list[ResultRecord] = []
     p2_all_max = p2_route_dev = block_end_dev = 0.0
     for fi, f, coeffs, _ in _corpus_expansions(cfg):

@@ -50,17 +50,16 @@ Routes, as ``lp_norm`` (shared by the experiments and the CLI) picks them:
   such an even moment of its unscaled rows.
 * ``lp_monte_carlo`` samples uniform cells of the packed spectrum and
   reports a 95% CI propagated from the normal-approximation CI of the
-  p-th power mean.  f depends on a point only through its digits at
-  the w positions of U, the OR of f's frequencies, and those digits
-  are i.i.d. fair bits; so ``_packed`` rewrites each frequency as its
-  bits at U's positions in ascending order, and the draw samples the
-  2^w cells of that depth-w spectrum (the integrand is constant per
-  cell, so sampling adds no discretization error).  A desk democracy
-  set of 4-6 elements reads 15-37 of its 171-273 bits: one limb.  When
-  U fills bits 0..w-1 the spectrum is f itself.  The digit masks are
-  the raw uint64 stream of Philox keyed by the seed, ceil(w / 64)
-  words a sample, so sample i depends only on (seed, i) and U, not on
-  any execution schedule.
+  p-th power mean.  ``_packed`` lays f out on its even split: the
+  head's r coordinate bits and the t tail signs are i.i.d. fair bits,
+  so the draw samples the 2^w cells, w = r + t, of the spectrum with
+  the head's cells on bits 0..r-1 and the tail above (the integrand is
+  constant per cell, so sampling adds no discretization error).  w is
+  at most the popcount of U, the OR of f's frequencies: a desk
+  democracy set of 4-6 elements draws 14-36 bits for the 15-37 it uses
+  of its 171-273, one limb.  The digit masks are the raw uint64 stream
+  of Philox keyed by the seed, ceil(w / 64) words a sample, so sample
+  i depends only on (seed, i) and f, not on any execution schedule.
   Samples are evaluated with byte tables: every term whose frequency
   has its nonzero bits inside one byte of the little-endian
   limbs (every Rademacher term, and any other frequency inside one
@@ -244,28 +243,14 @@ def _mc_peak_bytes(samples: int, limbs: int) -> int:
 
 
 def _packed(f: WalshSpectrum) -> WalshSpectrum:
-    """f with each frequency rewritten as its bits at the positions of U,
-    the OR of f's frequencies, in ascending order: a spectrum of depth
-    popcount(U) whose values at i.i.d. fair digits are distributed as
-    f's.  f itself when U fills bits 0..depth-1."""
-    used = 0
-    for n in f:
-        used |= n
-    if not used & (used + 1):
-        return f
-    slot = {}  # each bit of U -> its packed bit
-    while used:
-        low = used & -used
-        slot[low] = 1 << len(slot)
-        used ^= low
-    terms = {}  # distinct frequencies stay distinct: their bits lie in U
-    for n, c in f.items():
-        m = 0
-        while n:
-            low = n & -n
-            m |= slot[low]
-            n ^= low
-        terms[m] = c
+    """f laid out on its split (``even_split``): head term h at its cell
+    ``slots[h]`` (bits 0..r-1), the j-th tail term at bit r + j.  At
+    i.i.d. fair digits it is distributed as f, on r + t <= popcount(U)
+    bits, U the OR of f's frequencies."""
+    in_tail, slots, r = even_split(list(f))
+    cells, bits = iter(slots), (1 << j for j in range(r, len(f)))  # each distinct
+    terms = {next(bits) if tail else next(cells): c
+             for tail, (_, c) in zip(in_tail.tolist(), f.items())}
     return WalshSpectrum._from_clean_dict(terms)
 
 
@@ -279,11 +264,8 @@ def _eval_masks(f: WalshSpectrum, masks: np.ndarray) -> np.ndarray:
     single = np.count_nonzero(nonzero, axis=1) <= 1
     terms = np.flatnonzero(single)
     if len(terms):
-        byte = np.argmax(nonzero[terms], axis=1)
+        byte = np.argmax(nonzero[terms], axis=1)  # byte 0 for the constant
         u = freq_bytes[terms, byte]
-        # the constant term adds to every entry of any table: put it in
-        # one that is read anyway
-        byte[u == 0] = byte.max()
         used, table_of = np.unique(byte, return_inverse=True)
         weights = np.zeros((len(used), 256))
         weights[table_of, u] = coeffs[terms]
@@ -309,7 +291,7 @@ EvenSplit = namedtuple("EvenSplit", "in_tail slots r")
 
 def even_split(freqs) -> EvenSplit:
     """Classify ``freqs`` for ``even_moments``, once per frequency list;
-    a head whose 2^r cells pass the byte budget is a BudgetError."""
+    cells are Python ints at any rank (``even_moments`` checks 2^r's bytes)."""
     head_bits = 0
     for n in freqs:
         if n.bit_count() != 1:
@@ -318,31 +300,36 @@ def even_split(freqs) -> EvenSplit:
     outside = ~head_bits
     in_tail = np.array([n & outside != 0 for n in freqs], dtype=bool)
     head = tuple(n for n in freqs if not n & outside)
-    # reduced echelon basis of the head, keyed by pivot: no vector holds
-    # another's pivot bit, so a frequency's bits at the pivots are its
-    # coordinates; full once it spans every head bit
-    basis, v = {}, head_bits.bit_count()
+    # reduced echelon basis of the head, keyed by pivot bit: no vector
+    # holds another's pivot bit, so a frequency's bits at the pivots are
+    # its coordinates; full once it spans every head bit
+    basis, pivots, v = {}, 0, head_bits.bit_count()
     for n in head:
         if len(basis) == v:
             break
-        for pivot, b in basis.items():
-            if n >> pivot & 1:
-                n ^= b
+        for low in _bits(n & pivots):
+            n ^= basis[low]
         if n:
-            pivot = n.bit_length() - 1
+            top = 1 << (n.bit_length() - 1)
             for k, b in basis.items():
-                if b >> pivot & 1:
+                if b & top:
                     basis[k] = b ^ n
-            basis[pivot] = n
-            check_bytes(24 << len(basis), f"2^{len(basis)} head cells")
+            basis[top] = n
+            pivots |= top
     # coordinates as cell indices (moments ignore cell order); ascending
     # pivots make them the plain remap of the head bits when r = v
-    pivots = sorted(basis)
-    slots = [sum((n >> s & 1) << i for i, s in enumerate(pivots)) for n in head]
-    slots = np.array(slots, dtype=np.intp)
-    slots.flags.writeable = False
+    cell_bit = {p: 1 << i for i, p in enumerate(sorted(basis))}
+    slots = tuple(sum(cell_bit[low] for low in _bits(n & pivots)) for n in head)
     in_tail.flags.writeable = False  # callers may cache and share the split
-    return EvenSplit(in_tail, slots, len(pivots))
+    return EvenSplit(in_tail, slots, len(basis))
+
+
+def _bits(x: int):
+    """The set bits of x, lowest first, each as its power of two."""
+    while x:
+        low = x & -x
+        yield low
+        x ^= low
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -357,7 +344,7 @@ def even_moments(split: EvenSplit, coeffs: np.ndarray, ms):
     m_max = max(ms, default=0)
     eq = np.ones((len(coeffs), m_max + 1))  # eq[:, j] = E q^(2j)
     cells = np.zeros((len(coeffs), 1 << r))
-    cells[:, slots] = coeffs[:, ~in_tail]
+    cells[:, np.array(slots, dtype=np.intp)] = coeffs[:, ~in_tail]
     _fwht_inplace(cells)
     q2 = np.square(cells, out=cells)
     power = np.ones_like(q2)

@@ -281,12 +281,12 @@ def synthesize(f: WalshSpectrum, depth: int) -> np.ndarray:
     plus Rademacher terms skips it: level h adds to and subtracts from
     cells 0..h-1 the one value f[2^(depth-1)/h] that cells h..2h-1 hold,
     so doubling does the same floating operations in O(2**depth).
-    A depth below f's width is a DepthError; ``check_bytes`` passes 16
-    bytes a cell (values, butterfly temps) and 48 a term first.
+    A depth below f's width is a DepthError; ``check_bytes`` passes
+    ``_synthesis_peak_bytes`` first.
     """
     if depth < f.depth():
         raise DepthError(f"depth {depth} below spectrum depth {f.depth()}")
-    check_bytes((16 << min(depth, 64)) + 48 * len(f), f"synthesis at depth {depth}")
+    check_bytes(_synthesis_peak_bytes(depth, len(f)), f"synthesis at depth {depth}")
     values = np.zeros(1 << depth)
     if all(n & (n - 1) == 0 for n in f):
         values[0] = f[0]
@@ -307,22 +307,34 @@ def analyze_dense(values: np.ndarray) -> WalshSpectrum:
     """Exact Walsh coefficients of a dyadic step function.
 
     ``values`` must have length 2**D; analysis is the inverse of
-    ``synthesize`` at the same depth.  ``check_bytes`` passes its arrays
-    (40 bytes a cell), then its spectrum (192 bytes a term), before each.
+    ``synthesize`` at the same depth.  ``check_bytes`` passes its arrays,
+    then its arrays and spectrum (``_analysis_peak_bytes``), before each.
     """
     values = np.asarray(values, dtype=float)
     size = len(values)
     if size == 0 or size & (size - 1):
         raise ValueError(f"length {size} is not a power of two")
     depth = size.bit_length() - 1
-    check_bytes(40 * size, f"analysis of {size} cells")
+    check_bytes(_analysis_peak_bytes(size, 0), f"analysis of {size} cells")
     work = values[_bit_reverse(np.arange(size, dtype=np.int64), depth)]
     _fwht_inplace(work)
     work /= size
-    check_bytes(192 * np.count_nonzero(work), "the spectrum of the cells")
+    check_bytes(_analysis_peak_bytes(size, np.count_nonzero(work)), "the spectrum of the cells")
     return WalshSpectrum(
         {int(n): float(c) for n, c in enumerate(work) if c != 0.0}
     )
+
+
+def _synthesis_peak_bytes(depth: int, terms: int) -> int:
+    """Bound on ``synthesize``'s peak: 16 bytes a cell (values, butterfly temps)
+    and 32 a term (frequencies, their bit reversal, its scratch, coefficients)."""
+    return (16 << min(depth, 64)) + 32 * terms
+
+
+def _analysis_peak_bytes(cells: int, terms: int) -> int:
+    """Bound on ``analyze_dense``'s peak: 24 bytes a cell (indices, their bit
+    reversal, its scratch, then the values permuted) and 208 a spectrum term."""
+    return 24 * cells + 208 * terms
 
 
 def _fwht_inplace(v: np.ndarray) -> None:
@@ -340,11 +352,13 @@ def _fwht_inplace(v: np.ndarray) -> None:
 
 
 def _bit_reverse(idx: np.ndarray, depth: int) -> np.ndarray:
-    """Each index, read as ``depth`` bits, with its bit order reversed."""
-    out = np.zeros_like(idx)
-    for _ in range(depth):
-        out = (out << 1) | (idx & 1)
-        idx = idx >> 1
+    """Each index, read as ``depth`` bits, with its bit order reversed;
+    ``idx`` is left as it is, and two arrays of its size are built."""
+    out, bit = np.zeros_like(idx), np.empty_like(idx)
+    for i in range(depth):
+        out <<= 1
+        np.right_shift(idx, i, out=bit)
+        out |= np.bitwise_and(bit, 1, out=bit)
     return out
 
 

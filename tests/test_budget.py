@@ -15,7 +15,14 @@ import pytest
 import walshlab.spectra
 from walshlab.errors import BudgetError
 from walshlab.olevskii import dense_matrix
-from walshlab.spectra import WalshSpectrum, analyze_dense, check_bytes, synthesize
+from walshlab.spectra import (
+    WalshSpectrum,
+    _analysis_peak_bytes,
+    _synthesis_peak_bytes,
+    analyze_dense,
+    check_bytes,
+    synthesize,
+)
 
 SRC = pathlib.Path(walshlab.spectra.__file__).parent
 
@@ -59,7 +66,7 @@ _SLACK = 1 << 17
 @pytest.mark.parametrize("kind", ["doubling", "butterfly"])
 def test_synthesis_past_the_budget_is_refused_before_its_cells(monkeypatch, kind):
     spectrum = _SPECTRA[kind]
-    _budget(monkeypatch, (16 << 16) + 96)
+    _budget(monkeypatch, _synthesis_peak_bytes(16, 2))
     assert len(synthesize(spectrum(16), 16)) == 1 << 16
     refused, peak = _peak(lambda: synthesize(spectrum(17), 17))
     assert isinstance(refused, BudgetError) and "synthesis at depth 17" in str(refused)
@@ -72,43 +79,43 @@ def test_synthesis_past_the_budget_is_refused_before_its_cells(monkeypatch, kind
 @pytest.mark.parametrize("kind", sorted(_SPECTRA))
 @pytest.mark.parametrize("depth", [16, 18])
 def test_synthesis_estimate_bounds_its_peak(kind, depth):
-    # 16 bytes a cell (values and butterfly temporaries), 48 a term
     f = _SPECTRA[kind](depth)
-    estimate = (16 << depth) + 48 * len(f)
+    estimate = _synthesis_peak_bytes(depth, len(f))
     _, peak = _peak(lambda: synthesize(f, depth))
     assert peak <= estimate + _SLACK
     assert peak >= estimate * (0.45 if kind == "doubling" else 0.7)
 
 
 def test_analysis_arrays_past_the_budget_are_refused_before_they_are_built(monkeypatch):
-    _budget(monkeypatch, 40 << 12)
+    _budget(monkeypatch, _analysis_peak_bytes(1 << 12, 1))
     assert analyze_dense(np.ones(1 << 12)) == WalshSpectrum({0: 1.0})
     values = np.ones(1 << 13)
     refused, peak = _peak(lambda: analyze_dense(values))
     assert isinstance(refused, BudgetError) and "analysis of 8192 cells" in str(refused)
-    assert peak < 1 << 12  # its arrays would take 320 KiB
+    assert peak < 1 << 12  # its arrays would take 192 KiB
 
 
 def test_analysis_spectrum_past_the_budget_is_refused_before_it_is_built(monkeypatch):
     size = 1 << 12
     dense = np.random.default_rng(5).random(size)  # every coefficient nonzero
-    _budget(monkeypatch, 192 * size)
+    _budget(monkeypatch, _analysis_peak_bytes(size, size))
     assert len(analyze_dense(dense)) == size
-    _budget(monkeypatch, 192 * size - 1)
+    _budget(monkeypatch, _analysis_peak_bytes(size, size) - 1)
     refused, peak = _peak(lambda: analyze_dense(dense))
     assert isinstance(refused, BudgetError) and "spectrum" in str(refused)
-    assert peak < 48 * size  # the arrays only: the spectrum would take 768 KiB more
+    assert peak < 48 * size  # the arrays only: the spectrum would take 832 KiB more
     assert analyze_dense(np.ones(size)) == WalshSpectrum({0: 1.0})  # one term fits
 
 
 @pytest.mark.parametrize("size", [1 << 12, 1 << 16])
 def test_analysis_estimates_bound_its_peak(size):
-    # 40 bytes a cell for the arrays, then 192 a nonzero coefficient
     ones, dense = np.ones(size), np.random.default_rng(6).random(size)
     _, peak = _peak(lambda: analyze_dense(ones))
-    assert 0.75 * 40 * size <= peak <= 40 * size + (1 << 12)
+    estimate = _analysis_peak_bytes(size, 1)
+    assert 0.75 * estimate <= peak <= estimate + (1 << 12)
     _, peak = _peak(lambda: analyze_dense(dense))
-    assert 0.85 * 232 * size <= peak <= 232 * size
+    estimate = _analysis_peak_bytes(size, size)
+    assert 0.85 * estimate <= peak <= estimate
 
 
 def test_dense_matrix_past_the_budget_is_refused_before_it_is_built(monkeypatch):

@@ -123,14 +123,28 @@ def test_greedy_run_non_finite_coefficient_exit2(tmp_path, capsys):
 
 
 def test_partial_sum_inside_wide_block_exit3(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
+    # S_n f is a row of f's support, so a grid point inside the 2^100
+    # block builds nothing of its size: n = 1025 runs, and S_1025 f = f.
+    # A support that reaches block 2 is refused when its rows are built
+    doc = {
         "plan": "paper", "p": [2, 4], "seed": 1, "n_grid": [10, 1025],
         "corpus": {"kind": "decay", "count": 1, "terms": 5},
-    }))
+    }
+    cfg, out_path = tmp_path / "cfg.json", tmp_path / "out.csv"
+    cfg.write_text(json.dumps(doc))
+    code, _, _ = run_cli(
+        capsys, "experiment", "partialsum", "--config", str(cfg), "--out", str(out_path),
+    )
+    assert code == 0
+    with open(out_path, newline="") as fh:
+        at_1025 = [r for r in csv.DictReader(fh) if r["size_or_m"] == "1025"]
+    assert sorted(r["p"] for r in at_1025) == ["2.0", "4.0"]
+    assert all(float(r["value"]) == 1.0 for r in at_1025)
+    doc["corpus"]["terms"] = 2000
+    cfg.write_text(json.dumps(doc))
     code, _, err = run_cli(
         capsys, "experiment", "partialsum", "--config", str(cfg),
-        "--out", str(tmp_path / "out.csv"),
+        "--out", str(tmp_path / "wide.csv"),
     )
     assert code == 3
     assert "cap" in err

@@ -9,9 +9,9 @@ the terms were placed at bit-reversed indices, and
 The properties run over frequencies with 0 to 4 nonzero bytes out to
 bit 300, with and without a constant term, at depths that include 0
 and multiples of 8 and 64.  Monte Carlo draws the packed spectrum
-(``_packed``: each frequency's bits at the positions its spectrum
-uses), so a spectrum whose bits fill 0..depth-1 is drawn as it is and
-a sparse deep one on fewer limbs.
+(``_packed``: f laid out on its even split, head cells on bits 0..r-1
+and tail terms above them), so a deep spectrum is drawn on r + t bits,
+never more than it uses, and a head of any rank samples.
 """
 
 import tracemalloc
@@ -23,11 +23,14 @@ from hypothesis import strategies as st
 
 import walshlab.norms
 from walshlab.blocks import load_plan
+from walshlab.errors import BudgetError
 from walshlab.norms import (
     _eval_masks,
     _mc_peak_bytes,
     _packed,
+    even_split,
     lp_dense,
+    lp_even_spectral,
     lp_monte_carlo,
 )
 from walshlab.spectra import (
@@ -217,31 +220,37 @@ def test_monte_carlo_masks_are_the_philox_integer_stream(monkeypatch, depth):
 
 @pytest.mark.parametrize("depth", [1, 63, 64, 65, 273])
 def test_monte_carlo_masks_of_bits_filling_the_depth_are_unpacked(monkeypatch, depth):
-    # bits filling 0..depth-1 are drawn unpacked, at the spectrum's own
-    # depth
+    # bits filling 0..depth-1 are drawn at the split's width r + t, not
+    # at the spectrum's depth: from depth 2 on, the three terms are a
+    # head of rank 2 and no tail; at depth 1 one tail bit
     f = WalshSpectrum({0: 1.0, (1 << depth) - 1: 0.5, 1 << (depth // 2): 0.25})
+    split = even_split(list(f))
+    width = split.r + int(split.in_tail.sum())
+    assert width == (1 if depth == 1 else 2)
     seed = 2 ** 63 + 11
     got = _drawn_masks(monkeypatch, f, 257, seed)
-    assert np.array_equal(got, _philox_stream(seed, 257, depth))
+    assert np.array_equal(got, _philox_stream(seed, 257, width))
 
 
 def test_monte_carlo_on_a_deep_spectrum_repeats_recorded_values():
-    # recorded when the draw moved to the packed bits: the desk sum reads
-    # 27 of its 273 bits, and its estimate moved from 2.5879 [2.5317,
-    # 2.6416] on the full-depth draw to 2.6517 [2.5950, 2.7061].  A
-    # 200,000-sample estimate at the same seed reads 2.5946 [2.5868,
-    # 2.6023]: the old interval holds it and the new one misses it by
-    # 4e-4, as a 95% interval does about one time in twenty
+    # recorded when the draw moved to the split's bits: the desk sum's
+    # head (rank 3) and 24 tail bits lay out as the ascending remap of
+    # its 27 used bits did, so the estimate 2.6517 [2.5950, 2.7061] kept
+    # all but the last digit of its upper end.  A 200,000-sample
+    # estimate at the same seed reads 2.5946 [2.5868, 2.6023]: the
+    # interval misses it by 4e-4, as a 95% interval does about one time
+    # in twenty.  g reads 3 bits (head rank 2, one tail bit) for 6 used
     f = load_plan("desk").sum_spectrum([2, 7, 40, 150, 276])
     assert (f.depth(), len(f)) == (273, 29)
     est = lp_monte_carlo(f, 3.0, 4000, 20261018)
     assert (est.value, est.ci_low, est.ci_high) == (
-        2.651705553009554, 2.5950352658638733, 2.706051921312903
+        2.651705553009554, 2.5950352658638733, 2.7060519213129033
     )
     g = WalshSpectrum({0: 0.5, 1 << 70: -1.25, (1 << 130) | 5: 0.75, 3 << 200: 2.0})
+    assert _packed(g).depth() == 3
     est = lp_monte_carlo(g, 2.5, 1000, 7)
     assert (est.value, est.ci_low, est.ci_high) == (
-        2.6225487820249724, 2.5411504996417724, 2.700323682326811
+        2.6519773556164625, 2.5715220443385145, 2.728928612122414
     )
 
 
@@ -254,11 +263,9 @@ def test_packing_keeps_the_norm_on_the_used_bits(case, p):
     used = 0
     for n in f:
         used |= n
+    split = even_split(list(f))
     packed = _packed(f)
-    assert packed.depth() == used.bit_count()
-    assert _packed(packed) is packed  # the packed bits fill 0..w-1
-    if not used & (used + 1):
-        assert packed is f
+    assert packed.depth() == split.r + int(split.in_tail.sum()) <= used.bit_count()
     want = lp_dense(f, p).value
     assert abs(lp_dense(packed, p).value - want) <= 1e-12 * want
 
@@ -275,6 +282,27 @@ def test_monte_carlo_covers_a_deep_closed_form_sum():
             est = lp_monte_carlo(f, p, 4000, seed)
             hits += est.ci_low <= truth <= est.ci_high
         assert hits >= 90, p
+
+
+def test_monte_carlo_samples_a_head_of_rank_70():
+    # W_(3 << 2i) = r_(2i+1) r_(2i+2): 70 independent signs, so the L4
+    # norm is (3 S_2^2 - 2 S_4)^(1/4); the head's 2^70 cells are refused
+    # by even_moments before anything of their size is allocated
+    c = np.random.default_rng(70).normal(size=70)
+    f = WalshSpectrum({3 << 2 * i: float(x) for i, x in enumerate(c)})
+    assert even_split(list(f)).r == 70
+    s2, s4 = float(np.sum(c ** 2)), float(np.sum(c ** 4))
+    truth = (3 * s2 * s2 - 2 * s4) ** 0.25
+    est = lp_monte_carlo(f, 4.0, 20_000, 0)
+    assert est.ci_low <= truth <= est.ci_high
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="2\\^70 head cells"):
+            lp_even_spectral(f, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 @settings(max_examples=30, deadline=None)
