@@ -33,8 +33,8 @@ print("\n== the leftover indices phi_k (popcount != 1, in natural order) ==")
 print("  first six:", [phi_index(k) for k in range(1, 7)])
 
 print("\n== products are XOR convolutions ==")
-w3 = WalshSpectrum.single(3)
-w5 = WalshSpectrum.single(5)
+w3 = WalshSpectrum({3: 1.0})
+w5 = WalshSpectrum({5: 1.0})
 print("  W_3 * W_5 =", dict((w3 * w5).items()), "(3 XOR 5 = 6)")
 
 f = WalshSpectrum({0: 1.0, 1: 1.0})  # 1 + r_1, the indicator of [0,1/2) doubled

@@ -13,7 +13,6 @@ from walshlab import (
     analyze,
     greedy_approximant,
     greedy_order,
-    lambda_classify,
     lp_even_spectral,
     partial_sum,
     synthesize_coefficients,
@@ -45,14 +44,6 @@ for n in (0, 2, 4, 12, 20):
     sn = partial_sum(f, plan, n)
     print(f"  S_{n:2d}: {len(sn)} terms,"
           f" L2 norm {lp_even_spectral(sn, 2).value:.6f}")
-
-print("\n== magnitude bands per block ==")
-data = {1: 0.5, 5: 0.5, 6: 0.03, 7: 0.9}
-part = lambda_classify(data, plan)
-print("middle bands:", part.middle)
-print("small bands: ", part.small)
-print("large bands: ", part.large)
-print("plan separated:", part.plan_separated, " data separated:", part.data_separated)
 
 print("\n== greedy L2 optimality, checked brute force ==")
 rng = np.random.default_rng(3)

@@ -12,11 +12,9 @@ from .errors import (
     WalshLabError,
 )
 from .greedy import (
-    LambdaPartition,
     analyze,
     greedy_approximant,
     greedy_order,
-    lambda_classify,
     load_coefficients,
     partial_sum,
     save_coefficients,

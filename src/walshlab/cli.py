@@ -29,7 +29,7 @@ from .experiments import (
     run_experiment,
     write_records_csv,
 )
-from .greedy import greedy_approximant, load_coefficients, synthesize_coefficients
+from .greedy import greedy_order, load_coefficients, parseval_tails, synthesize_coefficients
 from .norms import lp_dense, lp_even_spectral, lp_monte_carlo, lp_norm
 from .spectra import load_spectrum, save_spectrum
 
@@ -142,30 +142,23 @@ def _cmd_greedy_run(args) -> int:
     _require(args.m_max >= 0, f"--m-max must be >= 0, got {args.m_max}")
     plan = load_plan(args.plan)
     coeffs = load_coefficients(args.infile)
-    f = synthesize_coefficients(coeffs, plan)
-    _, trace = greedy_approximant(f, plan, args.m_max)
+    # refuses positions past the horizon and sums past the float range
+    synthesize_coefficients(coeffs, plan)
+    order = greedy_order(coeffs)
+    values = [coeffs[m] for m in order]
+    tail_sq = parseval_tails(values)
+    chosen = order[: args.m_max]
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["m", "selected", "coefficient", "residual_l2", "p", "residual_p"])
-        for step in trace:
+        for m, selected in enumerate(chosen, start=1):
             residual_p = ""
             if args.p != 2.0:  # the L2 residual is the exact residual_l2 column
-                prefix = plan.weighted_spectrum(
-                    (s.selected, s.coefficient) for s in trace[: step.m]
-                )
-                est = lp_norm(f - prefix, args.p, _MC_SAMPLES, lambda: _MC_SEED)
-                residual_p = repr(est.value)
-            writer.writerow(
-                [
-                    step.m,
-                    step.selected,
-                    repr(step.coefficient),
-                    repr(step.residual_l2),
-                    repr(float(args.p)),
-                    residual_p,
-                ]
-            )
-    print(f"wrote {len(trace)} trace rows to {args.out}")
+                rest = plan.weighted_spectrum(zip(order[m:], values[m:]))
+                residual_p = repr(lp_norm(rest, args.p, _MC_SAMPLES, lambda: _MC_SEED).value)
+            writer.writerow([m, selected, repr(coeffs[selected]), repr(math.sqrt(tail_sq[m])),
+                             repr(float(args.p)), residual_p])
+    print(f"wrote {len(chosen)} trace rows to {args.out}")
     return 0
 
 

@@ -15,8 +15,6 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import olevskii
 from .blocks import BlockPlan
 from .errors import ConfigError, HorizonError, read_json, read_number
@@ -106,7 +104,7 @@ def greedy_approximant(
     tail_sq = parseval_tails([coeffs[sel] for sel in order])
     trace = [
         TraceStep(m=step, selected=sel, coefficient=coeffs[sel],
-                  residual_l2=float(np.sqrt(tail_sq[step])))
+                  residual_l2=math.sqrt(tail_sq[step]))
         for step, sel in enumerate(chosen, start=1)
     ]
     approx = plan.weighted_spectrum((s, coeffs[s]) for s in chosen)
@@ -139,58 +137,6 @@ def partial_sum(f: WalshSpectrum, plan: BlockPlan, n: int) -> WalshSpectrum:
     row_values[i_edge:] = 0.0
     blocks[k_edge] = olevskii.rmatvec(kk, row_values)
     return plan.gather(blocks)
-
-
-@dataclass(frozen=True)
-class LambdaPartition:
-    """Per-block split of coefficients by magnitude thresholds.
-
-    Block k with size N splits at 1/N and N**(-1/10): ``small`` takes
-    |c| <= 1/N, ``large`` takes |c| >= N**(-1/10), ``middle`` is the
-    open band between.  ``plan_separated`` is the plan's
-    ``lambda_separation`` flag, which guarantees 1/N_k >= N_{k+1}**(-1/10)
-    for all k (so middle bands cannot interleave across blocks);
-    ``data_separated`` says the actual middle-band magnitudes decrease
-    strictly from block to block.
-    """
-
-    middle: dict[int, tuple[int, ...]]
-    small: dict[int, tuple[int, ...]]
-    large: dict[int, tuple[int, ...]]
-    plan_separated: bool
-    data_separated: bool
-
-
-def lambda_classify(coeffs: dict[int, float], plan: BlockPlan) -> LambdaPartition:
-    """Classify each coefficient within its block's magnitude bands."""
-    middle: dict[int, list[int]] = {}
-    small: dict[int, list[int]] = {}
-    large: dict[int, list[int]] = {}
-    mid_bounds: dict[int, tuple[float, float]] = {}
-    for m, c in coeffs.items():
-        k, _ = plan.to_block(m)
-        # 1/N_k and N_k^(-1/10) from g(k): N_k itself may not fit a float
-        g = plan.g[k - 1]
-        lo, hi = 2.0 ** -g, 2.0 ** (-g / 10)
-        mag = abs(c)
-        if mag <= lo:
-            small.setdefault(k, []).append(m)
-        elif mag >= hi:
-            large.setdefault(k, []).append(m)
-        else:
-            middle.setdefault(k, []).append(m)
-            lo_seen, hi_seen = mid_bounds.get(k, (np.inf, 0.0))
-            mid_bounds[k] = (min(lo_seen, mag), max(hi_seen, mag))
-    # consecutive occupied blocks ordered => all pairs ordered (transitive)
-    ks = sorted(mid_bounds)
-    data_sep = all(mid_bounds[a][0] > mid_bounds[b][1] for a, b in zip(ks, ks[1:]))
-    return LambdaPartition(
-        middle={k: tuple(v) for k, v in middle.items()},
-        small={k: tuple(v) for k, v in small.items()},
-        large={k: tuple(v) for k, v in large.items()},
-        plan_separated=plan.lambda_separation,
-        data_separated=data_sep,
-    )
 
 
 # -- JSON coefficient files ---------------------------------------------------

@@ -47,7 +47,8 @@ Routes, as ``lp_norm`` (shared by the experiments and the CLI) picks them:
   back by 2^e, so no moment under- or overflows.  ``lp_dense`` and
   ``lp_monte_carlo`` refuse a p-th power mean (or its sampled spread)
   past the float range with ConfigError, as ``even_moments`` refuses
-  such an even moment of its unscaled rows.
+  such an even moment of its unscaled rows.  They refuse a mean below
+  the normal range too, unless f is 0 at every cell they evaluate.
 * ``lp_monte_carlo`` samples uniform cells of the packed spectrum and
   reports a 95% CI propagated from the normal-approximation CI of the
   p-th power mean.  ``_packed`` lays f out on its even split: the
@@ -77,6 +78,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from collections import namedtuple
 from typing import Callable, NamedTuple
 
@@ -113,7 +115,7 @@ class NormEstimate(NamedTuple):
 @np.errstate(over="ignore", invalid="ignore")
 def lp_dense(f: WalshSpectrum, p: float) -> NormEstimate:
     """Exact ||f||_p from the values on the 2^depth cells; a p-th power
-    mean past the float range is a ConfigError."""
+    mean past the float range, or a nonzero one below it, is a ConfigError."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     depth = f.depth()
@@ -123,7 +125,7 @@ def lp_dense(f: WalshSpectrum, p: float) -> NormEstimate:
     np.abs(values, out=values)
     values **= p
     moment = float(np.mean(values))
-    _check_power_mean(moment, p)
+    _check_power_mean(moment, moment, p, len(f) > 0)
     return NormEstimate(p=p, value=moment ** (1.0 / p), kind="exact")
 
 
@@ -159,7 +161,8 @@ def lp_monte_carlo(
     f: WalshSpectrum, p: float, samples: int, seed: int
 ) -> NormEstimate:
     """Seeded estimate of ||f||_p with a 95% CI; p >= 1, samples >= 2.
-    A p-th power mean or its spread past the float range is a ConfigError.
+    A p-th power mean or its spread past the float range, or a mean below
+    it where some sampled |f| is nonzero, is a ConfigError.
 
     Sample i is the cell of f's packed bits (see ``_packed``) whose
     digits are the i-th word(s) of the Philox stream keyed by ``seed``.
@@ -177,6 +180,7 @@ def lp_monte_carlo(
     masks[:, -1] >>= np.uint64(limbs * 64 - depth)
     powers = _eval_masks(f, masks)
     np.abs(powers, out=powers)
+    nonzero = bool(powers.any())
     powers **= p
     if np.all(powers == powers[0]):
         # constant integrand: exact value, zero-width interval
@@ -187,7 +191,7 @@ def lp_monte_carlo(
         se = float(powers.std(ddof=1) / np.sqrt(samples))
     lo = max(mean - _Z95 * se, 0.0)
     hi = mean + _Z95 * se
-    _check_power_mean(hi, p)  # not finite when the mean or its spread is not
+    _check_power_mean(mean, hi, p, nonzero)  # hi: not finite if the mean or spread is not
     return NormEstimate(
         p=p,
         value=mean ** (1.0 / p),
@@ -230,9 +234,12 @@ def rademacher_fourth_moment(a: np.ndarray) -> float:
 
 # -- internals ---------------------------------------------------------------
 
-def _check_power_mean(x: float, p: float) -> None:
-    if not math.isfinite(x):
+def _check_power_mean(mean: float, hi: float, p: float, nonzero: bool) -> None:
+    # the mean of a nonzero |f|^p below the normal range has lost its digits
+    if not math.isfinite(hi):
         raise ConfigError(f"the mean of |f|^{p} overflows")
+    if nonzero and mean < sys.float_info.min:
+        raise ConfigError(f"the mean of |f|^{p} underflows")
 
 
 def _mc_peak_bytes(samples: int, limbs: int) -> int:

@@ -32,8 +32,8 @@ from .spectra import check_bytes
 
 ROW_ABS_SUM_LIMIT = 1.0 + math.sqrt(2.0)
 
-# check_orthogonality refuses k above this by default (2^k x 2^k work)
-DEFAULT_ORTHOGONALITY_CAP = 10
+# check_orthogonality refuses k above this (2^k x 2^k work)
+ORTHOGONALITY_CAP = 10
 
 
 @dataclass(frozen=True)
@@ -91,14 +91,12 @@ def row_entries(k: int, i: int) -> list[tuple[int, OlevskiiEntry]]:
     return out
 
 
-def row_abs_sum(k: int, i: int = 1) -> float:
-    """Sum of |entries| along row i; the same for every row.
+def row_abs_sum(k: int) -> float:
+    """Sum of |entries| along any row of the 2^k x 2^k matrix.
 
     Equals 2**(-k/2) + sum over s in [0, k) of 2**((s-k)/2), which
     increases to 1 + sqrt(2) as k grows.
     """
-    if not 1 <= i <= (1 << k):
-        raise IndexError(f"row {i} out of range for k={k}")
     return math.fsum(
         [2.0 ** (-k / 2.0)] + [2.0 ** ((s - k) / 2.0) for s in range(k)]
     )
@@ -116,9 +114,7 @@ def dense_matrix(k: int) -> np.ndarray:
     return out
 
 
-def check_orthogonality(
-    k: int, exact: bool = False, cap: int = DEFAULT_ORTHOGONALITY_CAP
-) -> float:
+def check_orthogonality(k: int, exact: bool = False) -> float:
     """Max |A A^T - I| entry.
 
     Float mode multiplies the materialized matrix.  Exact mode
@@ -126,8 +122,8 @@ def check_orthogonality(
     product is +/- 2^s over the common denominator 2^k) and returns a
     literal 0.0 when the matrix is orthogonal.
     """
-    if k > cap:
-        raise BudgetError(f"k={k} above orthogonality cap {cap}")
+    if k > ORTHOGONALITY_CAP:
+        raise BudgetError(f"k={k} above orthogonality cap {ORTHOGONALITY_CAP}")
     size = 1 << k
     if not exact:
         a = dense_matrix(k)

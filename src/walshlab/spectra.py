@@ -34,8 +34,6 @@ from .errors import BudgetError, ConfigError, DepthError, read_json, read_number
 # cells, dense transforms and matrices) whose estimated peak would pass it.
 BYTE_BUDGET = 1 << 30
 
-Frequency = int
-
 
 @dataclass(frozen=True)
 class DyadicPoint:
@@ -66,7 +64,7 @@ class DyadicPoint:
         return out
 
 
-def rademacher_index(j: int) -> Frequency:
+def rademacher_index(j: int) -> int:
     """Paley index of the j-th Rademacher function, j >= 1."""
     j = int(j)
     if j < 1:
@@ -74,7 +72,7 @@ def rademacher_index(j: int) -> Frequency:
     return 1 << (j - 1)
 
 
-def phi_index(k: int) -> Frequency:
+def phi_index(k: int) -> int:
     """k-th non-negative integer whose popcount is not 1 (k >= 1).
 
     These are the Walsh indices left over once the Rademacher subsystem
@@ -97,7 +95,7 @@ def check_bytes(need: int, what: str) -> None:
         raise BudgetError(f"{what} needs about {need} bytes, budget {BYTE_BUDGET}")
 
 
-def walsh_eval(n: Frequency, t: DyadicPoint) -> int:
+def walsh_eval(n: int, t: DyadicPoint) -> int:
     """Value of W_n on the cell ``t``, always +1 or -1.
 
     The cell must be deep enough to determine the value, i.e.
@@ -143,23 +141,19 @@ class WalshSpectrum:
         out._terms = terms
         return out
 
-    @classmethod
-    def single(cls, n: Frequency, c: float = 1.0) -> "WalshSpectrum":
-        return cls({n: c})
-
     def items(self):
         return self._terms.items()
 
-    def __getitem__(self, n: Frequency) -> float:
+    def __getitem__(self, n: int) -> float:
         return self._terms.get(n, 0.0)
 
     def __len__(self) -> int:
         return len(self._terms)
 
-    def __iter__(self) -> Iterator[Frequency]:
+    def __iter__(self) -> Iterator[int]:
         return iter(self._terms)
 
-    def __contains__(self, n: Frequency) -> bool:
+    def __contains__(self, n: int) -> bool:
         return n in self._terms
 
     def depth(self) -> int:
@@ -319,10 +313,11 @@ def analyze_dense(values: np.ndarray) -> WalshSpectrum:
     work = values[_bit_reverse(np.arange(size, dtype=np.int64), depth)]
     _fwht_inplace(work)
     work /= size
-    check_bytes(_analysis_peak_bytes(size, np.count_nonzero(work)), "the spectrum of the cells")
-    return WalshSpectrum(
-        {int(n): float(c) for n, c in enumerate(work) if c != 0.0}
-    )
+    nonzero = np.flatnonzero(work)
+    check_bytes(_analysis_peak_bytes(size, len(nonzero)), "the spectrum of the cells")
+    if not np.isfinite(work).all():
+        raise ValueError("coefficients must be finite")
+    return WalshSpectrum._from_clean_dict(dict(zip(nonzero.tolist(), work[nonzero].tolist())))
 
 
 def _synthesis_peak_bytes(depth: int, terms: int) -> int:
@@ -333,8 +328,8 @@ def _synthesis_peak_bytes(depth: int, terms: int) -> int:
 
 def _analysis_peak_bytes(cells: int, terms: int) -> int:
     """Bound on ``analyze_dense``'s peak: 24 bytes a cell (indices, their bit
-    reversal, its scratch, then the values permuted) and 208 a spectrum term."""
-    return 24 * cells + 208 * terms
+    reversal, its scratch, then the values permuted) and 128 a spectrum term."""
+    return 24 * cells + 128 * terms
 
 
 def _fwht_inplace(v: np.ndarray) -> None:

@@ -103,7 +103,7 @@ def test_analysis_spectrum_past_the_budget_is_refused_before_it_is_built(monkeyp
     _budget(monkeypatch, _analysis_peak_bytes(size, size) - 1)
     refused, peak = _peak(lambda: analyze_dense(dense))
     assert isinstance(refused, BudgetError) and "spectrum" in str(refused)
-    assert peak < 48 * size  # the arrays only: the spectrum would take 832 KiB more
+    assert peak < 48 * size  # the arrays only: the spectrum would take 512 KiB more
     assert analyze_dense(np.ones(size)) == WalshSpectrum({0: 1.0})  # one term fits
 
 

@@ -111,6 +111,17 @@ def test_norm_non_finite_coefficient_exit2(tmp_path, capsys, bad):
     assert "W_1" in err
 
 
+@pytest.mark.parametrize("engine, n", [("dense", 1), ("mc", 1 << 200)])
+def test_norm_whose_power_mean_underflows_exit2(tmp_path, capsys, engine, n):
+    path = tmp_path / "f.json"
+    save_spectrum(WalshSpectrum({n: 0.5}), path)
+    code, out, err = run_cli(
+        capsys, "norm", "--p", "1100", "--engine", engine, "--in", str(path)
+    )
+    assert code == 2 and out == ""
+    assert "underflows" in err
+
+
 def test_greedy_run_non_finite_coefficient_exit2(tmp_path, capsys):
     cpath = tmp_path / "coeffs.json"
     cpath.write_text('{"coeffs": [{"m": 1, "c": 0.5}, {"m": 2, "c": NaN}]}')
@@ -187,6 +198,47 @@ def test_greedy_run(tmp_path, capsys):
     assert lines[0].split(",")[:4] == ["m", "selected", "coefficient", "residual_l2"]
     assert len(lines) == 4
     assert lines[1].split(",")[1] == "1"  # largest coefficient first
+
+
+# 2 and 7 tie in magnitude, so index order decides between them
+_TIED = {1: 0.9, 2: 0.5, 7: -0.5, 12: 0.25, 40: 0.125, 200: -0.0625}
+
+
+@pytest.mark.parametrize("p", ["3", "4"])
+def test_greedy_run_traces_the_coefficients_it_reads(tmp_path, capsys, p):
+    cpath = tmp_path / "coeffs.json"
+    save_coefficients(_TIED, cpath)
+    out_path = tmp_path / "trace.csv"
+    code, _, err = run_cli(
+        capsys, "greedy", "run", "--plan", "desk", "--in", str(cpath),
+        "--m-max", "10", "--p", p, "--out", str(out_path),
+    )
+    assert code == 0, err
+    with open(out_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["selected"]) for r in rows] == [1, 2, 7, 12, 40, 200]
+    assert [float(r["coefficient"]) for r in rows] == list(_TIED.values())
+    # after the last term the residual is the empty spectrum
+    assert rows[-1]["residual_l2"] == rows[-1]["residual_p"] == "0.0"
+
+
+@pytest.mark.parametrize("m_max", ["0", "3"])
+@pytest.mark.parametrize("doc, message", [
+    ('{"coeffs": [{"m": 1, "c": 0.5}, {"m": 277, "c": 0.25}]}', "outside horizon"),
+    ('{"coeffs": [{"m": 1, "c": 1e308}, {"m": 3, "c": 1e308}]}', "overflows"),
+])
+def test_greedy_run_refuses_what_it_cannot_synthesize_exit2(
+    tmp_path, capsys, doc, message, m_max
+):
+    # desk's horizon is 276 elements; the refusal comes before any step
+    cpath = tmp_path / "coeffs.json"
+    cpath.write_text(doc)
+    code, out, err = run_cli(
+        capsys, "greedy", "run", "--plan", "desk", "--in", str(cpath),
+        "--m-max", m_max, "--out", str(tmp_path / "trace.csv"),
+    )
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
 
 
 def test_greedy_run_p3_on_deep_elements_samples(tmp_path, capsys):

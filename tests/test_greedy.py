@@ -12,7 +12,6 @@ from walshlab.greedy import (
     coefficients_to_json,
     greedy_approximant,
     greedy_order,
-    lambda_classify,
     load_coefficients,
     partial_sum,
     save_coefficients,
@@ -208,62 +207,6 @@ def test_partial_sum_is_projection(desk24):
         assert sn.allclose(expected, tol=1e-12)
         assert math.sqrt(max(inner_product(sn, sn), 0.0)) <= f_l2 + 1e-12
     assert partial_sum(f, desk24, 20).allclose(f, tol=1e-12)
-
-
-def test_lambda_classify_thresholds():
-    plan = BlockPlan([2, 4])  # N = (4, 16)
-    # block 2 thresholds: 1/16 = 0.0625 and 16^(-1/10) ~ 0.757858
-    coeffs = dict(
-        [(5, 0.5), (6, 0.03), (7, 0.9), (8, 0.0625), (9, 0.76)]
-    )
-    part = lambda_classify(coeffs, plan)
-    assert part.middle[2] == (5,)
-    assert set(part.small[2]) == {6, 8}  # boundary |c| = 1/N goes small
-    assert set(part.large[2]) == {7, 9}  # 0.76 >= 16^(-1/10)
-    assert not part.plan_separated
-
-
-def test_lambda_classify_partition_covers(desk24):
-    rng = np.random.default_rng(10)
-    coeffs = _random_coeffs(rng, desk24, 14)
-    part = lambda_classify(coeffs, desk24)
-    classified = set()
-    for group in (part.middle, part.small, part.large):
-        for members in group.values():
-            for m in members:
-                assert m not in classified
-                classified.add(m)
-    assert classified == {m for m, _ in coeffs.items()}
-
-
-def test_lambda_separation_flags():
-    strong = BlockPlan([1, 10, 100])
-    assert lambda_classify(
-        dict([(1, 0.9)]), strong
-    ).plan_separated
-    # data separation: middle magnitudes must drop across blocks
-    plan = BlockPlan([2, 4])
-    good = dict([(1, 0.5), (5, 0.3)])
-    bad = dict([(1, 0.3), (5, 0.5)])
-    assert lambda_classify(good, plan).data_separated
-    assert not lambda_classify(bad, plan).data_separated
-
-
-def test_lambda_classify_on_blocks_too_wide_for_floats():
-    # N_2 = 2^1100 overflows a float; the bands come from g(k) instead
-    plan = BlockPlan([110, 1100])
-    second = plan.offsets[1] + 1
-    coeffs = dict([
-        (1, 0.5), (2, 2.0 ** -120), (3, 2.0 ** -50),
-        (second, 2.0 ** -200), (second + 1, 0.5), (second + 2, 0.0),
-    ])
-    part = lambda_classify(coeffs, plan)
-    assert part.plan_separated is plan.lambda_separation is True
-    # block 1 splits at 2^-110 and 2^-11, block 2 at 2^-1100 and 2^-110
-    assert part.large == {1: (1,), 2: (second + 1,)}
-    assert part.small == {1: (2,), 2: (second + 2,)}
-    assert part.middle == {1: (3,), 2: (second,)}
-    assert part.data_separated
 
 
 def test_coefficient_json(tmp_path):

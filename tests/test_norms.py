@@ -48,7 +48,7 @@ def test_dense_depth_cap():
 def test_spectral_examples():
     f = WalshSpectrum({0: 1.0, 1: 1.0})
     assert lp_even_spectral(f, 4).value == pytest.approx(8.0 ** 0.25, abs=1e-14)
-    assert lp_even_spectral(WalshSpectrum.single(77), 4).value == pytest.approx(1.0)
+    assert lp_even_spectral(WalshSpectrum({77: 1.0}), 4).value == pytest.approx(1.0)
     rad4 = WalshSpectrum({rademacher_index(k): 1.0 for k in range(1, 5)})
     assert lp_even_spectral(rad4, 4).value == pytest.approx(40.0 ** 0.25, abs=1e-13)
     assert lp_even_spectral(WalshSpectrum(), 4).value == 0.0
@@ -56,7 +56,7 @@ def test_spectral_examples():
 
 def test_spectral_rejects_odd_p():
     with pytest.raises(ValueError):
-        lp_even_spectral(WalshSpectrum.single(1), 3)
+        lp_even_spectral(WalshSpectrum({1: 1.0}), 3)
 
 
 def test_engine_agreement_depth12():
@@ -222,6 +222,19 @@ def test_non_even_power_means_past_the_float_range_are_refused():
     with pytest.raises(ConfigError, match="overflows"):
         lp_monte_carlo(WalshSpectrum({1: 1e53, 1 << 40: 1e53}), 3.0, 100, 1)
     assert lp_dense(WalshSpectrum({0: 1e100}), 3.0).value == pytest.approx(1e100)
+
+
+def test_non_even_power_means_below_the_float_range_are_refused():
+    # 0.5^1100 underflows to 0, which would read as a norm of 0
+    with pytest.raises(ConfigError, match="underflows"):
+        lp_dense(WalshSpectrum({1: 0.5}), 1100.0)
+    with pytest.raises(ConfigError, match="underflows"):
+        lp_monte_carlo(WalshSpectrum({1 << 200: 0.5}), 1100.0, 100, 1)
+    # 0.5^1000 = 2^-1000 is a normal float, and the function 0 has norm 0
+    assert lp_dense(WalshSpectrum({1: 0.5}), 1000.0).value == 0.5
+    assert lp_monte_carlo(WalshSpectrum({1 << 200: 0.5}), 1000.0, 100, 1).value == 0.5
+    assert lp_dense(WalshSpectrum(), 1100.0).value == 0.0
+    assert lp_monte_carlo(WalshSpectrum(), 1100.0, 100, 1).value == 0.0
 
 
 def test_head_powers_scale_exactly_by_powers_of_two():

@@ -77,7 +77,6 @@ def test_orthogonality_float():
 def test_orthogonality_cap():
     with pytest.raises(BudgetError):
         check_orthogonality(11)
-    assert check_orthogonality(11, cap=11) <= 1e-12
 
 
 def test_row_abs_sum_values():
@@ -94,11 +93,8 @@ def test_row_abs_sum_values():
 
 def test_row_abs_sum_uniform_over_rows():
     for k in (1, 2, 4, 7):
-        base = row_abs_sum(k, 1)
         a = dense_matrix(k)
-        assert np.allclose(np.abs(a).sum(axis=1), base, atol=1e-12)
-        for i in (2, 1 << (k - 1), 1 << k):
-            assert row_abs_sum(k, i) == base
+        assert np.allclose(np.abs(a).sum(axis=1), row_abs_sum(k), atol=1e-12)
 
 
 def _row_mask(k, rows):

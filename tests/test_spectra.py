@@ -109,7 +109,7 @@ def test_character_identity(a, b, cell):
 
 
 def test_add_scale():
-    w1 = WalshSpectrum.single(1)
+    w1 = WalshSpectrum({1: 1.0})
     assert len(spectrum_add(w1, spectrum_scale(w1, -1.0))) == 0
     f = WalshSpectrum({0: 1.0, 3: 1.0})
     doubled = spectrum_scale(f, 2.0)
@@ -119,7 +119,7 @@ def test_add_scale():
 
 
 def test_product_small_cases():
-    w1 = WalshSpectrum.single(1)
+    w1 = WalshSpectrum({1: 1.0})
     assert (w1 * w1) == WalshSpectrum({0: 1.0})
     f = WalshSpectrum({0: 1.0, 1: 1.0})
     sq = f * f
@@ -194,8 +194,8 @@ def test_product_peak_stays_within_its_budget_estimate(limbs, size):
 
 
 def test_inner_product():
-    assert inner_product(WalshSpectrum.single(5), WalshSpectrum.single(5)) == 1.0
-    assert inner_product(WalshSpectrum.single(5), WalshSpectrum.single(6)) == 0.0
+    assert inner_product(WalshSpectrum({5: 1.0}), WalshSpectrum({5: 1.0})) == 1.0
+    assert inner_product(WalshSpectrum({5: 1.0}), WalshSpectrum({6: 1.0})) == 0.0
     f = WalshSpectrum({0: 2.0, 5: 3.0})
     assert inner_product(f, f) == 13.0
 
@@ -221,6 +221,16 @@ def test_indicator_parseval():
     values = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     f = analyze_dense(values)
     assert abs(inner_product(f, f) - 3.0 / 8.0) < 1e-15
+
+
+def test_analysis_lists_frequencies_in_order_and_refuses_non_finite_cells():
+    values = np.zeros(16)
+    values[3:11] = 1.0
+    f = analyze_dense(values)
+    assert list(f) == sorted(f) and all(type(n) is int for n in f)
+    assert all(type(c) is float and c != 0.0 for _, c in f.items())
+    with pytest.raises(ValueError, match="finite"):
+        analyze_dense(np.array([1.0, np.inf]))
 
 
 def test_roundtrip_random_depth10():
