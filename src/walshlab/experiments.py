@@ -249,7 +249,7 @@ def _generate_one(spec: dict, rng, plan: BlockPlan) -> WalshSpectrum:
 
 # peak bytes per cell at depth 20 (CPython 3.11, x86-64): the cell arrays and
 # spectrum of analyze_dense, or a spectrum entry, band and jitter per cell
-_CELL_BYTES = {"indicator": 150, "adversarial_walsh": 340}
+_CELL_BYTES = {"indicator": 160, "adversarial_walsh": 340}
 
 
 def _cells(kind: str, depth: int) -> int:
@@ -324,10 +324,11 @@ def _extremes(
     series one driver writes (quasigreedy's residual rows, the two plans
     of walsh-baseline).
     """
-    rows = [r for r in records if all(getattr(r, k) == v for k, v in fields.items())]
-    return {
-        str(p): pick([start] + [r.value for r in rows if r.p == p]) for p in p_values
-    }
+    by_p = {p: [start] for p in p_values}
+    for r in records:
+        if r.p in by_p and (not fields or all(getattr(r, k) == v for k, v in fields.items())):
+            by_p[r.p].append(r.value)
+    return {str(p): pick(by_p[p]) for p in p_values}
 
 
 def _corpus_expansions(cfg: ExperimentConfig):
@@ -345,7 +346,7 @@ def _corpus_expansions(cfg: ExperimentConfig):
         yield trial, f, coeffs, l2_sq
 
 
-# bytes of symbol rows per batch; the norm pass peaks near six times this
+# bytes of symbol rows per batch; the norm pass peaks at 5-5.5 times this
 _BATCH_BYTES = 1 << 22
 
 

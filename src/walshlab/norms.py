@@ -324,11 +324,18 @@ def even_split(freqs) -> EvenSplit:
             basis[top] = n
             pivots |= top
     # coordinates as cell indices (moments ignore cell order); ascending
-    # pivots make them the plain remap of the head bits when r = v
-    cell_bit = {p: 1 << i for i, p in enumerate(sorted(basis))}
-    slots = tuple(sum(cell_bit[low] for low in _bits(n & pivots)) for n in head)
+    # pivots make them the plain remap of the head bits when r = v.  A run
+    # of consecutive pivots shares its bit position less its rank, so it
+    # moves to its ranks as one shift and mask
+    runs = {}
+    for rank, p in enumerate(sorted(basis)):
+        shift = p.bit_length() - 1 - rank
+        runs[shift] = runs.get(shift, 0) | 1 << rank
+    slots = [0] * len(head)
+    for shift, mask in runs.items():
+        slots = [slot | (n >> shift) & mask for slot, n in zip(slots, head)]
     in_tail.flags.writeable = False  # callers may cache and share the split
-    return EvenSplit(in_tail, slots, len(basis))
+    return EvenSplit(in_tail, tuple(slots), len(basis))
 
 
 def _bits(x: int):

@@ -16,8 +16,8 @@ Consequences used downstream:
   (+/- 2^(s-k)), so Gram matrices can be accumulated in integers.
 
 Matrices are never materialized for large k; entries come from the
-(s, nu) decomposition on demand, and the matrix/vector products walk
-the band structure in O(k 2^k).
+(s, nu) decomposition on demand, and the matrix/vector products are
+dyadic pyramids over the band structure, O(2^k) per vector.
 """
 
 from __future__ import annotations
@@ -146,38 +146,43 @@ def check_orthogonality(k: int, exact: bool = False) -> float:
 
 
 def rmatvec(k: int, row_weights: np.ndarray) -> np.ndarray:
-    """A^T w: weighted column sums, walking the band structure.
+    """A^T w: weighted column sums, by a dyadic pyramid in O(2^k) per row.
 
-    Used to synthesize weighted sums of rows; O(k 2^k) per row.  Acts on
-    the last axis: a stack of weight rows gives their stacked transforms.
+    Fine to coarse, the running sums over runs of rows split into even
+    and odd columns: their difference, scaled, is band s, and their sum
+    is the next level's.  Acts on the last axis: a stack of weight rows
+    gives their stacked transforms, each row as it would be on its own.
     """
     size = 1 << k
     w = np.asarray(row_weights, dtype=float)
     if w.shape[-1:] != (size,):
         raise ValueError(f"expected weight vectors of length {size}")
-    lead = w.shape[:-1]
-    out = np.zeros(w.shape)
-    out[..., 0] = w.sum(axis=-1) * 2.0 ** (-k / 2.0)
-    for s in range(k):
-        halves = w.reshape(*lead, 1 << s, 2, 1 << (k - s - 1)).sum(axis=-1)
-        out[..., (1 << s) : (1 << (s + 1))] = (
-            (halves[..., 0] - halves[..., 1]) * 2.0 ** ((s - k) / 2.0)
-        )
+    out = np.empty(w.shape)
+    for s in reversed(range(k)):
+        first, second = w[..., 0::2], w[..., 1::2]
+        np.multiply(first - second, 2.0 ** ((s - k) / 2.0),
+                    out=out[..., (1 << s) : (1 << (s + 1))])
+        w = first + second
+    np.multiply(w[..., 0], 2.0 ** (-k / 2.0), out=out[..., 0])
     return out
 
 
 def matvec(k: int, symbol_coeffs: np.ndarray) -> np.ndarray:
-    """A c: row values from per-column coefficients; O(k 2^k)."""
+    """A c: row values from per-column coefficients, by a dyadic pyramid
+    in O(2^k).  Coarse to fine from c_1 2^(-k/2), one value v per run of
+    rows at its first row: band entry nu adds x to the first half of its
+    run and -x to the second, so v - x starts the second half and v += x.
+    """
     size = 1 << k
     c = np.asarray(symbol_coeffs, dtype=float)
     if c.shape != (size,):
         raise ValueError(f"expected coefficient vector of length {size}")
-    out = np.full(size, c[0] * 2.0 ** (-k / 2.0))
-    sign_pair = np.array([1.0, -1.0])
+    out = np.empty(size)
+    out[0] = c[0] * 2.0 ** (-k / 2.0)
     for s in range(k):
-        # band entry nu adds +x on the first half of its row run and -x
-        # on the second: the same (nu, half, row) walk rmatvec sums over
-        band = c[(1 << s) : (1 << (s + 1))]
-        runs = out.reshape(1 << s, 2, 1 << (k - s - 1))
-        runs += (band[:, None] * sign_pair)[:, :, None] * 2.0 ** ((s - k) / 2.0)
+        run = 1 << (k - s)
+        v = out[::run]
+        x = c[(1 << s) : (1 << (s + 1))] * 2.0 ** ((s - k) / 2.0)
+        np.subtract(v, x, out=out[run // 2 :: run])
+        v += x
     return out

@@ -341,8 +341,8 @@ def _fwht_inplace(v: np.ndarray) -> None:
         v2 = v.reshape(-1, 2 * h)
         a = v2[:, :h].copy()
         b = v2[:, h:]
-        v2[:, :h] = a + b
-        v2[:, h:] = a - b
+        np.add(a, b, out=v2[:, :h])
+        np.subtract(a, b, out=b)
         h *= 2
 
 

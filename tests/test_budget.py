@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 import walshlab.spectra
+from walshlab.blocks import BlockPlan
 from walshlab.errors import BudgetError
+from walshlab.experiments import _CELL_BYTES, _generate_one
 from walshlab.olevskii import dense_matrix
 from walshlab.spectra import (
     WalshSpectrum,
@@ -116,6 +118,21 @@ def test_analysis_estimates_bound_its_peak(size):
     _, peak = _peak(lambda: analyze_dense(dense))
     estimate = _analysis_peak_bytes(size, size)
     assert 0.85 * estimate <= peak <= estimate
+
+
+@pytest.mark.parametrize("depth", [16, 18])
+def test_indicator_cell_estimate_bounds_its_peak(depth):
+    # an interval's spectrum is full at seeds 0 and 3 (156 bytes a cell
+    # measured) and a fraction of the cells at seeds 1 and 2
+    plan = BlockPlan([2, 4, 8, 16, 20])
+    spec = {"kind": "indicator", "depth": 4}
+    _generate_one(spec, np.random.default_rng(0), plan)  # one-time allocations
+    spec["depth"] = depth
+    estimate = _CELL_BYTES["indicator"] << depth
+    peaks = [_peak(lambda: _generate_one(spec, np.random.default_rng(seed), plan))[1]
+             for seed in range(4)]
+    assert max(peaks) <= estimate
+    assert max(peaks) >= 0.9 * estimate
 
 
 def test_dense_matrix_past_the_budget_is_refused_before_it_is_built(monkeypatch):

@@ -272,6 +272,51 @@ def test_block_split_equals_the_split_of_every_column(monkeypatch, g):
             built.clear()
 
 
+def per_bit_split(freqs):
+    """(in_tail, slots, r) read a pivot bit at a time: the pivots of an
+    echelon basis of the head (a span's set of leading bits is unique),
+    then each head frequency's bits at them, lowest pivot to cell bit 0."""
+    head_bits = 0
+    for n in freqs:
+        if n.bit_count() != 1:
+            head_bits |= n
+    head = [n for n in freqs if not n & ~head_bits]
+    basis = {}
+    for n in head:
+        while n and n.bit_length() - 1 in basis:
+            n ^= basis[n.bit_length() - 1]
+        if n:
+            basis[n.bit_length() - 1] = n
+    pivots = sorted(basis)
+    slots = [sum((n >> b & 1) << i for i, b in enumerate(pivots)) for n in head]
+    return [bool(n & ~head_bits) for n in freqs], slots, len(pivots)
+
+
+@st.composite
+def frequency_lists(draw):
+    """Distinct frequencies: the spectra strategies above, random ones up
+    to 300 bits, a shuffled 0..2^d - 1, or the symbols of desk blocks."""
+    kind = draw(st.sampled_from(["spectra", "wide", "shuffled", "desk"]))
+    if kind == "spectra":
+        f = draw(st.one_of(head_tail_spectra(), wide_head_spectra(), low_rank_heads()))
+        return list(f)
+    if kind == "wide":
+        bits = draw(st.sampled_from([8, 64, 300]))
+        return draw(st.lists(st.integers(0, (1 << bits) - 1), unique=True, max_size=40))
+    if kind == "shuffled":
+        return draw(st.permutations(range(1 << draw(st.integers(0, 9)))))
+    plan = load_plan("desk")
+    blocks = draw(st.lists(st.integers(1, len(plan.g)), min_size=1, unique=True))
+    return [n for k in blocks for n in plan.symbol_frequencies(k, range(plan.N[k - 1]))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(frequency_lists())
+def test_slots_by_pivot_runs_equal_the_per_bit_reading(freqs):
+    split = even_split(freqs)
+    assert (split.in_tail.tolist(), list(split.slots), split.r) == per_bit_split(freqs)
+
+
 def test_dense_13_bit_head_takes_its_cells():
     # 8,192 head cells (196 KB) under the default budget; the head's
     # powers would need 2^26 pairs

@@ -152,7 +152,7 @@ def test_record_divides_intervals():
 
 @pytest.mark.parametrize("kind, budget", [("indicator", 1 << 17), ("adversarial_walsh", 1 << 18)])
 def test_dense_corpus_refused_before_its_cells(desk, monkeypatch, kind, budget):
-    # at 150 and 340 bytes a cell, 2^9 cells fit the budget and 2^10 do not
+    # at 160 and 340 bytes a cell, 2^9 cells fit the budget and 2^10 do not
     monkeypatch.setattr(experiments.spectra, "BYTE_BUDGET", budget)
     corpus_generate({"kind": kind, "depth": 9, "count": 1}, 1, desk)
     with pytest.raises(BudgetError, match=f"{kind} corpus of depth 10"):
