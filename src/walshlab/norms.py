@@ -61,31 +61,30 @@ Routes, as ``lp_norm`` (shared by the experiments and the CLI) picks them:
   of its 171-273, one limb.  The digit masks are the raw uint64 stream
   of Philox keyed by the seed, ceil(w / 64) words a sample, so sample
   i depends only on (seed, i) and f, not on any execution schedule.
-  Samples are evaluated with byte tables: every term whose frequency
-  has its nonzero bits inside one byte of the little-endian
-  limbs (every Rademacher term, and any other frequency inside one
-  aligned byte) joins that byte's 256-entry coefficient row, one
+  Samples are evaluated with byte tables: every term whose bits lie in
+  its top byte (every Rademacher term, and any other frequency inside
+  one aligned byte) joins that byte's 256-entry coefficient row, one
   8-bit Walsh-Hadamard butterfly turns the rows into value tables,
   and a sample's value is one lookup per used byte of its digit mask.
   Terms spanning several bytes are added one at a time from the parity
-  of mask & frequency.
-  The draw's peak (``_mc_peak_bytes``: the masks, their byte columns
-  and a few float arrays per sample) goes through ``spectra.check_bytes``
-  before anything is allocated.
+  of mask & frequency.  The draw's peak, estimated from f's split
+  (``_mc_peak_bytes``), goes through ``spectra.check_bytes`` before the
+  packed spectrum is built.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import sys
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import BudgetError, ConfigError, DepthError
-from .spectra import WalshSpectrum, _freq_arrays, _fwht_inplace, check_bytes, synthesize
+from .spectra import WalshSpectrum, _fwht_inplace, check_bytes, synthesize
 
 MAX_DENSE_DEPTH = 24
 
@@ -171,10 +170,11 @@ def lp_monte_carlo(
         raise ValueError(f"p must be >= 1, got {p}")
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
-    f = _packed(f)
+    split = even_split(list(f))
+    check_bytes(_mc_peak_bytes(samples, split), f"{samples} samples of {len(f)} terms")
+    f = _packed(f, split)
     depth = f.depth()
     limbs = max(1, (depth + 63) // 64)
-    check_bytes(_mc_peak_bytes(samples, limbs), f"{samples} samples x {limbs} limbs")
     masks = np.random.Philox(key=seed).random_raw(samples * limbs).reshape(samples, limbs)
     # the top limb's spare high bits shift out (all 64 at depth 0: t = 0)
     masks[:, -1] >>= np.uint64(limbs * 64 - depth)
@@ -242,19 +242,27 @@ def _check_power_mean(mean: float, hi: float, p: float, nonzero: bool) -> None:
         raise ConfigError(f"the mean of |f|^{p} underflows")
 
 
-def _mc_peak_bytes(samples: int, limbs: int) -> int:
-    """Upper bound on what one ``lp_monte_carlo`` draw allocates: the
-    uint64 masks, the byte columns copied out of them, and at most six
-    float64 or intp arrays of one entry per sample alive at once."""
-    return samples * (16 * limbs + 6 * 8)
+def _mc_peak_bytes(samples: int, split: EvenSplit) -> int:
+    """Bound on one ``lp_monte_carlo`` draw's peak from f's split (rank r,
+    t tail terms, L = ceil((r + t) / 64) limbs): per sample the masks and
+    six float or intp arrays, per limb eight byte tables and their
+    butterfly's scratch, 200 bytes a term, and the packed ints at
+    28 + 4 (b // 30) bytes for b bits: two cells below 2^r per head term,
+    and 2^(r+j) for tail term j.  It leaves out the split's elimination,
+    which holds at most a copy of f's head frequencies."""
+    in_tail, slots, r = split
+    t = int(np.count_nonzero(in_tail))
+    limbs = max(1, (r + t + 63) // 64)
+    ints = 2 * len(slots) * (28 + 4 * (r // 30)) + 28 * t + 4 * (t * r + t * (t - 1) // 2) // 30
+    return samples * (8 * limbs + 48) + 32_768 * limbs + 200 * len(in_tail) + ints
 
 
-def _packed(f: WalshSpectrum) -> WalshSpectrum:
-    """f laid out on its split (``even_split``): head term h at its cell
-    ``slots[h]`` (bits 0..r-1), the j-th tail term at bit r + j.  At
-    i.i.d. fair digits it is distributed as f, on r + t <= popcount(U)
+def _packed(f: WalshSpectrum, split: EvenSplit) -> WalshSpectrum:
+    """f laid out on its split (``even_split(list(f))``): head term h at
+    its cell ``slots[h]`` (bits 0..r-1), the j-th tail term at bit r + j.
+    At i.i.d. fair digits it is distributed as f, on r + t <= popcount(U)
     bits, U the OR of f's frequencies."""
-    in_tail, slots, r = even_split(list(f))
+    in_tail, slots, r = split
     cells, bits = iter(slots), (1 << j for j in range(r, len(f)))  # each distinct
     terms = {next(bits) if tail else next(cells): c
              for tail, (_, c) in zip(in_tail.tolist(), f.items())}
@@ -265,29 +273,30 @@ def _eval_masks(f: WalshSpectrum, masks: np.ndarray) -> np.ndarray:
     """f at the dyadic points whose digit masks are the given limb rows."""
     n_samples, limbs = masks.shape
     values = np.zeros(n_samples)
-    packed, coeffs = _freq_arrays(f, limbs)
-    freq_bytes = packed.astype("<u8", copy=False).view(np.uint8)
-    nonzero = freq_bytes != 0
-    single = np.count_nonzero(nonzero, axis=1) <= 1
-    terms = np.flatnonzero(single)
-    if len(terms):
-        byte = np.argmax(nonzero[terms], axis=1)  # byte 0 for the constant
-        u = freq_bytes[terms, byte]
-        used, table_of = np.unique(byte, return_inverse=True)
-        weights = np.zeros((len(used), 256))
-        weights[table_of, u] = coeffs[terms]
+    # a term whose bits all lie in its top byte b joins byte b's table
+    tables, multi = defaultdict(functools.partial(np.zeros, 256)), []
+    for n, c in f.items():
+        b = max(n.bit_length() - 1, 0) >> 3  # byte 0 for the constant
+        top = n >> 8 * b
+        if top << 8 * b == n:
+            tables[b][top] = c
+        else:
+            multi.append((n, c))
+    if tables:
+        used = sorted(tables)
+        weights = np.array([tables.pop(b) for b in used])  # none kept twice
         # table[x] = sum over u of weights[u] (-1)^popcount(u & x)
         _fwht_inplace(weights)
-        digits = masks.astype("<u8", copy=False).view(np.uint8).T[used]
-        for table, column in zip(weights, digits):
-            values += np.take(table, column)
-    for n in np.flatnonzero(~single):
-        row = packed[n]
+        digits = masks.astype("<u8", copy=False).view(np.uint8)
+        for table, b in zip(weights, used):
+            values += np.take(table, digits[:, b])
+    for n, c in multi:
+        row = np.frombuffer(n.to_bytes(8 * limbs, "little"), "<u8")
         parity = np.zeros(n_samples, dtype=np.uint64)
         for limb in np.flatnonzero(row):
             parity ^= np.bitwise_count(masks[:, limb] & row[limb])
         signs = 1.0 - 2.0 * (parity & np.uint64(1)).astype(float)
-        values += coeffs[n] * signs
+        values += c * signs
     return values
 
 
@@ -307,43 +316,32 @@ def even_split(freqs) -> EvenSplit:
     outside = ~head_bits
     in_tail = np.array([n & outside != 0 for n in freqs], dtype=bool)
     head = tuple(n for n in freqs if not n & outside)
-    # reduced echelon basis of the head, keyed by pivot bit: no vector
-    # holds another's pivot bit, so a frequency's bits at the pivots are
-    # its coordinates; full once it spans every head bit
-    basis, pivots, v = {}, 0, head_bits.bit_count()
-    for n in head:
+    # an echelon basis of the head, ascending: each vector's top bit, its
+    # pivot, is set in none before it.  The pivots depend on the span
+    # alone, and a frequency's bits at them are its coordinates in the
+    # reduced basis on them.  Single bits go first, so a head that spans
+    # its v bits fills the basis at once
+    basis, v = [], head_bits.bit_count()
+    for n in [n for n in head if n.bit_count() == 1] + [n for n in head if n.bit_count() > 1]:
         if len(basis) == v:
             break
-        for low in _bits(n & pivots):
-            n ^= basis[low]
+        for b in reversed(basis):
+            n = min(n, n ^ b)
         if n:
-            top = 1 << (n.bit_length() - 1)
-            for k, b in basis.items():
-                if b & top:
-                    basis[k] = b ^ n
-            basis[top] = n
-            pivots |= top
+            bisect.insort(basis, n)
     # coordinates as cell indices (moments ignore cell order); ascending
     # pivots make them the plain remap of the head bits when r = v.  A run
     # of consecutive pivots shares its bit position less its rank, so it
     # moves to its ranks as one shift and mask
     runs = {}
-    for rank, p in enumerate(sorted(basis)):
-        shift = p.bit_length() - 1 - rank
+    for rank, b in enumerate(basis):
+        shift = b.bit_length() - 1 - rank
         runs[shift] = runs.get(shift, 0) | 1 << rank
     slots = [0] * len(head)
     for shift, mask in runs.items():
         slots = [slot | (n >> shift) & mask for slot, n in zip(slots, head)]
     in_tail.flags.writeable = False  # callers may cache and share the split
     return EvenSplit(in_tail, tuple(slots), len(basis))
-
-
-def _bits(x: int):
-    """The set bits of x, lowest first, each as its power of two."""
-    while x:
-        low = x & -x
-        yield low
-        x ^= low
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -357,7 +357,7 @@ def _bit_reverse(idx: np.ndarray, depth: int) -> np.ndarray:
     return out
 
 
-# -- packed frequency helpers (shared with the norm engines) ----------------
+# -- packed frequencies for spectrum_product ---------------------------------
 
 def _freq_arrays(f: WalshSpectrum, limbs: int) -> tuple[np.ndarray, np.ndarray]:
     """Frequencies packed into ``limbs`` little-endian uint64 limbs (wide

@@ -12,7 +12,7 @@ import walshlab
 from walshlab.cli import main
 from walshlab.blocks import load_plan
 from walshlab.greedy import save_coefficients
-from walshlab.norms import _mc_peak_bytes
+from walshlab.norms import _mc_peak_bytes, even_split
 from walshlab.spectra import BYTE_BUDGET, load_spectrum, save_spectrum, WalshSpectrum
 
 
@@ -290,10 +290,13 @@ def test_norm_mc_sample_budget_exit3(tmp_path, capsys):
 
 def test_norm_mc_budget_counts_more_than_the_masks(tmp_path, capsys):
     # one limb: 2^27 samples are exactly 1 GiB of masks, but the draw
-    # also copies their bytes and holds float arrays per sample
+    # also holds float arrays per sample, and byte tables and terms
     spec_path = tmp_path / "shallow.json"
-    save_spectrum(WalshSpectrum({1: 1.0, 1 << 40: 0.5}), spec_path)
-    first_refused = BYTE_BUDGET // _mc_peak_bytes(1, 1) + 1
+    f = WalshSpectrum({1: 1.0, 1 << 40: 0.5})
+    save_spectrum(f, spec_path)
+    split = even_split(list(f))
+    fixed = _mc_peak_bytes(0, split)
+    first_refused = (BYTE_BUDGET - fixed) // (_mc_peak_bytes(1, split) - fixed) + 1
     for samples in (1 << 27, first_refused):
         tracemalloc.start()
         try:
@@ -306,7 +309,7 @@ def test_norm_mc_budget_counts_more_than_the_masks(tmp_path, capsys):
             tracemalloc.stop()
         assert code == 3 and out == "" and "budget" in err
         assert peak < 1 << 24
-    assert _mc_peak_bytes(first_refused - 1, 1) <= BYTE_BUDGET
+    assert _mc_peak_bytes(first_refused - 1, split) <= BYTE_BUDGET
 
 
 def test_experiment_cli(tmp_path, capsys):

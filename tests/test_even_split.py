@@ -317,6 +317,31 @@ def test_slots_by_pivot_runs_equal_the_per_bit_reading(freqs):
     assert (split.in_tail.tolist(), list(split.slots), split.r) == per_bit_split(freqs)
 
 
+def classified(freqs):
+    """Each frequency's (in_tail, cell or None) under ``even_split``, and r."""
+    split = even_split(freqs)
+    cells = iter(split.slots)
+    return {n: (tail, None if tail else next(cells))
+            for n, tail in zip(freqs, split.in_tail.tolist())}, split.r
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_split_does_not_depend_on_the_list_order(data):
+    # the pivots are the span's, whichever frequencies fill the basis
+    freqs = data.draw(frequency_lists())
+    assert classified(data.draw(st.permutations(freqs))) == classified(freqs)
+
+
+def test_the_full_depth_16_list_splits_alike_with_its_single_bits_first():
+    # the basis fills at 2^15 in list order and after 16 terms with the
+    # powers of two first; either way each frequency is its own cell
+    freqs = list(range(1 << 16))
+    first = [1 << j for j in range(16)] + [n for n in freqs if n.bit_count() != 1]
+    want = ({n: (False, n) for n in freqs}, 16)
+    assert classified(freqs) == want and classified(first) == want
+
+
 def test_dense_13_bit_head_takes_its_cells():
     # 8,192 head cells (196 KB) under the default budget; the head's
     # powers would need 2^26 pairs

@@ -119,10 +119,11 @@ def test_seven_bit_head_takes_the_split_at_p8(monkeypatch):
 
 
 def test_monte_carlo_reads_the_byte_budget_when_called(monkeypatch):
-    from walshlab.norms import _mc_peak_bytes
+    from walshlab.norms import _mc_peak_bytes, even_split
 
     f = WalshSpectrum({1: 1.0, 6: 0.5})
-    monkeypatch.setattr(walshlab.spectra, "BYTE_BUDGET", _mc_peak_bytes(100, 1))
+    budget = _mc_peak_bytes(100, even_split(list(f)))
+    monkeypatch.setattr(walshlab.spectra, "BYTE_BUDGET", budget)
     assert lp_monte_carlo(f, 3.0, 100, seed=1).samples == 100
     with pytest.raises(BudgetError):
         lp_monte_carlo(f, 3.0, 101, seed=1)
