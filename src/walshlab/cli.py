@@ -14,6 +14,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .blocks import load_plan
 from .errors import (
     BudgetError,
@@ -26,6 +28,7 @@ from .errors import (
 from .experiments import (
     EXPERIMENTS,
     ExperimentConfig,
+    _span_norms,
     run_experiment,
     write_records_csv,
 )
@@ -147,17 +150,21 @@ def _cmd_greedy_run(args) -> int:
     order = greedy_order(coeffs)
     values = [coeffs[m] for m in order]
     tail_sq = parseval_tails(values)
+    # residual_l2 would read inf or 0.0; the experiments refuse both too
+    _require(math.isfinite(tail_sq[0]) and (tail_sq[0] >= sys.float_info.min or not values),
+             "the squared l2 norm of the coefficients is outside the normal float range")
     chosen = order[: args.m_max]
+    # row m selects order[m:], the residual f - G_m f; at p = 2 residual_l2 is its norm
+    rows = (np.arange(len(order)) >= m for m in range(1, len(chosen) + 1))
+    residuals = (repr(even[args.p] if even else lp_norm(
+        plan.gather(row), args.p, _MC_SAMPLES, lambda: _MC_SEED).value)
+        for row, even, _ in _span_norms(plan, order, values, rows, [args.p]))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["m", "selected", "coefficient", "residual_l2", "p", "residual_p"])
         for m, selected in enumerate(chosen, start=1):
-            residual_p = ""
-            if args.p != 2.0:  # the L2 residual is the exact residual_l2 column
-                rest = plan.weighted_spectrum(zip(order[m:], values[m:]))
-                residual_p = repr(lp_norm(rest, args.p, _MC_SAMPLES, lambda: _MC_SEED).value)
             writer.writerow([m, selected, repr(coeffs[selected]), repr(math.sqrt(tail_sq[m])),
-                             repr(float(args.p)), residual_p])
+                             repr(float(args.p)), next(residuals) if args.p != 2.0 else ""])
     print(f"wrote {len(chosen)} trace rows to {args.out}")
     return 0
 

@@ -18,16 +18,16 @@ over the plan's positions or over Walsh frequencies taken as they are:
 democracy's sets, quasigreedy's greedy prefixes, partialsum's S_n f,
 almostgreedy's candidate residuals f - P_c f, khintchine's zero-padded
 trials and both sides of walsh-baseline, whose row 0 is the whole
-function and row m its greedy prefix.  Each call takes one even split
-(cached per plan and block tuple on the plan's positions).
-``_estimates`` picks the norm route of every value: p = 2 from a known
-l2 norm (Parseval in coefficient space, which partialsum and
-quasigreedy check against their rows' Walsh side, or the rows' own
-squared sum in walsh-baseline), even p up to 10 from the rows' exact
-head/tail split, anything else ``lp_norm`` of the spectrum, built from
-a row at most once.  Other spectra are the corpus and the
-cross-checks: democracy's first set, partialsum's block ends and
-quasigreedy's full prefix.
+function and row m its greedy prefix, and ``greedy run``'s residuals.
+Each call takes one even split (cached per plan and block tuple on the
+plan's positions).  ``_estimates`` picks the norm route of every value:
+p = 2 from a known l2 norm (Parseval in coefficient space, which
+partialsum and quasigreedy check against their rows' Walsh side, or the
+rows' own squared sum in walsh-baseline), even p up to 10 from the
+rows' exact head/tail split (``norms.even_norms``, scale-free),
+anything else ``lp_norm`` of the spectrum, built from a row at most
+once.  Other spectra are the corpus and the cross-checks: democracy's
+first set, partialsum's block ends and quasigreedy's full prefix.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .errors import BudgetError, ConfigError, read_number
 from .greedy import analyze, greedy_order, parseval_tails, partial_sum, synthesize_coefficients
 from .norms import (
     NormEstimate,
-    even_moments,
+    even_norms,
     even_split,
     lp_even_spectral,
     lp_norm,
@@ -372,8 +372,8 @@ def _span_norms(plan: BlockPlan | None, keys, weights, member, ps):
     are plan positions and a row the function's symbol vectors or, with
     ``plan`` None, Walsh frequencies and a row a function that builds
     its spectrum.  Rows are read and built ``_BATCH_BYTES`` at a time; a
-    batch shares one ``rmatvec`` per block and one ``even_moments``
-    pass, a call one split (on a plan, cached per blocks)."""
+    batch shares one ``rmatvec`` per block and one ``even_norms`` pass
+    (scale-free), a call one split (on a plan, cached per blocks)."""
     ps = [p for p in ps if takes_split(p) and p != 2.0]
     weights = np.asarray(weights, dtype=float)
     if plan is None:
@@ -393,12 +393,11 @@ def _span_norms(plan: BlockPlan | None, keys, weights, member, ps):
             vectors = plan.symbol_rows(keys, weights, batch)
             rows = ({k: w[r] for k, w in vectors.items()} for r in range(len(batch)))
             coeffs = np.concatenate([vectors[k] for k in blocks], axis=1)
-        moments = even_moments(split, coeffs, [int(p) // 2 for p in ps])
         l2_sq = (coeffs * coeffs).sum(axis=1).tolist()
+        norms = even_norms(split, coeffs, ps)  # scales coeffs, so after l2_sq
         coeffs = None  # the rows keep what they read
-        for row, x, sq in zip(rows, moments.tolist(), l2_sq):
-            yield row, {p: m ** (1.0 / p) for p, m in zip(ps, x)}, sq
-        batch = vectors = rows = row = None  # gone before the next batch is built
+        yield from zip(rows, norms, l2_sq)
+        batch = vectors = rows = None  # gone before the next batch is built
 
 
 def _residual_sq(vectors: dict, rows: dict) -> float:
@@ -598,7 +597,7 @@ def khintchine_experiment(cfg: ExperimentConfig):
     patterns exactly; the p = 4 runs are cross-checked against the
     closed fourth-moment value 3 (sum a^2)^2 - 2 sum a^4.  Each trial is
     a zero-padded row over r_1..r_max_terms in ``_span_norms``, which
-    takes even p in 4..10 from one ``even_moments`` pass per batch and
+    takes even p in 4..10 from one ``even_norms`` pass per batch and
     yields the builder of the trial's spectrum.
     """
     if cfg.max_terms > 16:

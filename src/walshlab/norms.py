@@ -5,7 +5,7 @@ Routes, as ``lp_norm`` (shared by the experiments and the CLI) picks them:
     even p <= 10           lp_even_spectral: Parseval at 2, else the split
     other p, depth <= 24   lp_dense
     other p, deeper        lp_monte_carlo
-    rows of coefficients   even_moments: the split, one function per row
+    rows of coefficients   even_norms: the split, one function per row
 
 * ``lp_dense`` synthesizes the function on its full dyadic grid and is
   exact for any p >= 1, but needs depth <= 24.  ``synthesize`` places
@@ -42,13 +42,13 @@ Routes, as ``lp_norm`` (shared by the experiments and the CLI) picks them:
   ``even_split`` classifies a frequency list (tail mask, head cells)
   once; ``even_moments`` applies it to every row on the list, and the
   experiments keep it per call, and per plan and block tuple across calls.
-* ``lp_even_spectral`` is scale-free: it takes the moment of f / 2^e,
-  whose largest |coefficient| lies in [1/2, 1), and scales the norm
-  back by 2^e, so no moment under- or overflows.  ``lp_dense`` and
+* ``even_norms``, the one even-p route, is scale-free: it takes each
+  row's moment of f / 2^e, whose largest |coefficient| lies in [1/2, 1),
+  and scales the norm back by 2^e, so no moment under- or overflows; its
+  one-row case is ``lp_even_spectral``.  ``lp_dense`` and
   ``lp_monte_carlo`` refuse a p-th power mean (or its sampled spread)
-  past the float range with ConfigError, as ``even_moments`` refuses
-  such an even moment of its unscaled rows.  They refuse a mean below
-  the normal range too, unless f is 0 at every cell they evaluate.
+  past the float range with ConfigError, and a mean below the normal
+  range too, unless f is 0 at every cell they evaluate.
 * ``lp_monte_carlo`` samples uniform cells of the packed spectrum and
   reports a 95% CI propagated from the normal-approximation CI of the
   p-th power mean.  ``_packed`` lays f out on its even split: the
@@ -130,29 +130,35 @@ def lp_dense(f: WalshSpectrum, p: float) -> NormEstimate:
 
 def lp_even_spectral(f: WalshSpectrum, p: int) -> NormEstimate:
     """Exact ||f||_p for even integer p <= EVEN_SPLIT_MAX_P, at any depth
-    and scale: the moment is that of f / 2^e, whose largest |coefficient|
-    lies in [1/2, 1), and the norm is scaled back by 2^e, both exactly.
-    A norm past the float range is a ConfigError.
-
-    The byte budget bounds the head's 2^r cells, r the GF(2) rank of
-    its frequencies, at 24 bytes a cell.
-    """
+    and scale: ``even_norms`` of f's one row.  The byte budget bounds the
+    head's 2^r cells, r the GF(2) rank of its frequencies, at 24 bytes a cell."""
     if p < 2 or p % 2:
         raise ValueError(f"p must be an even integer >= 2, got {p}")
     if p > EVEN_SPLIT_MAX_P:
         raise BudgetError(f"even p = {p} above the split's accuracy cap 10")
     row = np.fromiter((c for _, c in f.items()), float, len(f))
-    e = int(np.frexp(np.max(np.abs(row), initial=0.0))[1])
-    row = np.ldexp(row, -e)  # 2.0 ** -e itself would overflow for e < -1023
-    if p == 2:
-        moment = float(np.sum(row * row))
-    else:
-        moment = float(even_moments(even_split(list(f)), row[None, :], [p // 2])[0, 0])
+    split = even_split(list(f)) if p > 2 else None
+    return NormEstimate(float(p), even_norms(split, row[None, :], [p])[0][p], "exact")
+
+
+def even_norms(split: EvenSplit | None, coeffs: np.ndarray, ps) -> list[dict]:
+    """{p: ||f_r||_p} for each row r of ``coeffs``, as in ``even_moments``,
+    at the even integers p of ``ps``: the moment of f_r / 2^e, whose
+    largest |coefficient| lies in [1/2, 1), scaled back by 2^e, both
+    exactly; ``coeffs`` is scaled in place.  p = 2 alone is Parseval's
+    sum and reads no split.  A norm past the float range is a ConfigError."""
+    if not ps:  # no row is read
+        return [{} for _ in coeffs]
+    e = np.frexp(np.max(np.abs(coeffs), axis=1, initial=0.0))[1]
+    np.ldexp(coeffs, -e[:, None], out=coeffs)  # 2.0 ** -e would overflow for e < -1023
+    ms = [int(p) // 2 for p in ps]
+    moments = ((coeffs * coeffs).sum(axis=1, keepdims=True) if ms == [1]
+               else even_moments(split, coeffs, ms))
     try:
-        value = math.ldexp(moment ** (1.0 / p), e)
+        return [{p: math.ldexp(m ** (1.0 / p), k) for p, m in zip(ps, row)}
+                for row, k in zip(moments.tolist(), e.tolist())]
     except OverflowError:
-        raise ConfigError(f"the L{p} norm of f overflows") from None
-    return NormEstimate(p=float(p), value=value, kind="exact")
+        raise ConfigError(f"the L{max(ps)} norm of f overflows") from None
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -344,13 +350,12 @@ def even_split(freqs) -> EvenSplit:
     return EvenSplit(in_tail, tuple(slots), len(basis))
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def even_moments(split: EvenSplit, coeffs: np.ndarray, ms):
     """(R, len(ms)) array of integral f_r^(2m) for m in ``ms``, where row
     r of ``coeffs`` holds f_r's coefficients at the frequencies that
     ``split = even_split(freqs)`` classified.  Every row shares that
-    one head/tail split; overflow is a ConfigError, and head cells past
-    the byte budget a BudgetError."""
+    one head/tail split (``even_norms`` scales each row so that no moment
+    overflows); head cells past the byte budget are a BudgetError."""
     in_tail, slots, r = split
     check_bytes(24 * len(coeffs) << r, f"{len(coeffs)} rows of 2^{r} head cells")
     m_max = max(ms, default=0)
@@ -377,8 +382,6 @@ def even_moments(split: EvenSplit, coeffs: np.ndarray, ms):
     for col, m in enumerate(ms):
         outer = _split_table(m)[0]
         out[:, col] = sum(w * eq[:, m - j] * mu[j] for j, w in enumerate(outer))
-    if not np.isfinite(out).all():
-        raise ConfigError(f"an even moment of order {[2 * m for m in ms]} overflows")
     return out
 
 

@@ -1,12 +1,17 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import walshlab
 from walshlab.cli import main
@@ -241,6 +246,22 @@ def test_greedy_run_refuses_what_it_cannot_synthesize_exit2(
     assert message in err and "Traceback" not in err
 
 
+def per_step_residuals(plan, coeffs, p):
+    """``greedy run``'s residual_p cells by the per-step route: f - G_m f
+    as the spectrum of the coefficients after the m-th, then ``lp_norm``
+    with `norm`'s Monte Carlo defaults."""
+    from walshlab.cli import _MC_SAMPLES, _MC_SEED
+    from walshlab.greedy import greedy_order
+    from walshlab.norms import lp_norm
+
+    order = greedy_order(coeffs)
+    return [
+        lp_norm(plan.weighted_spectrum((k, coeffs[k]) for k in order[m:]), p,
+                _MC_SAMPLES, lambda: _MC_SEED).value
+        for m in range(1, len(order) + 1)
+    ]
+
+
 def test_greedy_run_p3_on_deep_elements_samples(tmp_path, capsys):
     # elements 100 and 250 lie in the desk plan's deep blocks, so the
     # p = 3 residual norms go to Monte Carlo with `norm`'s defaults
@@ -260,9 +281,83 @@ def test_greedy_run_p3_on_deep_elements_samples(tmp_path, capsys):
         outputs.append(out_path.read_bytes())
     assert outputs[0] == outputs[1]
     with open(tmp_path / "trace0.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 5
-    assert all(math.isfinite(float(r["residual_p"])) for r in rows)
+        cells = [r["residual_p"] for r in csv.DictReader(fh)]
+    assert len(cells) == 5 and all(cells[:-1]) and cells[-1] == "0.0"
+    # the batch's gathered rows draw what the per-step spectra drew
+    assert cells == [repr(x) for x in per_step_residuals(load_plan("desk"), coeffs, 3.0)]
+
+
+@pytest.mark.parametrize("p", ["2", "4"])
+@pytest.mark.parametrize("scale", [1e200, 2.0 ** 900, 1e-200])
+def test_greedy_run_whose_squared_l2_norm_leaves_the_float_range_exit2(
+    tmp_path, capsys, p, scale
+):
+    # the coefficients and their sums are finite, their squares are not
+    # (or are 0): residual_l2 would read inf or 0.0
+    cpath, out_path = tmp_path / "coeffs.json", tmp_path / "trace.csv"
+    save_coefficients({m: c * scale for m, c in _TIED.items()}, cpath)
+    code, out, err = run_cli(
+        capsys, "greedy", "run", "--plan", "desk", "--in", str(cpath),
+        "--m-max", "10", "--p", p, "--out", str(out_path),
+    )
+    assert code == 2 and out == "" and not out_path.exists()
+    assert "squared l2 norm of the coefficients is outside the normal float range" in err
+    assert "Traceback" not in err
+
+
+def test_greedy_run_synthesizes_once(tmp_path, capsys, monkeypatch):
+    # the residuals are rows of one batch; the one spectrum built is
+    # synthesize_coefficients' refusal check
+    from walshlab.blocks import BlockPlan
+
+    calls = []
+    built = BlockPlan.weighted_spectrum
+
+    def counting(self, entries):
+        calls.append(1)
+        return built(self, entries)
+
+    monkeypatch.setattr(BlockPlan, "weighted_spectrum", counting)
+    cpath = tmp_path / "coeffs.json"
+    save_coefficients(_TIED, cpath)
+    code, _, err = run_cli(
+        capsys, "greedy", "run", "--plan", "desk", "--in", str(cpath),
+        "--m-max", "10", "--p", "4", "--out", str(tmp_path / "trace.csv"),
+    )
+    assert code == 0, err
+    assert len(calls) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.dictionaries(
+        st.integers(1, 276),
+        st.one_of(st.floats(-10.0, 10.0).filter(lambda x: abs(x) > 1e-3),
+                  st.sampled_from([0.5, -0.5, 0.25])),  # ties
+        min_size=1, max_size=30,
+    ),
+    st.sampled_from([4.0, 6.0, 8.0, 10.0]),
+    st.integers(-300, 300),
+)
+def test_greedy_run_residuals_match_the_per_step_route(coeffs, p, k):
+    # the batch's block split and the per-step spectrum's own split sum
+    # in different orders: measured worst 3 ulps at p = 4, 6 and 8 over
+    # 3,600 random files, and 1.6e-14 relative at p = 10, where the
+    # split's cumulant recursion cancels most
+    coeffs = {m: math.ldexp(c, k) for m, c in coeffs.items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        cpath, out_path = os.path.join(tmp, "coeffs.json"), os.path.join(tmp, "trace.csv")
+        save_coefficients(coeffs, cpath)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["greedy", "run", "--plan", "desk", "--in", cpath,
+                         "--m-max", "30", "--p", str(p), "--out", out_path])
+        assert code == 0
+        with open(out_path, newline="") as fh:
+            got = [float(r["residual_p"]) for r in csv.DictReader(fh)]
+    want = per_step_residuals(load_plan("desk"), coeffs, p)
+    assert got[-1] == want[-1] == 0.0
+    for a, b in zip(got, want):
+        assert abs(a - b) <= (4 * math.ulp(b) if p < 10 else 1e-13 * b)
 
 
 def test_norm_mc_sample_budget_exit3(tmp_path, capsys):
@@ -663,16 +758,56 @@ def test_overflowing_corpus_coefficient_exit2(tmp_path, capsys, kind, corpus):
 
 
 @pytest.mark.parametrize("kind", ["quasigreedy", "partialsum"])
-@pytest.mark.parametrize("alpha, ps", [(-100, [2, 4]), (-50, [2, 4, 6]), (-70, [2, 3])])
+@pytest.mark.parametrize("alpha, ps", [
+    # ids kept stable for lists of test names; (-50, [2, 4, 6]) runs, see below
+    pytest.param(-100, [2, 4], id="-100-ps0"),
+    pytest.param(-70, [2, 3], id="-70-ps2"),
+])
 def test_corpus_function_whose_powers_overflow_exit2(tmp_path, capsys, kind, alpha, ps):
-    # finite coefficients m**100 (m <= 40) whose squares overflow,
-    # m**50 whose squares are finite but whose fourth powers are not,
-    # and m**70 whose cubes overflow on the sampled p = 3 route; a
-    # numpy overflow warning would fail the test instead of exiting 2
+    # finite coefficients m**100 (m <= 40) whose squares overflow, and
+    # m**70 whose cubes overflow on the sampled p = 3 route; a numpy
+    # overflow warning would fail the test instead of exiting 2
     corpus = {"kind": "decay", "alpha": alpha, "count": 1, "terms": 40}
     doc = {"plan": "desk", "p": ps, "corpus": corpus}
     code, err = _experiment_exit(tmp_path, capsys, kind, doc)
     assert code == 2 and "overflows" in err
+
+
+@pytest.mark.parametrize("kind", ["quasigreedy", "partialsum"])
+def test_corpus_function_whose_fourth_powers_overflow_runs_scaled(tmp_path, capsys, kind):
+    # m**50 (m <= 40): the squares are finite, the fourth powers are not;
+    # the even-p rows are the norms of rows scaled to a largest
+    # |coefficient| in [1/2, 1), so every row is exact and finite
+    from bisect import bisect_right
+
+    from walshlab.experiments import ExperimentConfig, _corpus_expansions
+    from walshlab.greedy import greedy_order
+    from walshlab.norms import lp_even_spectral
+
+    doc = {"plan": "desk", "p": [2, 4, 6],
+           "corpus": {"kind": "decay", "alpha": -50, "count": 1, "terms": 40}}
+    cfg_path, out_path = tmp_path / "cfg.json", tmp_path / "r.csv"
+    cfg_path.write_text(json.dumps(doc))
+    code, _, err = run_cli(
+        capsys, "experiment", kind, "--config", str(cfg_path), "--out", str(out_path),
+    )
+    assert code == 0, err
+    with open(out_path, newline="") as fh:
+        rows = [r for r in csv.DictReader(fh) if r["experiment"] == kind]
+    assert rows and all(r["exact"] == "true" for r in rows)
+    assert all(math.isfinite(float(r["value"])) for r in rows)
+    cfg = ExperimentConfig.from_dict(doc)
+    ((_, f, coeffs, _),) = _corpus_expansions(cfg)
+    order, support = greedy_order(coeffs), list(coeffs)
+    for p in (4, 6):
+        den = lp_even_spectral(f, p).value
+        for r in (r for r in rows if float(r["p"]) == p):
+            n = int(r["size_or_m"])
+            kept = order[:n] if kind == "quasigreedy" else support[:bisect_right(support, n)]
+            prefix = cfg.plan.weighted_spectrum((m, coeffs[m]) for m in kept)
+            want = lp_even_spectral(prefix, p).value / den
+            # measured worst 2.0 ulps over both drivers' 108 rows
+            assert abs(float(r["value"]) - want) <= 3 * math.ulp(want), (p, n)
 
 
 def test_walsh_baseline_whose_l2_norm_overflows_exit2(tmp_path, capsys):

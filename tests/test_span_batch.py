@@ -5,7 +5,7 @@ prefix, partialsum every S_n f, democracy every index set,
 almostgreedy every candidate's residual f - P_c f and khintchine every
 trial as a row of one batch (``_span_norms``): coefficient rows weighed
 by a membership matrix, then one head/tail split of
-``norms.even_moments`` over the call's frequencies.  On the plan's
+``norms.even_norms`` over the call's frequencies.  On the plan's
 positions one batched ``rmatvec`` per block makes the rows symbol
 vectors; on Walsh frequencies (khintchine's r_1..r_max_terms,
 walsh-baseline's Walsh side) the rows are taken as they are.
@@ -65,6 +65,7 @@ from walshlab.greedy import (
 from walshlab.norms import (
     NormEstimate,
     even_moments,
+    even_norms,
     even_split,
     lp_dense,
     lp_even_spectral,
@@ -140,6 +141,22 @@ def test_prefix_norms_equal_the_per_prefix_split(case, p):
     assert _relative_close(got, reference_prefix_norms(plan, ordered, p), 1e-12)
     for m, (rows, _) in enumerate(batch, start=1):
         assert plan.gather(rows) == plan.weighted_spectrum(ordered[:m])
+
+
+@settings(max_examples=60, deadline=None)
+@given(plans_and_entries(), st.integers(-300, 300))
+def test_even_norms_scale_by_exact_powers_of_two(case, k):
+    # ||2^k f||_p = 2^k ||f||_p bit for bit: both routes take the norm of
+    # f / 2^e, e from f's largest |coefficient|, and scale it back
+    plan, entries = case
+    scaled = [(m, math.ldexp(w, k)) for m, w in entries]
+    ps, cuts = [4.0, 6.0, 8.0, 10.0], range(1, len(entries) + 1)
+    rows = prefix_norms(plan, entries, cuts, ps)
+    for (_, norms), (_, got) in zip(rows, prefix_norms(plan, scaled, cuts, ps)):
+        assert got == {p: math.ldexp(x, k) for p, x in norms.items()}
+    f, f_scaled = plan.weighted_spectrum(entries), plan.weighted_spectrum(scaled)
+    for p in (4, 6, 8, 10):
+        assert lp_even_spectral(f_scaled, p).value == math.ldexp(lp_even_spectral(f, p).value, k)
 
 
 def test_small_batches_give_the_same_rows(monkeypatch):
@@ -492,18 +509,18 @@ def test_khintchine_batches_equal_the_per_trial_loop(
 
 
 def test_khintchine_takes_even_norms_from_one_pass_per_batch(monkeypatch):
-    calls = {"even": [], "moments": []}
+    calls = {"even": [], "norms": []}
 
     def counting_even(f, p, *args):
         calls["even"].append(p)
         return lp_even_spectral(f, p, *args)
 
-    def counting_moments(split, coeffs, ms, *args):
-        calls["moments"].append((len(split.in_tail), coeffs.shape, list(ms)))
-        return even_moments(split, coeffs, ms, *args)
+    def counting_norms(split, coeffs, ps, *args):
+        calls["norms"].append((len(split.in_tail), coeffs.shape, list(ps)))
+        return even_norms(split, coeffs, ps, *args)
 
     monkeypatch.setattr(walshlab.norms, "lp_even_spectral", counting_even)
-    monkeypatch.setattr(experiments, "even_moments", counting_moments)
+    monkeypatch.setattr(experiments, "even_norms", counting_norms)
     monkeypatch.setattr(experiments, "_BATCH_BYTES", 8 * 16 * 5)
     cfg = ExperimentConfig(
         plan=load_plan("desk"), p_values=(2.0, 3.0, 4.0, 6.0), trials=12, seed=81,
@@ -511,7 +528,7 @@ def test_khintchine_takes_even_norms_from_one_pass_per_batch(monkeypatch):
     records, _ = khintchine_experiment(cfg)
     # p = 2 stays on each trial's Parseval sum
     assert calls["even"] == [2] * 12
-    assert calls["moments"] == [(16, (5, 16), [2, 3])] * 2 + [(16, (2, 16), [2, 3])]
+    assert calls["norms"] == [(16, (5, 16), [4.0, 6.0])] * 2 + [(16, (2, 16), [4.0, 6.0])]
     assert len(records) == 12 * 4 and all(r.exact for r in records)
 
 
@@ -795,19 +812,19 @@ def test_quasigreedy_reads_spectra_once_per_function(monkeypatch):
 
 
 def run_recording_moments(driver, cfg, uncached=False, reclassify=None):
-    """(records, every ``even_moments`` result) of one driver run.  With
+    """(records, every ``even_norms`` result) of one driver run.  With
     ``uncached``, ``_span_norms`` classifies its frequency list afresh on
     every call; ``reclassify(width)`` replaces every batch's split."""
     moments = []
 
-    def recording(split, coeffs, ms, *args):
+    def recording(split, coeffs, ps, *args):
         if reclassify is not None:
             split = reclassify(coeffs.shape[1])
-        moments.append(even_moments(split, coeffs, ms, *args))
+        moments.append(even_norms(split, coeffs, ps, *args))
         return moments[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(experiments, "even_moments", recording)
+        mp.setattr(experiments, "even_norms", recording)
         if uncached:
             mp.setattr(experiments, "_block_split", experiments._block_split.__wrapped__)
         return driver(cfg), moments
@@ -836,7 +853,7 @@ def test_cached_and_fresh_splits_give_equal_moments(monkeypatch):
         cached_records, cached = run_recording_moments(driver, cfg)
         fresh_records, fresh_moments = run_recording_moments(driver, cfg, **fresh)
         assert len(cached) == len(fresh_moments) > 1
-        assert all(np.array_equal(a, b) for a, b in zip(cached, fresh_moments))
+        assert cached == fresh_moments
         assert cached_records == fresh_records
     assert experiments._block_split.cache_info().hits > 0
 
