@@ -49,27 +49,27 @@ Routes, as ``lp_norm`` (shared by the experiments and the CLI) picks them:
   ``lp_monte_carlo`` refuse a p-th power mean (or its sampled spread)
   past the float range with ConfigError, and a mean below the normal
   range too, unless f is 0 at every cell they evaluate.
-* ``lp_monte_carlo`` samples uniform cells of the packed spectrum and
-  reports a 95% CI propagated from the normal-approximation CI of the
-  p-th power mean.  ``_packed`` lays f out on its even split: the
-  head's r coordinate bits and the t tail signs are i.i.d. fair bits,
-  so the draw samples the 2^w cells, w = r + t, of the spectrum with
-  the head's cells on bits 0..r-1 and the tail above (the integrand is
-  constant per cell, so sampling adds no discretization error).  w is
-  at most the popcount of U, the OR of f's frequencies: a desk
-  democracy set of 4-6 elements draws 14-36 bits for the 15-37 it uses
-  of its 171-273, one limb.  The digit masks are the raw uint64 stream
-  of Philox keyed by the seed, ceil(w / 64) words a sample, so sample
-  i depends only on (seed, i) and f, not on any execution schedule.
-  Samples are evaluated with byte tables: every term whose bits lie in
-  its top byte (every Rademacher term, and any other frequency inside
-  one aligned byte) joins that byte's 256-entry coefficient row, one
-  8-bit Walsh-Hadamard butterfly turns the rows into value tables,
-  and a sample's value is one lookup per used byte of its digit mask.
-  Terms spanning several bytes are added one at a time from the parity
-  of mask & frequency.  The draw's peak, estimated from f's split
+* ``lp_monte_carlo`` samples uniform cells of f laid out on its even
+  split and reports a 95% CI propagated from the normal-approximation
+  CI of the p-th power mean.  The head's r coordinate bits and the t
+  tail signs are i.i.d. fair bits, so the draw samples 2^w cells,
+  w = r + t, with the head's cells on bits 0..r-1 and tail term j on
+  bit r + j (the integrand is constant per cell, so sampling adds no
+  discretization error).  w is at most the popcount of U, the OR of f's
+  frequencies: a desk democracy set of 4-6 elements draws 14-36 bits
+  for the 15-37 it uses of its 171-273, one limb.  The digit masks are
+  the raw uint64 stream of Philox keyed by the seed, ceil(w / 64) words
+  a sample, so sample i depends only on (seed, i) and f, not on any
+  execution schedule.  ``_eval_masks`` reads the layout off the split
+  and f's coefficient row, no frequency: each term whose bits lie in
+  its top byte (every tail term, and each head cell inside one aligned
+  byte) joins that byte's 256-entry coefficient row, one 8-bit
+  Walsh-Hadamard butterfly turns the rows into value tables, and a
+  sample's value is one lookup per used byte of its digit mask.  Head
+  cells spanning several bytes (r > 8) are added one at a time from the
+  parity of mask & cell.  The draw's peak, estimated from the split
   (``_mc_peak_bytes``), goes through ``spectra.check_bytes`` before the
-  packed spectrum is built.
+  masks are drawn.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ import bisect
 import functools
 import math
 import sys
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -169,7 +169,7 @@ def lp_monte_carlo(
     A p-th power mean or its spread past the float range, or a mean below
     it where some sampled |f| is nonzero, is a ConfigError.
 
-    Sample i is the cell of f's packed bits (see ``_packed``) whose
+    Sample i is the cell of f's split layout (see ``_eval_masks``) whose
     digits are the i-th word(s) of the Philox stream keyed by ``seed``.
     """
     if p < 1:
@@ -178,13 +178,13 @@ def lp_monte_carlo(
         raise ValueError(f"need at least 2 samples, got {samples}")
     split = even_split(list(f))
     check_bytes(_mc_peak_bytes(samples, split), f"{samples} samples of {len(f)} terms")
-    f = _packed(f, split)
-    depth = f.depth()
-    limbs = max(1, (depth + 63) // 64)
+    width = split.r + int(np.count_nonzero(split.in_tail))
+    limbs = max(1, (width + 63) // 64)
     masks = np.random.Philox(key=seed).random_raw(samples * limbs).reshape(samples, limbs)
-    # the top limb's spare high bits shift out (all 64 at depth 0: t = 0)
-    masks[:, -1] >>= np.uint64(limbs * 64 - depth)
-    powers = _eval_masks(f, masks)
+    # the top limb's spare high bits shift out (all 64 at width 0)
+    masks[:, -1] >>= np.uint64(limbs * 64 - width)
+    row = np.fromiter((c for _, c in f.items()), float, len(f))
+    powers = _eval_masks(split, row, masks)
     np.abs(powers, out=powers)
     nonzero = bool(powers.any())
     powers **= p
@@ -251,53 +251,49 @@ def _check_power_mean(mean: float, hi: float, p: float, nonzero: bool) -> None:
 def _mc_peak_bytes(samples: int, split: EvenSplit) -> int:
     """Bound on one ``lp_monte_carlo`` draw's peak from f's split (rank r,
     t tail terms, L = ceil((r + t) / 64) limbs): per sample the masks and
-    six float or intp arrays, per limb eight byte tables and their
-    butterfly's scratch, 200 bytes a term, and the packed ints at
-    28 + 4 (b // 30) bytes for b bits: two cells below 2^r per head term,
-    and 2^(r+j) for tail term j.  It leaves out the split's elimination,
-    which holds at most a copy of f's head frequencies."""
+    six float or intp arrays; per limb eight byte tables and as much
+    again for their butterfly, whose scratch on fewer than 128 tables
+    (numpy does not buffer it there) takes up to 96 KiB more; 120 bytes a
+    term, and two head cells per head term, ints below 2^r at
+    28 + 4 (r // 30) bytes.  It leaves out the split's elimination, which
+    holds at most a copy of f's head frequencies."""
     in_tail, slots, r = split
-    t = int(np.count_nonzero(in_tail))
-    limbs = max(1, (r + t + 63) // 64)
-    ints = 2 * len(slots) * (28 + 4 * (r // 30)) + 28 * t + 4 * (t * r + t * (t - 1) // 2) // 30
-    return samples * (8 * limbs + 48) + 32_768 * limbs + 200 * len(in_tail) + ints
+    limbs = max(1, (r + int(np.count_nonzero(in_tail)) + 63) // 64)
+    cells = 2 * len(slots) * (28 + 4 * (r // 30))
+    return (samples * (8 * limbs + 48) + 32_768 * limbs + 98_304
+            + 120 * len(in_tail) + cells)
 
 
-def _packed(f: WalshSpectrum, split: EvenSplit) -> WalshSpectrum:
-    """f laid out on its split (``even_split(list(f))``): head term h at
-    its cell ``slots[h]`` (bits 0..r-1), the j-th tail term at bit r + j.
-    At i.i.d. fair digits it is distributed as f, on r + t <= popcount(U)
-    bits, U the OR of f's frequencies."""
+def _eval_masks(split: EvenSplit, coeffs: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """f at the dyadic points whose digit masks are the given limb rows,
+    f laid out on its split with ``coeffs`` its row: head term h at its
+    cell ``slots[h]`` (bits 0..r-1), the j-th tail term at bit r + j."""
     in_tail, slots, r = split
-    cells, bits = iter(slots), (1 << j for j in range(r, len(f)))  # each distinct
-    terms = {next(bits) if tail else next(cells): c
-             for tail, (_, c) in zip(in_tail.tolist(), f.items())}
-    return WalshSpectrum._from_clean_dict(terms)
-
-
-def _eval_masks(f: WalshSpectrum, masks: np.ndarray) -> np.ndarray:
-    """f at the dyadic points whose digit masks are the given limb rows."""
     n_samples, limbs = masks.shape
     values = np.zeros(n_samples)
-    # a term whose bits all lie in its top byte b joins byte b's table
-    tables, multi = defaultdict(functools.partial(np.zeros, 256)), []
-    for n, c in f.items():
-        b = max(n.bit_length() - 1, 0) >> 3  # byte 0 for the constant
-        top = n >> 8 * b
-        if top << 8 * b == n:
-            tables[b][top] = c
-        else:
-            multi.append((n, c))
-    if tables:
-        used = sorted(tables)
-        weights = np.array([tables.pop(b) for b in used])  # none kept twice
-        # table[x] = sum over u of weights[u] (-1)^popcount(u & x)
-        _fwht_inplace(weights)
-        digits = masks.astype("<u8", copy=False).view(np.uint8)
-        for table, b in zip(weights, used):
-            values += np.take(table, digits[:, b])
-    for n, c in multi:
-        row = np.frombuffer(n.to_bytes(8 * limbs, "little"), "<u8")
+    # a term whose bits all lie in its top byte b joins byte b's table:
+    # each head cell inside one aligned byte, and every tail term, whose
+    # bytes run on from byte r >> 3, above every head cell's
+    head, multi = [], []
+    for s, c in zip(slots, coeffs[~in_tail].tolist()):
+        b = max(s.bit_length() - 1, 0) >> 3  # byte 0 for the constant
+        (head if s >> 8 * b << 8 * b == s else multi).append((b, s, c))
+    tail = coeffs[in_tail]
+    t = len(tail)
+    used = sorted({b for b, _, _ in head}.union(range(r >> 3, (r + t + 7) >> 3) if t else ()))
+    at = {b: i for i, b in enumerate(used)}
+    weights = np.zeros((len(used), 256))
+    for b, s, c in head:
+        weights[at[b], s >> 8 * b] = c
+    j = np.arange(t) + (r & 7)
+    weights[at.get(r >> 3, 0) + (j >> 3), 1 << (j & 7)] = tail  # no cell at t = 0
+    # table[x] = sum over u of weights[u] (-1)^popcount(u & x)
+    _fwht_inplace(weights)
+    digits = masks.astype("<u8", copy=False).view(np.uint8)
+    for table, b in zip(weights, used):
+        values += np.take(table, digits[:, b])
+    for _, s, c in multi:
+        row = np.frombuffer(s.to_bytes(8 * limbs, "little"), "<u8")
         parity = np.zeros(n_samples, dtype=np.uint64)
         for limb in np.flatnonzero(row):
             parity ^= np.bitwise_count(masks[:, limb] & row[limb])

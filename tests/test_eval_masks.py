@@ -8,10 +8,12 @@ the terms were placed at bit-reversed indices, and
 ``reference_butterfly`` the butterfly that Rademacher sums skip now.
 The properties run over frequencies with 0 to 4 nonzero bytes out to
 bit 300, with and without a constant term, at depths that include 0
-and multiples of 8 and 64.  Monte Carlo draws the packed spectrum
-(``_packed``: f laid out on its even split, head cells on bits 0..r-1
-and tail terms above them), so a deep spectrum is drawn on r + t bits,
-never more than it uses, and a head of any rank samples.
+and multiples of 8 and 64.  Monte Carlo evaluates f laid out on its
+even split, head cells on bits 0..r-1 and tail terms above them, from
+the split and f's coefficient row; ``_packed`` builds that layout as a
+spectrum, the reference the evaluator is checked against.  So a deep
+spectrum is drawn on r + t bits, never more than it uses, and a head of
+any rank samples.
 """
 
 import tracemalloc
@@ -27,7 +29,6 @@ from walshlab.errors import BudgetError
 from walshlab.norms import (
     _eval_masks,
     _mc_peak_bytes,
-    _packed,
     even_split,
     lp_dense,
     lp_even_spectral,
@@ -57,6 +58,22 @@ def reference_eval_masks(f, masks):
         signs = 1.0 - 2.0 * (parity & np.uint64(1)).astype(float)
         values += c * signs
     return values
+
+
+def _packed(f, split):
+    """The reference layout: f on its split's bits, head term h at its
+    cell ``slots[h]`` (bits 0..r-1), the j-th tail term at bit r + j."""
+    in_tail, slots, r = split
+    cells, bits = iter(slots), (1 << j for j in range(r, len(f)))  # each distinct
+    return WalshSpectrum({next(bits) if tail else next(cells): c
+                          for tail, (_, c) in zip(in_tail.tolist(), f.items())})
+
+
+def _laid_out(f):
+    """(split, coefficient row, reference layout, width r + t) of f."""
+    split = even_split(list(f))
+    row = np.array([c for _, c in f.items()], dtype=float)
+    return split, row, _packed(f, split), split.r + int(split.in_tail.sum())
 
 
 def reference_synthesize(f, depth):
@@ -128,21 +145,23 @@ def _l1(f):
 @settings(max_examples=150, deadline=None)
 @given(spectra_at_depth(), st.integers(0, 2 ** 32))
 def test_byte_tables_match_parity_loop(case, seed):
-    f, depth = case
-    masks = random_masks(depth, 300, seed)
-    got = _eval_masks(f, masks)
-    want = reference_eval_masks(f, masks)
+    f, _ = case
+    split, row, packed, width = _laid_out(f)
+    masks = random_masks(width, 300, seed)
+    got = _eval_masks(split, row, masks)
+    want = reference_eval_masks(packed, masks)
     assert np.max(np.abs(got - want)) <= 1e-12 * max(_l1(f), 1.0)
 
 
 @settings(max_examples=80, deadline=None)
 @given(spectra_at_depth(st.integers(0, 12)))
 def test_byte_tables_match_synthesis_on_every_cell(case):
-    f, depth = case
-    bits = [DyadicPoint(depth, cell).bits() for cell in range(1 << depth)]
+    f, _ = case
+    split, row, packed, width = _laid_out(f)
+    bits = [DyadicPoint(width, cell).bits() for cell in range(1 << width)]
     masks = np.array(bits, dtype=np.uint64).reshape(-1, 1)
-    got = _eval_masks(f, masks)
-    want = synthesize(f, depth)
+    got = _eval_masks(split, row, masks)
+    want = synthesize(packed, width)
     assert np.max(np.abs(got - want)) <= 1e-12 * max(_l1(f), 1.0)
 
 
@@ -189,9 +208,9 @@ def _drawn_masks(monkeypatch, f, samples, seed):
     """The masks ``lp_monte_carlo`` hands to ``_eval_masks``."""
     seen = []
 
-    def recording_eval(g, masks):
+    def recording_eval(split, coeffs, masks):
         seen.append(masks.copy())
-        return _eval_masks(g, masks)
+        return _eval_masks(split, coeffs, masks)
 
     monkeypatch.setattr(walshlab.norms, "_eval_masks", recording_eval)
     lp_monte_carlo(f, 3.0, samples, seed)
@@ -247,10 +266,40 @@ def test_monte_carlo_on_a_deep_spectrum_repeats_recorded_values():
         2.651705553009554, 2.5950352658638733, 2.7060519213129033
     )
     g = WalshSpectrum({0: 0.5, 1 << 70: -1.25, (1 << 130) | 5: 0.75, 3 << 200: 2.0})
-    assert _packed(g, even_split(list(g))).depth() == 3
+    split = even_split(list(g))
+    assert split.r + int(split.in_tail.sum()) == 3
     est = lp_monte_carlo(g, 2.5, 1000, 7)
     assert (est.value, est.ci_low, est.ci_high) == (
         2.6519773556164625, 2.5715220443385145, 2.728928612122414
+    )
+
+
+def test_monte_carlo_on_wide_cells_and_two_limbs_repeats_recorded_values():
+    # recorded when Monte Carlo still drew a packed spectrum: h's head
+    # has rank 10, and two of its cells (513 and 324) span bytes 0 and 1,
+    # so they take the parity loop; g's 70 tail bits above a rank-2 head
+    # draw 72 bits, two limbs a sample
+    h = WalshSpectrum({
+        0: 0.5,
+        **{3 << 2 * i: (-1) ** i / (i + 1) for i in range(10)},
+        3 | 3 << 18: 0.75,
+        3 << 4 | 3 << 12 | 3 << 16: -0.625,
+        1 << 40: 1.5,
+        1 << 41: -0.25,
+    })
+    split = even_split(list(h))
+    assert (split.r, int(split.in_tail.sum())) == (10, 2)
+    assert split.slots[-2:] == (513, 324)
+    est = lp_monte_carlo(h, 3.0, 3000, 20261021)
+    assert (est.value, est.ci_low, est.ci_high) == (
+        2.535318751080086, 2.483235008934801, 2.5853462043176596
+    )
+    g = WalshSpectrum({6: 0.8, 10: -0.6, **{1 << 5 * j: 1.0 / (j + 2) for j in range(70)}})
+    split = even_split(list(g))
+    assert (split.r, int(split.in_tail.sum())) == (2, 70)
+    est = lp_monte_carlo(g, 1.5, 3000, 2 ** 40 + 3)
+    assert (est.value, est.ci_low, est.ci_high) == (
+        1.1724049688757865, 1.144612947365937, 1.1998713862597286
     )
 
 
@@ -263,11 +312,12 @@ def test_packing_keeps_the_norm_on_the_used_bits(case, p):
     used = 0
     for n in f:
         used |= n
-    split = even_split(list(f))
-    packed = _packed(f, split)
-    assert packed.depth() == split.r + int(split.in_tail.sum()) <= used.bit_count()
+    split, row, packed, width = _laid_out(f)
+    assert packed.depth() == width <= used.bit_count()
+    every_mask = np.arange(1 << width, dtype=np.uint64).reshape(-1, 1)
+    got = float(np.mean(np.abs(_eval_masks(split, row, every_mask)) ** p)) ** (1.0 / p)
     want = lp_dense(f, p).value
-    assert abs(lp_dense(packed, p).value - want) <= 1e-12 * want
+    assert abs(got - want) <= 1e-12 * want
 
 
 def test_monte_carlo_covers_a_deep_closed_form_sum():
@@ -337,9 +387,9 @@ def test_monte_carlo_peak_stays_within_its_budget_estimate(depth, route):
 
 @pytest.mark.parametrize("t", [4096, 16384])
 def test_monte_carlo_estimate_covers_a_wide_tail(t):
-    # tail term j packs to the int 2^j, so the packed spectrum holds about
-    # t^2 / 15 bytes, beyond the 0.1-0.4 MB the 200 samples take: measured
-    # peak over estimate 0.87 at 4,096 terms and 0.93 at 16,384
+    # t tail bits fill t / 8 byte tables of 2 KiB, and their butterfly as
+    # much again, beyond the 0.1-0.4 MB the 200 samples take: measured
+    # peak over estimate 0.84 at 4,096 terms and 0.87 at 16,384
     f = WalshSpectrum({1 << 3 * j: 1.0 / (j + 1) for j in range(t)})
     lp_monte_carlo(WalshSpectrum({1: 1.0, 1 << 70: 0.5}), 3.0, 10, 0)  # first-call imports
     tracemalloc.start()
