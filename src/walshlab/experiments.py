@@ -112,10 +112,13 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         """Config of a JSON document, every number read by ``read_number``;
-        keys that name no field are ignored."""
+        keys that name no field are ignored, and an empty ``p``, ``sizes``
+        or ``n_grid`` list is refused."""
         if not isinstance(doc, dict) or "plan" not in doc:
             raise ConfigError("config needs a 'plan'")
         plan = plan_from_json(doc["plan"])
+        if empty := [name for name in ("p", "sizes", "n_grid") if doc.get(name) == []]:
+            raise ConfigError(f"{empty[0]} must not be an empty list")
         p, corpus = doc.get("p", cls.p_values), doc.get("corpus", {})
         if not isinstance(corpus, dict):
             raise ConfigError(f"corpus must be an object, got {corpus!r}")

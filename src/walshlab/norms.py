@@ -8,7 +8,7 @@ Routes, as ``lp_norm`` (shared by the experiments and the CLI) picks them:
     rows of coefficients   even_norms: the split, one function per row
 
 * ``lp_dense`` synthesizes the function on its full dyadic grid and is
-  exact for any p >= 1, but needs depth <= 24.  ``synthesize`` places
+  exact for any finite p >= 1, but needs depth <= 24.  ``synthesize`` places
   the terms at bit-reversed indices before the butterfly, or builds a
   constant plus Rademacher terms (a Khintchine sum) by doubling, so no
   permutation of the 2^depth cell values is built.
@@ -25,10 +25,12 @@ Routes, as ``lp_norm`` (shared by the experiments and the CLI) picks them:
   an r-dimensional space over GF(2), and in a reduced echelon basis of
   it each frequency's bits at the basis pivots are its coordinates, so
   q takes its values on 2^r equally likely cells (2^v when the head
-  spans all its v bits, the plain remap of those bits).  E T^(2j)
-  comes from the power sums S_2i = sum b^(2i): T's cumulants are
-  kappa_2i = c_i S_2i, where c_i = 1, -2, 16, -272, ... are the even
-  cumulants of one Rademacher sign (those of log cosh), and the
+  spans all its v bits, the plain remap of those bits); ``even_split``
+  keys its basis by pivot, so a frequency meets only the vectors at its
+  top bits.  E T^(2j) comes from the power sums S_2i = sum b^(2i): T's
+  cumulants are kappa_2i = c_i S_2i, where c_i = 1, -2, 16, -272, ...
+  are the even cumulants of one Rademacher sign (those of log cosh,
+  ``_cumulants``' one cached table, exact integers), and the
   moment-cumulant recursion
 
       E T^(2j) = sum over i = 1..j of C(2j-1, 2i-1) kappa_2i E T^(2j-2i)
@@ -48,7 +50,10 @@ Routes, as ``lp_norm`` (shared by the experiments and the CLI) picks them:
   one-row case is ``lp_even_spectral``.  ``lp_dense`` and
   ``lp_monte_carlo`` refuse a p-th power mean (or its sampled spread)
   past the float range with ConfigError, and a mean below the normal
-  range too, unless f is 0 at every cell they evaluate.
+  range too, unless f is 0 at every cell they evaluate.  Each engine
+  refuses its own arguments with ConfigError: a p that is not finite or
+  is below 1 (not an even integer >= 2 for ``lp_even_spectral``), fewer
+  than 2 samples, a seed outside [0, 2^128), Philox's key range.
 * ``lp_monte_carlo`` samples uniform cells of f laid out on its even
   split and reports a 95% CI propagated from the normal-approximation
   CI of the p-th power mean.  The head's r coordinate bits and the t
@@ -74,7 +79,6 @@ Routes, as ``lp_norm`` (shared by the experiments and the CLI) picks them:
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import sys
@@ -115,8 +119,7 @@ class NormEstimate(NamedTuple):
 def lp_dense(f: WalshSpectrum, p: float) -> NormEstimate:
     """Exact ||f||_p from the values on the 2^depth cells; a p-th power
     mean past the float range, or a nonzero one below it, is a ConfigError."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    _check_p(p)
     depth = f.depth()
     if depth > MAX_DENSE_DEPTH:
         raise DepthError(f"spectrum depth {depth} above dense cap {MAX_DENSE_DEPTH}")
@@ -132,8 +135,8 @@ def lp_even_spectral(f: WalshSpectrum, p: int) -> NormEstimate:
     """Exact ||f||_p for even integer p <= EVEN_SPLIT_MAX_P, at any depth
     and scale: ``even_norms`` of f's one row.  The byte budget bounds the
     head's 2^r cells, r the GF(2) rank of its frequencies, at 24 bytes a cell."""
-    if p < 2 or p % 2:
-        raise ValueError(f"p must be an even integer >= 2, got {p}")
+    if not (p >= 2 and p % 2 == 0):
+        raise ConfigError(f"the even engine needs an even integer p >= 2, got {p}")
     if p > EVEN_SPLIT_MAX_P:
         raise BudgetError(f"even p = {p} above the split's accuracy cap 10")
     row = np.fromiter((c for _, c in f.items()), float, len(f))
@@ -165,17 +168,19 @@ def even_norms(split: EvenSplit | None, coeffs: np.ndarray, ps) -> list[dict]:
 def lp_monte_carlo(
     f: WalshSpectrum, p: float, samples: int, seed: int
 ) -> NormEstimate:
-    """Seeded estimate of ||f||_p with a 95% CI; p >= 1, samples >= 2.
-    A p-th power mean or its spread past the float range, or a mean below
-    it where some sampled |f| is nonzero, is a ConfigError.
+    """Seeded estimate of ||f||_p with a 95% CI; finite p >= 1, samples
+    >= 2, seed in [0, 2^128).  A p-th power mean or its spread past the
+    float range, or a mean below it where some sampled |f| is nonzero, is
+    a ConfigError.
 
     Sample i is the cell of f's split layout (see ``_eval_masks``) whose
     digits are the i-th word(s) of the Philox stream keyed by ``seed``.
     """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    _check_p(p)
     if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
+        raise ConfigError(f"Monte Carlo needs at least 2 samples, got {samples}")
+    if not 0 <= seed < 2**128:
+        raise ConfigError(f"the Monte Carlo seed must be in [0, 2**128), got {seed}")
     split = even_split(list(f))
     check_bytes(_mc_peak_bytes(samples, split), f"{samples} samples of {len(f)} terms")
     width = split.r + int(np.count_nonzero(split.in_tail))
@@ -239,6 +244,11 @@ def rademacher_fourth_moment(a: np.ndarray) -> float:
 
 
 # -- internals ---------------------------------------------------------------
+
+def _check_p(p: float) -> None:
+    if not 1 <= p < math.inf:  # nan too
+        raise ConfigError(f"the L_p norm needs finite p >= 1, got {p}")
+
 
 def _check_power_mean(mean: float, hi: float, p: float, nonzero: bool) -> None:
     # the mean of a nonzero |f|^p below the normal range has lost its digits
@@ -318,32 +328,32 @@ def even_split(freqs) -> EvenSplit:
     outside = ~head_bits
     in_tail = np.array([n & outside != 0 for n in freqs], dtype=bool)
     head = tuple(n for n in freqs if not n & outside)
-    # an echelon basis of the head, ascending: each vector's top bit, its
-    # pivot, is set in none before it.  The pivots depend on the span
+    # an echelon basis of the head keyed by pivot, each vector's top bit:
+    # a frequency is reduced by the vector at its top bit until that bit
+    # is a new pivot or nothing is left.  The pivots depend on the span
     # alone, and a frequency's bits at them are its coordinates in the
     # reduced basis on them.  Single bits go first, so a head that spans
     # its v bits fills the basis at once
-    basis, v = [], head_bits.bit_count()
+    pivots, v = {}, head_bits.bit_count()
     for n in [n for n in head if n.bit_count() == 1] + [n for n in head if n.bit_count() > 1]:
-        if len(basis) == v:
+        if len(pivots) == v:
             break
-        for b in reversed(basis):
-            n = min(n, n ^ b)
+        while n and (top := n.bit_length() - 1) in pivots:
+            n ^= pivots[top]
         if n:
-            bisect.insort(basis, n)
+            pivots[top] = n
     # coordinates as cell indices (moments ignore cell order); ascending
     # pivots make them the plain remap of the head bits when r = v.  A run
     # of consecutive pivots shares its bit position less its rank, so it
     # moves to its ranks as one shift and mask
     runs = {}
-    for rank, b in enumerate(basis):
-        shift = b.bit_length() - 1 - rank
-        runs[shift] = runs.get(shift, 0) | 1 << rank
+    for rank, b in enumerate(sorted(pivots)):
+        runs[b - rank] = runs.get(b - rank, 0) | 1 << rank
     slots = [0] * len(head)
     for shift, mask in runs.items():
         slots = [slot | (n >> shift) & mask for slot, n in zip(slots, head)]
     in_tail.flags.writeable = False  # callers may cache and share the split
-    return EvenSplit(in_tail, tuple(slots), len(basis))
+    return EvenSplit(in_tail, tuple(slots), len(pivots))
 
 
 def even_moments(split: EvenSplit, coeffs: np.ndarray, ms):
@@ -366,29 +376,23 @@ def even_moments(split: EvenSplit, coeffs: np.ndarray, ms):
         eq[:, j] = power.mean(axis=1)
     b2 = np.square(coeffs[:, in_tail], order="C")  # rows summed as on their own
     power = np.ones_like(b2)
-    _, recursion, cumulants = _split_table(m_max)
     kappa = []  # kappa[i - 1] = c_i S_2i
-    for c in cumulants:
+    for c in _cumulants(m_max):
         power *= b2
         kappa.append(c * power.sum(axis=1))
     mu = [np.ones(len(coeffs))]  # mu[j] = E T^(2j)
-    for j, weights in enumerate(recursion, start=1):
-        mu.append(sum(w * kappa[i] * mu[j - 1 - i] for i, w in enumerate(weights)))
+    for j in range(1, m_max + 1):
+        mu.append(sum(math.comb(2 * j - 1, 2 * i - 1) * kappa[i - 1] * mu[j - i]
+                      for i in range(1, j + 1)))
     out = np.empty((len(coeffs), len(ms)))
     for col, m in enumerate(ms):
-        outer = _split_table(m)[0]
-        out[:, col] = sum(w * eq[:, m - j] * mu[j] for j, w in enumerate(outer))
+        out[:, col] = sum(math.comb(2 * m, 2 * j) * eq[:, m - j] * mu[j] for j in range(m + 1))
     return out
 
 
 @functools.cache
-def _split_table(m: int) -> tuple[tuple, tuple, tuple]:
-    """Binomials and Rademacher cumulants of the 2m-th moment split.
-
-    Returns C(2m, 2j) for j = 0..m; the moment-cumulant recursion
-    weights C(2j-1, 2i-1), i = 1..j, for j = 1..m; and the even
-    cumulants kappa_2i of one Rademacher sign, i = 1..m.
-    """
+def _cumulants(m: int) -> tuple:
+    """The even cumulants kappa_2i of one Rademacher sign, i = 1..m."""
     # the sign's moments are 1 at even and 0 at odd order; invert
     # mu_n = sum_k C(n-1, k-1) kappa_k mu_(n-k) in exact integers
     mom = [1 - n % 2 for n in range(2 * m + 1)]
@@ -397,10 +401,4 @@ def _split_table(m: int) -> tuple[tuple, tuple, tuple]:
         kappa[n] = mom[n] - sum(
             math.comb(n - 1, k - 1) * kappa[k] * mom[n - k] for k in range(1, n)
         )
-    outer = tuple(math.comb(2 * m, 2 * j) for j in range(m + 1))
-    recursion = tuple(
-        tuple(math.comb(2 * j - 1, 2 * i - 1) for i in range(1, j + 1))
-        for j in range(1, m + 1)
-    )
-    cumulants = tuple(kappa[2 * i] for i in range(1, m + 1))
-    return outer, recursion, cumulants
+    return tuple(kappa[2 * i] for i in range(1, m + 1))

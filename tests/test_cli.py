@@ -89,6 +89,20 @@ def test_norm_engines(tmp_path, capsys):
     assert code == 2
 
 
+def test_norm_mc_at_p1_samples_exit0(tmp_path, capsys):
+    # p = 1 is sampled by the mc engine as by the experiments' route
+    spec_path = tmp_path / "deep.json"
+    save_spectrum(WalshSpectrum({1: 1.0, 1 << 147: 0.5}), spec_path)
+    code, out, err = run_cli(
+        capsys, "norm", "--p", "1", "--engine", "mc", "--samples", "500", "--in", str(spec_path)
+    )
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["kind"] == "sampled" and doc["p"] == 1.0 and doc["samples"] == 500
+    # |r_1 + r_148 / 2| is 1.5 or 0.5, equally likely
+    assert doc["ci_low"] <= doc["value"] <= doc["ci_high"] and 0.5 < doc["value"] < 1.5
+
+
 def test_norm_depth_refusal_exit3(tmp_path, capsys):
     spec_path = tmp_path / "deep.json"
     save_spectrum(WalshSpectrum({1 << 30: 1.0}), spec_path)
@@ -230,12 +244,16 @@ def test_greedy_run_traces_the_coefficients_it_reads(tmp_path, capsys, p):
 @pytest.mark.parametrize("m_max", ["0", "3"])
 @pytest.mark.parametrize("doc, message", [
     ('{"coeffs": [{"m": 1, "c": 0.5}, {"m": 277, "c": 0.25}]}', "outside horizon"),
-    ('{"coeffs": [{"m": 1, "c": 1e308}, {"m": 3, "c": 1e308}]}', "overflows"),
+    pytest.param('{"coeffs": [{"m": 1, "c": 1e308}, {"m": 3, "c": 1e308}]}',
+                 "squared l2 norm", id='{"coeffs": [{"m": 1, "c": 1e308}, '
+                 '{"m": 3, "c": 1e308}]}-overflows'),
 ])
 def test_greedy_run_refuses_what_it_cannot_synthesize_exit2(
     tmp_path, capsys, doc, message, m_max
 ):
-    # desk's horizon is 276 elements; the refusal comes before any step
+    # desk's horizon is 276 elements, and coefficients whose squares sum
+    # past the float range could overflow a symbol sum; both are refused
+    # by rule before any step, with no spectrum built
     cpath = tmp_path / "coeffs.json"
     cpath.write_text(doc)
     code, out, err = run_cli(
@@ -244,6 +262,19 @@ def test_greedy_run_refuses_what_it_cannot_synthesize_exit2(
     )
     assert code == 2 and out == ""
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("p", ["2", "3", "4"])
+def test_greedy_run_past_the_materialization_cap_exit3(tmp_path, capsys, p):
+    # paper's block 2 has 2^100 elements: position 1030 lies in it
+    cpath, out_path = tmp_path / "coeffs.json", tmp_path / "trace.csv"
+    save_coefficients({1: 0.5, 1030: 0.25}, cpath)
+    code, out, err = run_cli(
+        capsys, "greedy", "run", "--plan", "paper", "--in", str(cpath),
+        "--m-max", "3", "--p", p, "--out", str(out_path),
+    )
+    assert code == 3 and out == "" and not out_path.exists()
+    assert "cap is" in err and "Traceback" not in err
 
 
 def per_step_residuals(plan, coeffs, p):
@@ -306,26 +337,25 @@ def test_greedy_run_whose_squared_l2_norm_leaves_the_float_range_exit2(
 
 
 def test_greedy_run_synthesizes_once(tmp_path, capsys, monkeypatch):
-    # the residuals are rows of one batch; the one spectrum built is
-    # synthesize_coefficients' refusal check
-    from walshlab.blocks import BlockPlan
-
-    calls = []
-    built = BlockPlan.weighted_spectrum
-
-    def counting(self, entries):
-        calls.append(1)
-        return built(self, entries)
-
-    monkeypatch.setattr(BlockPlan, "weighted_spectrum", counting)
+    # the residuals are rows of one batch, and the file is refused by
+    # rule, so at even p no spectrum is built at all; at p = 3 each
+    # residual row is gathered into one for lp_norm
+    built = []
+    init, clean = WalshSpectrum.__init__, WalshSpectrum._from_clean_dict.__func__
+    monkeypatch.setattr(WalshSpectrum, "__init__",
+                        lambda self, *terms: built.append(1) or init(self, *terms))
+    monkeypatch.setattr(WalshSpectrum, "_from_clean_dict",
+                        classmethod(lambda cls, terms: built.append(1) or clean(cls, terms)))
     cpath = tmp_path / "coeffs.json"
     save_coefficients(_TIED, cpath)
-    code, _, err = run_cli(
-        capsys, "greedy", "run", "--plan", "desk", "--in", str(cpath),
-        "--m-max", "10", "--p", "4", "--out", str(tmp_path / "trace.csv"),
-    )
-    assert code == 0, err
-    assert len(calls) == 1
+    for p, spectra in (("4", 0), ("6", 0), ("3", len(_TIED))):
+        built.clear()
+        code, _, err = run_cli(
+            capsys, "greedy", "run", "--plan", "desk", "--in", str(cpath),
+            "--m-max", "10", "--p", p, "--out", str(tmp_path / "trace.csv"),
+        )
+        assert code == 0, err
+        assert len(built) == spectra, p
 
 
 @settings(max_examples=40, deadline=None)
@@ -509,15 +539,28 @@ def test_experiment_empty_corpus_exit2(tmp_path, capsys, kind, corpus, field):
     assert out == "" and not out_path.exists()
 
 
+# the engines refuse their own p, samples and seed; greedy run checks
+# --p and --m-max before it reads the file
 @pytest.mark.parametrize("argv, message", [
     (["norm", "--p", "0.5", "--engine", "dense"], "p >= 1"),
-    (["norm", "--p", "nan", "--engine", "mc"], "p > 1"),
-    (["norm", "--p", "3", "--engine", "mc", "--samples", "1"], "--samples"),
+    (["norm", "--p", "nan", "--engine", "mc"], "finite p >= 1"),
+    pytest.param(["norm", "--p", "3", "--engine", "mc", "--samples", "1"],
+                 "at least 2 samples", id="argv2---samples"),
     (["greedy", "run", "--plan", "desk", "--m-max", "-1", "--out", "t.csv"], "--m-max"),
-    (["greedy", "run", "--plan", "desk", "--m-max", "2", "--p", "1", "--out", "t.csv"],
+    (["greedy", "run", "--plan", "desk", "--m-max", "2", "--p", "0.99", "--out", "t.csv"],
      "--p"),
-    (["norm", "--p", "3", "--engine", "mc", "--seed", "-1"], "--seed"),
-    (["norm", "--p", "3", "--engine", "mc", "--seed", str(2**128)], "--seed"),
+    pytest.param(["norm", "--p", "3", "--engine", "mc", "--seed", "-1"],
+                 "[0, 2**128)", id="argv5---seed"),
+    pytest.param(["norm", "--p", "3", "--engine", "mc", "--seed", str(2**128)],
+                 "[0, 2**128)", id="argv6---seed"),
+    (["norm", "--p", "inf", "--engine", "dense"], "finite p >= 1"),
+    (["norm", "--p", "inf", "--engine", "mc"], "finite p >= 1"),
+    (["norm", "--p", "0.5", "--engine", "mc"], "finite p >= 1"),
+    (["norm", "--p", "4.5", "--engine", "even"], "even integer p >= 2"),
+    (["norm", "--p", "inf", "--engine", "even"], "even integer p >= 2"),
+    (["norm", "--p", "0", "--engine", "even"], "even integer p >= 2"),
+    (["greedy", "run", "--plan", "desk", "--m-max", "2", "--p", "inf", "--out", "t.csv"],
+     "--p"),
 ])
 def test_cli_argument_checks_exit2(tmp_path, capsys, argv, message):
     spec_path = tmp_path / "f.json"
@@ -528,7 +571,8 @@ def test_cli_argument_checks_exit2(tmp_path, capsys, argv, message):
     argv = [str(tmp_path / a) if a == "t.csv" else a for a in argv]
     code, out, err = run_cli(capsys, *argv, "--in", infile)
     assert code == 2 and out == ""
-    assert message in err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "t.csv").exists()
 
 
 @pytest.mark.parametrize("command, text", [
@@ -734,6 +778,18 @@ def _experiment_exit(tmp_path, capsys, kind, doc):
     return code, err
 
 
+@pytest.mark.parametrize("kind, field", [
+    ("democracy", "p"), ("democracy", "sizes"), ("khintchine", "sizes"),
+    ("partialsum", "p"), ("partialsum", "n_grid"),
+])
+def test_empty_config_list_exit2(tmp_path, capsys, kind, field):
+    # an absent list takes its default, an empty one would run nothing
+    doc = {"plan": "desk", "trials": 1, "corpus": {"kind": "decay", "count": 1, "terms": 5},
+           field: []}
+    code, err = _experiment_exit(tmp_path, capsys, kind, doc)
+    assert code == 2 and f"{field} must not be an empty list" in err
+
+
 @pytest.mark.parametrize("kind, corpus, field", [
     ("quasigreedy", {"kind": "decay", "alpha": "nan"}, "alpha"),
     ("partialsum", {"kind": "decay", "alpha": "nan"}, "alpha"),
@@ -819,15 +875,17 @@ def test_walsh_baseline_whose_l2_norm_overflows_exit2(tmp_path, capsys):
 
 
 def test_greedy_run_whose_synthesis_overflows_exit2(tmp_path, capsys):
-    # rmatvec sums a column before scaling it: 1e308 + 1e308 overflows
-    cpath = tmp_path / "coeffs.json"
+    # rmatvec would sum a column before scaling it, 1e308 + 1e308; the
+    # squares of the coefficients already leave the float range, and that
+    # rule refuses the file before any transform, at non-even p too
+    cpath, out_path = tmp_path / "coeffs.json", tmp_path / "trace.csv"
     cpath.write_text('{"coeffs": [{"m": 1, "c": 1e308}, {"m": 3, "c": 1e308}]}')
     code, out, err = run_cli(
         capsys, "greedy", "run", "--plan", "desk", "--in", str(cpath),
-        "--m-max", "5", "--p", "3", "--out", str(tmp_path / "trace.csv"),
+        "--m-max", "5", "--p", "3", "--out", str(out_path),
     )
-    assert code == 2 and out == ""
-    assert "overflows" in err and "Traceback" not in err
+    assert code == 2 and out == "" and not out_path.exists()
+    assert "squared l2 norm" in err and "Traceback" not in err
 
 
 def test_partialsum_zero_corpus_function_exit2(tmp_path, capsys, monkeypatch):

@@ -13,8 +13,10 @@ the split with it at any depth, with ``lp_dense`` where the depth is
 B_2m = ((2m - 1)!!)^(1/2m).
 """
 
+import bisect
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from walshlab.blocks import BlockPlan, load_plan
 from walshlab.errors import BudgetError
 from walshlab.experiments import _block_split
 from walshlab.norms import (
-    _split_table,
+    _cumulants,
     even_moments,
     even_split,
     lp_dense,
@@ -333,6 +335,65 @@ def test_split_does_not_depend_on_the_list_order(data):
     assert classified(data.draw(st.permutations(freqs))) == classified(freqs)
 
 
+def sorted_basis_split(freqs):
+    """``even_split`` by its earlier elimination, kept as the reference:
+    an ascending echelon basis, each head frequency XORed with every
+    vector whose top bit it holds, the rest inserted in order."""
+    head_bits = 0
+    for n in freqs:
+        if n.bit_count() != 1:
+            head_bits |= n
+    head = [n for n in freqs if not n & ~head_bits]
+    basis, v = [], head_bits.bit_count()
+    for n in [n for n in head if n.bit_count() == 1] + [n for n in head if n.bit_count() > 1]:
+        if len(basis) == v:
+            break
+        for b in reversed(basis):
+            n = min(n, n ^ b)
+        if n:
+            bisect.insort(basis, n)
+    runs = {}
+    for rank, b in enumerate(basis):
+        shift = b.bit_length() - 1 - rank
+        runs[shift] = runs.get(shift, 0) | 1 << rank
+    slots = [0] * len(head)
+    for shift, mask in runs.items():
+        slots = [slot | (n >> shift) & mask for slot, n in zip(slots, head)]
+    return [bool(n & ~head_bits) for n in freqs], slots, len(basis)
+
+
+@st.composite
+def wide_heads_and_tails(draw):
+    """Up to 400 generators of 16 to 1,000 bits, dense or of a few bits
+    each, with XORs of pairs of them, single bits inside and outside
+    their bits and the constant, shuffled: heads of rank up to about 460."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    width = draw(st.sampled_from([16, 64, 300, 1000]))
+    sparse = draw(st.booleans())
+    gens = [sum(1 << b for b in rng.sample(range(width), 4)[:rng.randint(2, 4)]) if sparse
+            else rng.getrandbits(width) for _ in range(draw(st.integers(1, 400)))]
+    singles = [1 << b for b in rng.sample(range(width), min(width, rng.randint(0, 60)))]
+    pairs = [rng.choice(gens) ^ rng.choice(gens) for _ in range(rng.randint(0, 100))]
+    freqs = list(dict.fromkeys(gens + pairs + singles + [0] * rng.randint(0, 1)))
+    rng.shuffle(freqs)
+    return freqs
+
+
+# rank 440: 400 random generators on bits 0..899 and 40 single bits among
+# them, with a tail of 34 single bits above
+_RNG = random.Random(0)
+_RANK_440 = ([_RNG.getrandbits(900) for _ in range(400)] + [1 << b for b in range(0, 900, 23)]
+             + [1 << b for b in range(900, 1000, 3)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(wide_heads_and_tails())
+@example(_RANK_440)
+def test_pivot_keyed_split_equals_the_sorted_basis_split(freqs):
+    split = even_split(freqs)
+    assert (split.in_tail.tolist(), list(split.slots), split.r) == sorted_basis_split(freqs)
+
+
 def test_the_full_depth_16_list_splits_alike_with_its_single_bits_first():
     # the basis fills at 2^15 in list order and after 16 terms with the
     # powers of two first; either way each frequency is its own cell
@@ -390,12 +451,13 @@ def test_even_norms_scale_exactly_by_powers_of_two(f, p, k):
 
 
 def test_rademacher_cumulants_and_binomials():
-    outer, recursion, cumulants = _split_table(5)
-    assert cumulants == (1, -2, 16, -272, 7936)
-    assert outer == (1, 45, 210, 210, 45, 1)
-    assert recursion[:3] == ((1,), (3, 1), (5, 10, 1))
-    # the tail moments of one sign are all 1
+    assert _cumulants(5) == (1, -2, 16, -272, 7936)
+    # the tail moments of one sign are all 1; (r_1 + r_2)^10 and
+    # (1 + r_1)^10 are 2^10 on half the cells, so both moments are 512:
+    # the recursion's and the outer sum's binomials, exactly
     assert head_tail_moment(WalshSpectrum({1 << 200: 1.0}), 5) == 1.0
+    assert head_tail_moment(WalshSpectrum({1: 1.0, 2: 1.0}), 5) == 512.0
+    assert head_tail_moment(WalshSpectrum({0: 1.0, 1: 1.0}), 5) == 512.0
 
 
 def test_split_at_p10_and_p12_matches_dense():

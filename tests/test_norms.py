@@ -55,8 +55,35 @@ def test_spectral_examples():
 
 
 def test_spectral_rejects_odd_p():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         lp_even_spectral(WalshSpectrum({1: 1.0}), 3)
+
+
+@pytest.mark.parametrize("p", [0.5, 4.5, 0, -2, math.inf, math.nan])
+def test_spectral_refuses_what_is_not_an_even_integer_of_at_least_2(p):
+    with pytest.raises(ConfigError, match="even integer p >= 2"):
+        lp_even_spectral(WalshSpectrum({1: 1.0}), p)
+
+
+@pytest.mark.parametrize("p", [0.99, -3.0, math.inf, -math.inf, math.nan])
+def test_dense_and_monte_carlo_refuse_p_that_is_not_finite_or_below_1(p):
+    f = WalshSpectrum({1: 1.0, 6: 0.5})
+    with pytest.raises(ConfigError, match="finite p >= 1"):
+        lp_dense(f, p)
+    with pytest.raises(ConfigError, match="finite p >= 1"):
+        lp_monte_carlo(f, p, 100, 0)
+
+
+@pytest.mark.parametrize("samples, seed, message", [
+    (1, 0, "at least 2 samples"), (0, 0, "at least 2 samples"),
+    (100, -1, "seed"), (100, 2**128, "seed"),
+])
+def test_monte_carlo_refuses_its_samples_and_seed(samples, seed, message):
+    with pytest.raises(ConfigError, match=message):
+        lp_monte_carlo(WalshSpectrum({1: 1.0, 6: 0.5}), 3.0, samples, seed)
+    # the edges are taken: p = 1, 2 samples, the largest key
+    est = lp_monte_carlo(WalshSpectrum({1: 1.0, 6: 0.5}), 1.0, 2, 2**128 - 1)
+    assert est.kind == "sampled" and est.samples == 2
 
 
 def test_engine_agreement_depth12():
