@@ -383,6 +383,8 @@ def _span_norms(plan: BlockPlan | None, keys, weights, member, ps):
         split = even_split(keys)
     else:
         blocks = tuple(sorted(set(np.searchsorted(plan.offsets, keys).tolist())))
+        for k in blocks:  # before the split lists a block's symbols
+            plan._check_cap(k)
         split = _block_split(plan, blocks)
     step = max(1, _BATCH_BYTES // (8 * max(len(split.in_tail), 1)))
     member = iter(member)

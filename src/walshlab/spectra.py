@@ -234,35 +234,26 @@ def inner_product(f: WalshSpectrum, g: WalshSpectrum) -> float:
 def spectrum_product(f: WalshSpectrum, g: WalshSpectrum) -> WalshSpectrum:
     """Pointwise product of the represented functions (XOR convolution).
 
-    result[n] = sum over a ^ b = n of f[a] * g[b].  The len(f)*len(g)
-    pair products go through ``check_bytes`` at their estimated peak
+    result[n] = sum over a ^ b = n of f[a] * g[b], added into a dict keyed
+    by a ^ b with f's terms outer and g's inner; where keys collide another
+    summation order may differ in the last bits.  The len(f)*len(g) pair
+    products go through ``check_bytes`` at their estimated peak
     (``_product_peak_bytes``) first; a coefficient past the float range
     is refused with ValueError.
     """
     pairs = len(f) * len(g)
-    limbs = max(1, (max(f.depth(), g.depth()) + 63) // 64)
-    check_bytes(_product_peak_bytes(pairs, limbs), f"a product of {pairs} pairs")
-    if not pairs:
-        return WalshSpectrum()
-    # sum over equal pair keys; rebinding ``keys`` frees the unsorted ones
-    fa, ca = _freq_arrays(f, limbs)
-    ga, cb = _freq_arrays(g, limbs)
-    keys = (fa[:, None, :] ^ ga[None, :, :]).reshape(-1, limbs)
-    order = np.lexsort(keys.T[::-1])
-    keys = keys[order]
-    starts = np.flatnonzero(
-        np.concatenate(([True], np.any(keys[1:] != keys[:-1], axis=1)))
-    )
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
-        sums = np.add.reduceat(np.multiply.outer(ca, cb).ravel()[order], starts)
-    kept = sums != 0.0
-    buf, width = keys[starts[kept]].tobytes(), 8 * limbs
-    freqs = (int.from_bytes(buf[i:i + width], "little")
-             for i in range(0, len(buf), width))
-    out = dict(zip(freqs, sums[kept].tolist()))
+    width = max(f.depth(), g.depth())
+    check_bytes(_product_peak_bytes(pairs, width), f"a product of {pairs} pairs")
+    out: dict[int, float] = {}
+    for a, ca in f.items():
+        for b, cb in g.items():
+            n = a ^ b
+            out[n] = out.get(n, 0.0) + ca * cb
     # an overflowed pair sum stays inf or NaN whatever is added to it
     if not all(map(math.isfinite, out.values())):
         raise ValueError("the product overflows a coefficient")
+    for n in [n for n, c in out.items() if c == 0.0]:
+        del out[n]
     return WalshSpectrum._from_clean_dict(out)
 
 
@@ -357,22 +348,12 @@ def _bit_reverse(idx: np.ndarray, depth: int) -> np.ndarray:
     return out
 
 
-# -- packed frequencies for spectrum_product ---------------------------------
-
-def _freq_arrays(f: WalshSpectrum, limbs: int) -> tuple[np.ndarray, np.ndarray]:
-    """Frequencies packed into ``limbs`` little-endian uint64 limbs (wide
-    enough for f's depth), plus coefficients."""
-    raw = b"".join(n.to_bytes(limbs * 8, "little") for n in f)
-    packed = np.frombuffer(raw, dtype="<u8").reshape(len(f), limbs)
-    return packed, np.fromiter((c for _, c in f.items()), float, count=len(f))
-
-
-def _product_peak_bytes(pairs: int, limbs: int) -> int:
+def _product_peak_bytes(pairs: int, width: int) -> int:
     """Upper bound on what one ``spectrum_product`` allocates, per pair
-    (so per result term at most): 24 bytes a limb for the pair keys, their
-    sorted copy and the result's packed bytes, and 256 for a few numpy
-    arrays and each result term's Python int, float and dict slot."""
-    return pairs * (24 * limbs + 256)
+    (so per result term at most): a key of ``width`` bits (28 bytes and 4
+    a 30-bit digit), its float (24) and 90 for the dict's old and new
+    tables while it grows."""
+    return pairs * (142 + 4 * ((width + 29) // 30))
 
 
 # -- JSON spectrum files -----------------------------------------------------

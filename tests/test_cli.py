@@ -874,6 +874,17 @@ def test_walsh_baseline_whose_l2_norm_overflows_exit2(tmp_path, capsys):
     assert code == 2 and "overflows" in err
 
 
+@pytest.mark.parametrize("doc", [
+    {"plan": "paper", "corpus": {"kind": "adversarial_walsh", "depth": 11, "count": 1}},
+    {"plan": {"g": [1, 40]}},  # the default corpus, depth 6
+])
+def test_walsh_baseline_past_the_materialization_cap_exit3(tmp_path, capsys, doc):
+    # the plan side reaches block 2, past the cap: refused before the
+    # block's symbols are listed for its split
+    code, err = _experiment_exit(tmp_path, capsys, "walsh-baseline", doc)
+    assert code == 3 and "cap is" in err
+
+
 def test_greedy_run_whose_synthesis_overflows_exit2(tmp_path, capsys):
     # rmatvec would sum a column before scaling it, 1e308 + 1e308; the
     # squares of the coefficients already leave the float range, and that

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_spectra import freq_arrays
 
 import walshlab.norms
 from walshlab.blocks import load_plan
@@ -38,7 +39,6 @@ from walshlab.spectra import (
     DyadicPoint,
     WalshSpectrum,
     _bit_reverse,
-    _freq_arrays,
     _fwht_inplace,
     rademacher_index,
     synthesize,
@@ -50,7 +50,7 @@ MAX_BIT = 300
 def reference_eval_masks(f, masks):
     n_samples, limbs = masks.shape
     values = np.zeros(n_samples)
-    packed, coeffs = _freq_arrays(f, limbs)
+    packed, coeffs = freq_arrays(f, limbs)
     for row, c in zip(packed, coeffs):
         parity = np.zeros(n_samples, dtype=np.uint64)
         for limb in range(limbs):

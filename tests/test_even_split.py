@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_spectra import freq_arrays
 
 import walshlab.spectra
 from walshlab.blocks import BlockPlan, load_plan
@@ -37,8 +38,6 @@ from walshlab.norms import (
 )
 from walshlab.spectra import (
     WalshSpectrum,
-    _freq_arrays,
-    _product_peak_bytes,
     phi_index,
     rademacher_index,
 )
@@ -53,7 +52,7 @@ def head_tail_moment(f, m):
 def reference_even_moment(f, half, max_pairs=1 << 24):
     """sum over n of (f^half)[n]^2 with all keys kept packed."""
     limbs = max(1, (f.depth() + 63) // 64)
-    packed, coeffs = _freq_arrays(f, limbs)
+    packed, coeffs = freq_arrays(f, limbs)
     keys, weights = packed, coeffs
     for _ in range(half - 1):
         pairs = len(keys) * len(packed)
@@ -161,7 +160,8 @@ def test_wide_head_fits_where_the_full_convolution_did_not(monkeypatch):
     budget = 60_000
     with pytest.raises(BudgetError):
         reference_even_moment(f, 4, max_pairs=budget)
-    monkeypatch.setattr(walshlab.spectra, "BYTE_BUDGET", _product_peak_bytes(budget, 1))
+    # the byte estimate of 60,000 one-limb pairs when products packed their keys
+    monkeypatch.setattr(walshlab.spectra, "BYTE_BUDGET", 16_800_000)
     est = lp_even_spectral(f, 8)
     assert est.value == pytest.approx(lp_dense(f, 8).value, rel=1e-12)
 

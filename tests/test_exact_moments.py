@@ -70,3 +70,15 @@ def test_democracy_p6_rows_are_within_three_ulps_of_the_exact_ratio():
     # the same sets at p = 6: measured worst 2.17 ulp
     worst = _democracy_worst_ulps(6)
     assert worst <= 3, f"worst error {worst:.3f} ulp"
+
+
+def test_democracy_p8_rows_are_within_two_ulps_of_the_exact_ratio():
+    # the same sets at p = 8: measured worst 1.72 ulp
+    worst = _democracy_worst_ulps(8)
+    assert worst <= 2, f"worst error {worst:.3f} ulp"
+
+
+def test_democracy_p10_rows_are_within_three_ulps_of_the_exact_ratio():
+    # the same sets at p = 10: measured worst 2.67 ulp
+    worst = _democracy_worst_ulps(10)
+    assert worst <= 3, f"worst error {worst:.3f} ulp"

@@ -12,7 +12,7 @@ from walshlab.norms import (
     lp_monte_carlo,
     rademacher_fourth_moment,
 )
-from walshlab.spectra import WalshSpectrum, _product_peak_bytes, rademacher_index
+from walshlab.spectra import WalshSpectrum, rademacher_index
 
 
 def _random_spectrum(rng, depth, terms):
@@ -122,7 +122,8 @@ def test_spectral_p8_small():
 def test_spectral_budget(monkeypatch):
     # a head of rank 20 (on 21 bits) needs 24 * 2^20 bytes of cells, past
     # this budget: refused before they are allocated
-    monkeypatch.setattr(walshlab.spectra, "BYTE_BUDGET", _product_peak_bytes(10_000, 1))
+    # the byte estimate of 10,000 one-limb pairs when products packed their keys
+    monkeypatch.setattr(walshlab.spectra, "BYTE_BUDGET", 2_800_000)
     f = WalshSpectrum({3 << j: 1.0 for j in range(20)})
     tracemalloc.start()
     try:
@@ -139,7 +140,8 @@ def test_spectral_budget(monkeypatch):
 
 def test_seven_bit_head_takes_the_split_at_p8(monkeypatch):
     f = WalshSpectrum({n: 1.0 for n in range(1 << 7)})
-    monkeypatch.setattr(walshlab.spectra, "BYTE_BUDGET", _product_peak_bytes(10_000, 1))
+    # the byte estimate of 10,000 one-limb pairs when products packed their keys
+    monkeypatch.setattr(walshlab.spectra, "BYTE_BUDGET", 2_800_000)
     assert lp_even_spectral(f, 8).value == pytest.approx(
         lp_dense(f, 8).value, rel=1e-12
     )

@@ -148,9 +148,44 @@ def test_product_commutative_associative():
 
 def test_product_budget(monkeypatch):
     f = WalshSpectrum({n: 1.0 for n in range(64)})
-    monkeypatch.setattr(walshlab.spectra, "BYTE_BUDGET", _product_peak_bytes(1000, 1))
+    monkeypatch.setattr(walshlab.spectra, "BYTE_BUDGET", _product_peak_bytes(1000, f.depth()))
     with pytest.raises(BudgetError):
         spectrum_product(f, f)
+
+
+def freq_arrays(f, limbs):
+    """Frequencies packed into ``limbs`` little-endian uint64 limbs (wide
+    enough for f's depth), plus coefficients: the packed layout of the
+    reference product here and of the split's reference routes."""
+    raw = b"".join(n.to_bytes(limbs * 8, "little") for n in f)
+    packed = np.frombuffer(raw, dtype="<u8").reshape(len(f), limbs)
+    return packed, np.fromiter((c for _, c in f.items()), float, count=len(f))
+
+
+def packed_product(f, g):
+    """The XOR convolution of two nonempty spectra on packed keys: every
+    pair key XORed limb by limb, lexsorted, and each run of equal keys
+    summed by ``np.add.reduceat``; the wide-key reference."""
+    limbs = max(1, (max(f.depth(), g.depth()) + 63) // 64)
+    fa, ca = freq_arrays(f, limbs)
+    ga, cb = freq_arrays(g, limbs)
+    keys = (fa[:, None, :] ^ ga[None, :, :]).reshape(-1, limbs)
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    starts = np.flatnonzero(
+        np.concatenate(([True], np.any(keys[1:] != keys[:-1], axis=1)))
+    )
+    sums = np.add.reduceat(np.multiply.outer(ca, cb).ravel()[order], starts)
+    buf, width = keys[starts].tobytes(), 8 * limbs
+    freqs = (int.from_bytes(buf[i:i + width], "little") for i in range(0, len(buf), width))
+    return WalshSpectrum(zip(freqs, sums.tolist()))
+
+
+def assert_product_matches_packed_reference(f, g):
+    # within 1e-12 of the largest coefficient, over the union of supports
+    out, ref = spectrum_product(f, g), packed_product(f, g)
+    scale = max(abs(c) for _, c in ref.items())
+    assert all(abs(out[n] - ref[n]) <= 1e-12 * scale for n in set(out) | set(ref))
 
 
 def test_product_packed_path_matches_dict_path():
@@ -161,22 +196,35 @@ def test_product_packed_path_matches_dict_path():
         lo = int(rng.integers(0, 2**35))
         return (hi << 35) | lo
 
-    # two spectra of 160 x 130 pairs spanning >64 bits, against a dict loop
+    # 160 x 130 pairs on 70 bits, and 200 x 150 on 300 bits
     fa = WalshSpectrum({wide_freq(): float(rng.normal()) for _ in range(160)})
     fb = WalshSpectrum({wide_freq(): float(rng.normal()) for _ in range(130)})
-    packed = spectrum_product(fa, fb)
-    slow: dict[int, float] = {}
-    for a, ca in fa.items():
-        for b, cb in fb.items():
-            slow[a ^ b] = slow.get(a ^ b, 0.0) + ca * cb
-    assert packed.allclose(WalshSpectrum(slow), tol=1e-10)
+    assert_product_matches_packed_reference(fa, fb)
+    fa, fb = ({int.from_bytes(rng.bytes(38), "little") >> 4: float(rng.normal())
+               for _ in range(terms)} for terms in (200, 150))
+    assert_product_matches_packed_reference(WalshSpectrum(fa), WalshSpectrum(fb))
+
+
+@pytest.mark.parametrize("depth, terms", [(8, 200), (10, 1024), (70, 40)])
+def test_product_matches_the_packed_reference_where_keys_collide(depth, terms):
+    # f * f on every frequency below 2^10 meets each key 1,024 times; at
+    # depth 70 the 40 terms span 8 bits above bit 62
+    rng = np.random.default_rng(depth)
+    if depth > 64:
+        f = WalshSpectrum({(int(n) << 62) | 5: float(rng.normal())
+                           for n in rng.choice(256, terms, replace=False)})
+    else:
+        f = _random_spectrum(rng, depth=depth, terms=terms)
+    g = _random_spectrum(rng, depth=min(depth, 8), terms=min(terms, 100))
+    assert_product_matches_packed_reference(f, f)
+    assert_product_matches_packed_reference(f, g)
 
 
 @pytest.mark.parametrize("limbs", [1, 5])
 @pytest.mark.parametrize("size", [100, 150, 300])
 def test_product_peak_stays_within_its_budget_estimate(limbs, size):
     # every pair gives its own result term, the worst case for the
-    # result dict
+    # result dict; keys are 64 * limbs bits wide
     rng = np.random.default_rng(size + limbs)
     half = 32 * limbs
     low = rng.choice(1 << min(half, 62), size, replace=False)
@@ -190,7 +238,9 @@ def test_product_peak_stays_within_its_budget_estimate(limbs, size):
     finally:
         tracemalloc.stop()
     assert len(out) == size * size
-    assert peak <= _product_peak_bytes(size * size, limbs)
+    # measured 146 bytes a pair at 64 bits and 177 at 320 (size 300),
+    # against estimates of 154 and 186
+    assert peak <= _product_peak_bytes(size * size, 2 * half)
 
 
 def test_inner_product():
